@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload {train,score,online,verify} \
+    python3 perfbench/run.py --workload {train,online,verify} \
         --seed N --seconds S --trace {0,1}
 
 The last line of standard output is one JSON object with the keys
@@ -25,14 +25,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def blas_threads() -> int:
-    """At most one BLAS thread per CPU this process may run on."""
+def cpus_allowed() -> int:
+    """The number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+# One BLAS thread. The machine's CPUs are shared: with one BLAS thread per
+# CPU, a busy process on the other CPU slowed train's steps by half and no
+# reference computation saw it; with one thread it moved them by 3%.
 # BLAS reads its thread count once, when numpy loads it.
+BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(blas_threads())
+    os.environ[_var] = str(BLAS_THREADS)
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
@@ -108,7 +112,7 @@ def provenance(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     return {
         "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
         "git_sha": _git_sha(), "src_sha256": _src_sha(),
-        "nproc": os.cpu_count(), "cpus_allowed": blas_threads(), "blas_threads": threads,
+        "nproc": os.cpu_count(), "cpus_allowed": cpus_allowed(), "blas_threads": threads,
         "openblas": openblas, "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
@@ -120,11 +124,10 @@ def peak_rss_mb() -> float:
 
 def end_to_end_metrics(run: Run) -> dict:
     """Timings are scaled to the reference speed (see reference.py)."""
-    scale = run.reference.scale()
     values = {
-        "setup_s": (statistics.median(run.setup_s) * scale, "s"),
+        "setup_s": (statistics.median(run.setup_scaled_s), "s"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
-        "round_ms_p10": (run.round_s(10) * 1e3 * scale, "ms"),
+        "round_ms_p10": (run.round_s(10) * 1e3 * run.reference.scale(), "ms"),
     }
     return {name: {"value": float(v), "unit": unit} for name, (v, unit) in values.items()}
 
@@ -135,9 +138,10 @@ def run_workload(fcn, workload: str, seed: int, seconds: float, trace: bool,
     the last output line holds."""
     workdir = os.path.join(OUT_DIR, f"work-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
-    run = Run(fcn, seed, seconds, trace, sizes, workdir)
+    body, references = WORKLOADS[workload]
+    run = Run(fcn, seed, seconds, trace, sizes, workdir, references)
     try:
-        WORKLOADS[workload](fcn, run)
+        body(fcn, run)
     finally:
         if run.tracer is not None:
             run.tracer.uninstall()
@@ -145,18 +149,18 @@ def run_workload(fcn, workload: str, seed: int, seconds: float, trace: bool,
             os.remove(os.path.join(workdir, name))
         os.rmdir(workdir)
     if trace:
-        metrics = per_layer_metrics(run.tracer, run.overhead_frac(), run.traced_epoch_s)
+        metrics = per_layer_metrics(run.tracer, run.overhead_frac(), run.data_wait_s)
         run.tracer.write(os.path.join(OUT_DIR, f"spans-{workload}-seed{seed}.jsonl"))
     else:
         metrics = end_to_end_metrics(run)
     result = {"correct": run.failed == 0 and all(run.checks.values()),
               "attempted": max(run.attempted, 1), "failed": run.failed, "metrics": metrics}
     detail = dict(run.detail)
-    detail.update(setup_s=statistics.median(run.setup_s), peak_rss_mb=peak_rss_mb(),
+    detail.update(setup_s_unscaled=statistics.median(run.setup_s), peak_rss_mb=peak_rss_mb(),
                   failed_frac=run.failed / max(run.attempted, 1),
                   ops=len(run.ops), items=run.items, measured_s=run.measured_s,
                   reference_ms_p10={k: run.reference.ms_p10(k) for k in run.reference.kinds},
-                  reference_runs=len(run.reference.samples["tiny"]))
+                  reference_runs=len(run.reference.samples[references[0]]))
     if not trace:
         detail.update(round_ms_p10_unscaled=run.round_s(10) * 1e3,
                       round_ms_p50_unscaled=run.round_s(50) * 1e3)

@@ -44,11 +44,10 @@ SECONDS = 0.5
 # The workload's own named metrics, printed on the line before the result.
 DETAIL = {
     "train": ["train_rows_per_s", "time_to_auc_s", "train_val_auc"],
-    "score": ["score_rows_per_s"],
     "online": ["online_latency_us_p50", "online_latency_us_p99", "online_requests_per_s"],
     "verify": ["verify_s"],
 }
-COMMON_DETAIL = ["setup_s", "peak_rss_mb", "failed_frac"]
+COMMON_DETAIL = ["setup_s_unscaled", "peak_rss_mb", "failed_frac"]
 
 # Layers each workload must reach in a traced run.
 REACHED = {
@@ -56,13 +55,13 @@ REACHED = {
               "model.self_mask.zero_frac", "model.backward.calls", "numerics.Rng.random.calls",
               "objective.tri_bce.self_s", "objective.tri_bce_grads.self_s",
               "training.train_step.ms_p50", "training.adam_step.self_s",
-              "training.evaluate.self_s", "features.build_schema.self_s"],
-    "score": ["features.encode.rows", "training.predict_scores.self_s", "metrics.auc.self_s",
-              "model.embed_reshape.self_s", "model.forward.infer.self_s",
-              "checkpoint.save_checkpoint.self_s", "checkpoint.load_checkpoint.self_s",
-              "checkpoint.bytes"],
-    "online": ["features.encode.rows", "model.forward.infer.self_s",
-               "model.cross_layer_forward.calls", "checkpoint.bytes"],
+              "training.evaluate.self_s", "training.predict_scores.self_s",
+              "metrics.auc.self_s", "training.train.data_wait_s",
+              "features.build_schema.self_s"],
+    "online": ["features.encode.rows", "model.embed_reshape.self_s",
+               "model.forward.infer.self_s", "model.cross_layer_forward.calls",
+               "checkpoint.save_checkpoint.self_s", "checkpoint.load_checkpoint.self_s",
+               "checkpoint.bytes"],
     "verify": ["verification.audit_config.calls", "numerics.finite_diff_grad.self_s",
                "model.backward.calls", "model.forward.train.self_s"],
 }
@@ -99,12 +98,27 @@ def test_traced_run_reports_layers_and_restores_originals(workload):
     assert result["metrics"]["verification.audit_config.failed"]["value"] == 0
 
 
+def test_online_counts_a_raising_request_once(monkeypatch):
+    forward, calls = FCN.model.forward, []
+
+    def first_call_raises(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(FCN.model, "forward", first_call_raises)
+    result, extra = bench.run_workload(FCN, "online", 3, SECONDS, False, TINY)
+    assert result["failed"] == 1
+    assert all(extra["checks"].values()), extra["checks"]
+
+
 def test_exits_nonzero_without_the_package(tmp_path):
     shutil.copytree(BENCH, tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "score", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", "train", "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0

@@ -37,7 +37,6 @@ class Tracer:
         self.spans: list[tuple] = []
         self.dropped = 0
         self.self_s: dict[str, float] = defaultdict(float)
-        self.total_s: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
         self.counts: dict[str, float] = defaultdict(float)
         self.step_s: list[float] = []  # every training.train_step duration
@@ -77,7 +76,6 @@ class Tracer:
                 after(args, kwargs, result)
             duration = t1 - t0
             self.self_s[span_name] += duration - frame[1]
-            self.total_s[span_name] += duration
             self.calls[span_name] += 1
             if span_name == "training.train_step":
                 self.step_s.append(duration)
@@ -226,22 +224,17 @@ PER_LAYER = {
 }
 
 
-def per_layer_metrics(tracer: Tracer, overhead_frac: float,
-                      traced_epoch_s: float = 0.0) -> dict:
+def per_layer_metrics(tracer: Tracer, overhead_frac: float, data_wait_s: float) -> dict:
     """Every PER_LAYER metric from one traced run; layers the workload never
     reached read 0.
 
-    ``traced_epoch_s`` is the wall time of the traced training epochs, from
-    which the step and evaluate spans are taken to give the time the loop
-    spends outside them (shuffling, batch gathering, bookkeeping).
+    ``data_wait_s`` is the time the traced training epochs spent outside
+    their step and evaluate calls (shuffling, batch gathering, bookkeeping),
+    as the workload's own clocks measured it.
     """
     s, calls, counts = tracer.self_s, tracer.calls, tracer.counts
     steps = tracer.step_s
     entries = counts["self_mask.entries"]
-    data_wait = 0.0
-    if traced_epoch_s:
-        data_wait = (traced_epoch_s - tracer.total_s["training.train_step"]
-                     - tracer.total_s["training.evaluate"])
     values = {
         "model.cross_layer_forward.ecn.self_s": s["model.cross_layer_forward.ecn"],
         "model.cross_layer_forward.lcn.self_s": s["model.cross_layer_forward.lcn"],
@@ -262,7 +255,7 @@ def per_layer_metrics(tracer: Tracer, overhead_frac: float,
         "training.train_step.ms_p50": statistics.median(steps) * 1e3 if steps else 0.0,
         "training.train_step.calls": calls["training.train_step"],
         "training.adam_step.self_s": s["training.adam_step"],
-        "training.train.data_wait_s": data_wait,
+        "training.train.data_wait_s": data_wait_s,
         "training.evaluate.self_s": s["training.evaluate"],
         "training.predict_scores.self_s": s["training.predict_scores"],
         "metrics.auc.self_s": s["metrics.auc"],

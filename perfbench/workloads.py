@@ -1,4 +1,4 @@
-"""The benchmark's four workloads: inputs made from a seed, set-up, the
+"""The benchmark's three workloads: inputs made from a seed, set-up, the
 measured closed loop, and the checks on the program's outputs.
 
 Every call into the package goes through a module attribute
@@ -14,12 +14,12 @@ import statistics
 import sys
 import time
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from reference import EVERY_S, Reference
+from reference import EVERY_S, NOMINAL_PYTHON_MS, Reference
 from tracing import Tracer
 
 TARGET_AUC = 0.90
@@ -27,6 +27,10 @@ TRAIN_LR = 0.01            # the default 0.001 stays near AUC 0.5 for 6+ epochs
 TRAIN_CAP_S = 120.0        # give up on reaching TARGET_AUC after this long
 ONLINE_TOLERANCE = 1e-12   # one-row vs batched forwards differ by up to 2.2e-16
 AUC_ORACLE_TOLERANCE = 1e-12
+NUMERIC_FIELDS = 3
+CATEGORICAL_FIELDS = 5
+ZIPF_A = 1.05              # skew of the categorical tokens
+VERIFY_FIELDS = 2
 
 
 @dataclass(frozen=True)
@@ -36,22 +40,18 @@ class Sizes:
     train_rows: int = 50_000
     train_max_epochs: int = 20
     determinism_rows: int = 8192     # two full 4096-row steps, trained twice
-    score_rows: int = 65_536
-    score_job_rows: int = 8192       # two full 4096-row inference batches
-    zipf_a: float = 1.05
-    verify_fields: int = 2
-    verify_d: int = 4
-    verify_mask: str = "paper"
+    online_records: int = 65_536
     online_check_rows: int = 4096
     oracle_rows: int = 4000
-    setup_repeats: int = 5
+    verify_d: int = 4
+    verify_mask: str = "paper"
+    setup_repeats: int = 9
 
 
 FULL = Sizes()
 TINY = Sizes(train_rows=2000, train_max_epochs=2, determinism_rows=256,
-             score_rows=600, score_job_rows=200, verify_fields=2, verify_d=2,
-             verify_mask="identity", online_check_rows=50, oracle_rows=300,
-             setup_repeats=2)
+             online_records=600, online_check_rows=50, oracle_rows=300,
+             verify_d=2, verify_mask="identity", setup_repeats=2)
 
 
 class _Enough(Exception):
@@ -66,25 +66,26 @@ class Run:
     """
 
     def __init__(self, fcn, seed: int, seconds: float, trace: bool, sizes: Sizes,
-                 workdir: str):
+                 workdir: str, references: tuple[str, ...]):
         self.fcn = fcn
         self.seed = seed
         self.seconds = seconds
         self.sizes = sizes
         self.workdir = workdir
         self.tracer = Tracer(fcn) if trace else None
+        self.tracing = False            # span wrappers in place now
         self.setup_s: list[float] = []
+        self.setup_scaled_s: list[float] = []
         self.ops: list[tuple] = []      # (kind, seconds, traced)
         self.round_size = 1             # ops per round
-        self.rounds: int | None = None  # untraced rounds, when not ops // round_size
-        self.traced_epoch_s = 0.0
+        self.data_wait_s = 0.0          # traced epoch time outside step and evaluate
         self.items = 0
         self.measured_s = 0.0
         self.attempted = 0
         self.failed = 0
         self.checks: dict[str, bool] = {}
         self.detail: dict[str, float] = {}
-        self.reference = Reference()
+        self.reference = Reference(references)
         self._build = None
         self._start = 0.0
         self._excluded_s = 0.0          # set-up and reference time inside the loop
@@ -94,6 +95,7 @@ class Run:
         """Put the span wrappers in place (a new traced op) or take them out."""
         if self.tracer is None:
             return
+        self.tracing = on
         if on:
             self.tracer.op += 1
             self.tracer.install()
@@ -112,7 +114,7 @@ class Run:
         """In a traced run, every second round of ops is traced."""
         return self.tracer is not None and (len(self.ops) // self.round_size) % 2 == 1
 
-    def record_op(self, seconds: float, traced: bool = False, kind=None) -> None:
+    def record_op(self, seconds: float, traced: bool, kind=None) -> None:
         self.ops.append((kind, seconds, traced))
 
     @contextmanager
@@ -133,8 +135,8 @@ class Run:
         return by_kind
 
     def round_s(self, q: float = 10.0) -> float:
-        """One round of work (an epoch, a job, a request, a pass over the
-        audit slice) from the untraced ops: per kind of op, its q-th
+        """One round of work (an epoch, a request, a pass over the audit
+        slice) from the untraced ops: per kind of op, its q-th
         percentile duration times the number of such ops per round.
 
         A low percentile keeps the figure steady on a shared machine, whose
@@ -142,7 +144,7 @@ class Run:
         moves every percentile of its ops.
         """
         by_kind = self._by_kind(False)
-        rounds = self.rounds or sum(map(len, by_kind.values())) // self.round_size
+        rounds = sum(map(len, by_kind.values())) // self.round_size
         return sum(len(v) / rounds * float(np.percentile(v, q)) for v in by_kind.values())
 
     def overhead_frac(self) -> float:
@@ -155,10 +157,16 @@ class Run:
                 / sum(statistics.median(untraced[k]) for k in kinds) - 1.0)
 
     def _timed_build(self):
+        """One set-up, timed, and scaled by the python reference timed just
+        before and just after it (see reference.py)."""
+        before = self.reference.python_ms()
         with self.traced():
             t0 = time.perf_counter()
             out = self._build()
-            self.setup_s.append(time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
+        after = self.reference.python_ms()
+        self.setup_s.append(seconds)
+        self.setup_scaled_s.append(seconds * 2 * NOMINAL_PYTHON_MS / (before + after))
         return out
 
     def setup(self, build):
@@ -244,20 +252,23 @@ def _params_sha(fcn, run: Run, params, config, schema, name: str) -> str:
 
 @contextmanager
 def _epoch_clock(training, run: Run):
-    """Time each train step and each epoch's evaluation with one clock pair:
-    the ops of the untraced run. A step's kind is its batch size, so the
-    ragged last batch of an epoch is its own kind. (The traced run instead
-    alternates traced and untraced epochs.)"""
+    """Time each train step and each epoch's evaluation, in traced and
+    untraced epochs alike. A step's kind is its batch size, so the ragged
+    last batch of an epoch is its own kind. The span wrappers of a traced
+    epoch go around these clocks, so spans and clocks see the same calls;
+    set-up repeats and reference runs therefore happen only in untraced
+    epochs, where no span is open."""
     originals = {name: training.__dict__[name] for name in ("train_step", "evaluate")}
 
     def clock(fn, kind):
         def clocked(*args, **kwargs):
-            run.between_ops()
+            if not run.tracing:
+                run.between_ops()
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                run.record_op(time.perf_counter() - t0, kind=kind(args))
+                run.record_op(time.perf_counter() - t0, run.tracing, kind(args))
         return clocked
 
     training.train_step = clock(originals["train_step"], lambda args: f"step{args[0].n}")
@@ -284,34 +295,32 @@ def run_train(fcn, run: Run) -> None:
     max_epochs = run.sizes.train_max_epochs
     train_config = training.TrainConfig(learning_rate=TRAIN_LR,
                                         max_epochs=max_epochs, patience=max_epochs)
+    steps_per_epoch = -(-train_set.n // train_config.batch_size)
+    run.round_size = steps_per_epoch + 1      # the steps and one evaluate
 
     epochs: list[tuple[int, float, float]] = []   # (epoch, val_auc, elapsed s)
-    traced, mark = False, 0.0
+    mark, first_op = 0.0, 0                       # the current epoch's start
 
     def log(line: str) -> None:
-        nonlocal traced, mark
+        # Called at the end of each epoch; tracing is switched per epoch.
+        nonlocal mark, first_op
         now = time.perf_counter()
         fields = dict(kv.split("=", 1) for kv in line.split())
         epochs.append((int(fields["epoch"]), float(fields["val_auc"]), run.elapsed()))
-        if run.tracer is not None:
-            # an epoch runs from the end of the previous log call to this one
-            run.record_op(now - mark, traced)
-            if traced:
-                run.traced_epoch_s += now - mark
+        if run.tracing:
+            run.data_wait_s += now - mark - sum(s for _, s, _ in run.ops[first_op:])
+        run.switch(False)
         crossed = any(auc >= TARGET_AUC for _, auc, _ in epochs)
         if (crossed and run.elapsed() >= run.seconds) or run.elapsed() >= TRAIN_CAP_S:
             raise _Enough
-        traced = run.next_op_traced()
-        run.switch(traced)
-        mark = time.perf_counter()
+        run.switch(run.next_op_traced())
+        mark, first_op = time.perf_counter(), len(run.ops)
 
     raised = False
-    clock = _epoch_clock(training, run) if run.tracer is None else nullcontext()
-    with run.measuring():
+    with _epoch_clock(training, run), run.measuring():
         mark = time.perf_counter()
         try:
-            with clock:
-                training.train(train_set, valid_set, model_config, train_config, log=log)
+            training.train(train_set, valid_set, model_config, train_config, log=log)
         except _Enough:
             pass
         except Exception:
@@ -320,9 +329,6 @@ def run_train(fcn, run: Run) -> None:
         finally:
             run.switch(False)
 
-    steps_per_epoch = -(-train_set.n // train_config.batch_size)
-    if run.tracer is None:
-        run.rounds = len(epochs)
     run.items = train_set.n * len(epochs)
     run.count(steps_per_epoch * len(epochs) + raised, steps_per_epoch * raised)
 
@@ -350,14 +356,11 @@ def run_train(fcn, run: Run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# score and online
+# online
 # ---------------------------------------------------------------------------
 
-NUMERIC_FIELDS = 3
-CATEGORICAL_FIELDS = 5
 
-
-def criteo_records(seed: int, n: int, zipf_a: float) -> list[dict]:
+def criteo_records(seed: int, n: int) -> list[dict]:
     """Raw records shaped like Criteo's columns: heavy-tailed integer counts
     (``I*``, 10% missing) and Zipf-skewed hashed categoricals (``C*``), with a
     25% positive label. Drawn with numpy's own generator, so the inputs do not
@@ -370,7 +373,7 @@ def criteo_records(seed: int, n: int, zipf_a: float) -> list[dict]:
         text[g.random(n) < 0.1] = ""
         columns[f"I{j + 1}"] = text
     for j in range(CATEGORICAL_FIELDS):
-        ranks = g.zipf(zipf_a, n) % (1 << 20)
+        ranks = g.zipf(ZIPF_A, n) % (1 << 20)
         hashed = (ranks * 2654435761 + (j + 1) * 0x9E3779B9) % (1 << 32)
         columns[f"C{j + 1}"] = np.char.mod("%08x", hashed).astype(object)
     columns["label"] = (g.random(n) < 0.25).astype(np.int64).astype(str).astype(object)
@@ -383,7 +386,7 @@ def _scoring_setup(fcn, run: Run, records: list[dict]):
     features, model, checkpoint = fcn.features, fcn.model, fcn.checkpoint
     specs = ([features.FieldSpec(f"I{j + 1}", "numeric") for j in range(NUMERIC_FIELDS)]
              + [features.FieldSpec(f"C{j + 1}") for j in range(CATEGORICAL_FIELDS)])
-    path = run.path("score.ckpt")
+    path = run.path("online.ckpt")
 
     def build():
         schema = features.build_schema(records, specs)
@@ -399,54 +402,13 @@ def _scoring_setup(fcn, run: Run, records: list[dict]):
     return params, config, schema
 
 
-def run_score(fcn, run: Run) -> None:
-    features, training, metrics = fcn.features, fcn.training, fcn.metrics
-    records = criteo_records(run.seed, run.sizes.score_rows, run.sizes.zipf_a)
-    params, config, schema = _scoring_setup(fcn, run, records)
-    size = run.sizes.score_job_rows
-    chunks = [records[lo:lo + size] for lo in range(0, len(records), size)]
-
-    last = None
-    with run.measuring():
-        while True:
-            chunk = chunks[len(run.ops) % len(chunks)]
-            try:
-                with run.op():
-                    batch = features.encode(chunk, schema)
-                    y, y_deep, y_shallow = training.predict_scores(batch, params, config, 4096)
-                    auc = metrics.auc(y, batch.labels)
-            except Exception:
-                run.error("score job")
-                run.count(1, 1)
-            else:
-                ok = (np.isfinite(y).all() and np.array_equal(y, 0.5 * (y_deep + y_shallow))
-                      and 0.0 <= auc <= 1.0)
-                run.count(1, 0 if ok else 1)
-                run.items += len(chunk)
-                last = (y, batch.labels, auc)
-            run.between_ops()
-            if run.elapsed() >= run.seconds:
-                break
-
-    ok = False
-    if last is not None:
-        y, labels, auc = last
-        sub = slice(0, run.sizes.oracle_rows)
-        gap = abs(metrics.auc(y[sub], labels[sub])
-                  - fcn.verification.pairwise_auc_oracle(y[sub], labels[sub]))
-        ok = gap <= AUC_ORACLE_TOLERANCE
-        run.detail["score_auc"] = auc
-    run.check("score.auc_matches_pairwise_oracle", ok)
-    run.detail["score_rows_per_s"] = run.items / run.measured_s
-
-
 def run_online(fcn, run: Run) -> None:
-    features, model, training = fcn.features, fcn.model, fcn.training
-    records = criteo_records(run.seed, run.sizes.score_rows, run.sizes.zipf_a)
+    features, model, training, metrics = fcn.features, fcn.model, fcn.training, fcn.metrics
+    records = criteo_records(run.seed, run.sizes.online_records)
     params, config, schema = _scoring_setup(fcn, run, records)
     requests = [{k: v for k, v in rec.items() if k != "label"} for rec in records]
     checked = min(run.sizes.online_check_rows, len(requests))
-    served = np.full(checked, np.nan)
+    served = np.full(checked, np.nan)   # stays NaN where a request raised
 
     i = 0
     with run.measuring():
@@ -469,14 +431,24 @@ def run_online(fcn, run: Run) -> None:
     run.attempted += i
     run.items = i
 
-    # the same records scored as one batch through the offline path
+    # The same records, labels included, scored as one batch through the
+    # offline path: the served scores must match it, and the batched scores
+    # must fuse exactly and rank as the pairwise oracle does.
     n = min(i, checked)
-    batch = features.encode(requests[:n], schema, require_labels=False)
-    expected = training.predict_scores(batch, params, config, 4096)[0]
-    bad = int(np.count_nonzero(~(np.abs(served[:n] - expected) <= ONLINE_TOLERANCE)))
+    batch = features.encode(records[:n], schema)
+    y, y_deep, y_shallow = training.predict_scores(batch, params, config, 4096)
+    done = ~np.isnan(served[:n])
+    gaps = np.abs(served[:n][done] - y[done])
+    bad = int(np.count_nonzero(~(gaps <= ONLINE_TOLERANCE)))
     run.failed += bad
-    run.check("online.matches_batched_scores", n > 0 and bad == 0)
-    run.detail["online_max_abs_diff"] = float(np.max(np.abs(served[:n] - expected)))
+    run.check("online.matches_batched_scores", done.any() and bad == 0)
+    run.check("online.batched_scores_fuse",
+              np.isfinite(y).all() and np.array_equal(y, 0.5 * (y_deep + y_shallow)))
+    sub = slice(0, run.sizes.oracle_rows)
+    gap = abs(metrics.auc(y[sub], batch.labels[sub])
+              - fcn.verification.pairwise_auc_oracle(y[sub], batch.labels[sub]))
+    run.check("online.auc_matches_pairwise_oracle", gap <= AUC_ORACLE_TOLERANCE)
+    run.detail["online_max_abs_diff"] = float(gaps.max(initial=0.0))
 
     untraced_us = np.array(run._by_kind(False)[None]) * 1e6
     p99 = float(np.percentile(untraced_us, 99))
@@ -497,7 +469,7 @@ def verify_grid(fcn, sizes: Sizes) -> list[tuple]:
     """The audited slice of ``default_grad_grid()``: one field count, one
     embedding width and one mask mode, every pair of branch depths."""
     return [g for g in fcn.verification.default_grad_grid()
-            if g[0] == sizes.verify_fields and g[1] == sizes.verify_d
+            if g[0] == VERIFY_FIELDS and g[1] == sizes.verify_d
             and g[4] == sizes.verify_mask]
 
 
@@ -536,9 +508,13 @@ def run_verify(fcn, run: Run) -> None:
                        "passes": len(run.ops) // len(grid)})
 
 
+# Each workload and the round references that match its operations (see
+# reference.py): 4096-row steps, elementwise work with some per-call
+# overhead, by the stream passes and the short 2-row network; batch-1
+# requests, all per-call overhead, by the short 2-row network alone; 2-row
+# audits of tens of milliseconds by the long 2-row network.
 WORKLOADS = {
-    "train": run_train,
-    "score": run_score,
-    "online": run_online,
-    "verify": run_verify,
+    "train": (run_train, ("tiny", "stream")),
+    "online": (run_online, ("tiny",)),
+    "verify": (run_verify, ("tiny_long",)),
 }
