@@ -225,7 +225,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ckpt.CheckpointError, ValueError, OSError) as exc:
+    except (DataError, ckpt.CheckpointError, ValueError, FloatingPointError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,10 @@ Epoch progress streams to standard output as single-line records:
         val_auc=<v> val_logloss=<v> secs=<v>
 
 The loop is sequential over batches (single writer on params and optimizer
-state); evaluation runs in inference mode with dropout disabled and is
-independent of the evaluation batch size.
+state); evaluation runs in inference mode with dropout disabled. Its scores
+can depend on the evaluation batch size in the last bit, because BLAS may
+take a different path for a different number of rows: on the README data a
+row scored alone and within a 4096-row batch differed by up to 2.2e-16.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import fcn_ctr.training as training_mod
 from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
 from fcn_ctr.features import read_csv
@@ -99,6 +100,21 @@ class TestTrain:
                        "--train", str(workspace["data"] / "train.csv"),
                        "--valid", str(workspace["data"] / "valid.csv"),
                        "--out-checkpoint", str(out)) == 0
+
+
+    def test_non_finite_gradient_is_data_error(self, workspace, tmp_path, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            raise FloatingPointError("non-finite gradient for tensor heads.w_deep")
+
+        monkeypatch.setattr(training_mod, "adam_step", diverged)
+        out = tmp_path / "diverged.ckpt"
+        code = run("train", "--config", str(workspace["config"]),
+                   "--train", str(workspace["data"] / "train.csv"),
+                   "--valid", str(workspace["data"] / "valid.csv"),
+                   "--out-checkpoint", str(out))
+        assert code == 2
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

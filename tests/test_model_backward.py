@@ -1,5 +1,11 @@
 """The hand-derived backward pass against independent oracles."""
 
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -130,3 +136,103 @@ class TestGradientExactness:
         monkeypatch.setattr(model_mod, "_inject_grad_sign_flip", True)
         corrupted = audit_config(config, num_fields=2, seed=1)
         assert clean < 1e-4 <= corrupted
+
+
+class TestBranchThreads:
+    """The ecn branch on the worker thread, the lcn branch on the caller's."""
+
+    @staticmethod
+    def train_pass(config, params, batch):
+        res = forward(batch, params, config, training=True,
+                      rng=Rng(derive_seed(config.seed, "dropout")))
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        gd, gs = tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report)
+        grads = backward(res.trace, params, config, gd, gs)
+        tensors = [res.y, res.y_deep, res.y_shallow]
+        for layer in grads.lcn_layers + grads.ecn_layers:
+            tensors += [layer.w, layer.b, layer.gain, layer.beta]
+        for uids, rows in grads.embeddings:
+            tensors += [uids, rows]
+        return b"".join(t.tobytes() for t in tensors)
+
+    @pytest.mark.parametrize("mask", ["paper", "no_ln", "identity"])
+    def test_threaded_and_serial_bitwise_equal(self, mask, monkeypatch):
+        config, params, batch = setup(3, 2, mask=mask, n=40)
+        config.dropout_rate = 0.3
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: False)
+        serial = self.train_pass(config, params, batch)
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: True)
+        assert self.train_pass(config, params, batch) == serial
+
+    @pytest.mark.parametrize("where", ["cross_layer_forward", "_mask_backward"])
+    def test_worker_exception_reaches_caller_unchanged(self, where, monkeypatch):
+        config, params, batch = setup(2, 2)
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: True)
+        caller = threading.get_ident()
+        failure = RuntimeError("failed on the worker")
+        real = getattr(model_mod, where)
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise failure
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, where, failing)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_backward(config, params, batch)
+        assert excinfo.value is failure
+        # the worker survives its job's exception
+        monkeypatch.setattr(model_mod, where, real)
+        run_backward(config, params, batch)
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # more callers than CPUs, each handing its ecn branch to the one worker
+        config, params, batch = setup(3, 3, n=64)
+        config.dropout_rate = 0.3
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: False)
+        expected = self.train_pass(config, params, batch)
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: True)
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(self.train_pass(config, params, batch))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 30
+        assert all(r == expected for r in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_worker(self, monkeypatch):
+        config, params, batch = setup(2, 2)
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: True)
+        run_backward(config, params, batch)  # the worker thread exists now
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                run_backward(config, params, batch)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's worker thread")
+            time.sleep(0.05)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

@@ -48,6 +48,17 @@ class TestRng:
         seeds = {derive_seed(5, s) for s in ("init", "shuffle", "dropout", "synth")}
         assert len(seeds) == 4
 
+    def test_stacked_draw_is_consecutive_draws(self):
+        # the forward pass draws all of a branch's dropout uniforms in one
+        # (depth, n, D) call; that must be the stream of depth (n, D) calls,
+        # and leave the generator where they leave it
+        k, n, d = 3, 5, 7
+        stacked_rng, layered_rng = Rng(21), Rng(21)
+        stacked = stacked_rng.random((k, n, d))
+        layered = np.stack([layered_rng.random((n, d)) for _ in range(k)])
+        assert stacked.tobytes() == layered.tobytes()
+        assert stacked_rng.random((n, d)).tobytes() == layered_rng.random((n, d)).tobytes()
+
     def test_permutation_is_a_permutation(self):
         perm = Rng(9).permutation(50)
         assert sorted(perm) == list(range(50))

@@ -1,10 +1,14 @@
 """Adam, the training loop, early stopping, and evaluation."""
 
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split, synth_interaction_data
 from fcn_ctr.metrics import EvalResult
@@ -228,3 +232,62 @@ class TestTrainLoop:
             outs.append(params)
         np.testing.assert_array_equal(outs[0].ecn_layers[0].w, outs[1].ecn_layers[0].w)
         np.testing.assert_array_equal(outs[0].embeddings[2], outs[1].embeddings[2])
+
+
+# sha256 of the parameter bytes after two README-batch train steps, computed
+# before the branches ran on two threads. Float64 matmul results can differ
+# between BLAS kernels, so these pin the numpy build the suite runs on.
+README_STEP_DIGESTS = {
+    "paper": "922d7e74cac4ea6d095607c94ca8d39424edf100f1e0da038472575b0978c0bd",
+    "identity": "bf16b421005a36d788a326b516e28f2bde5f640b97011caeda1c42273fb09518",
+    "no_ln": "bb3919f625b70ea655dd2d11d7b7f57e0ea0c184462eaad97eb25a4acd236c2d",
+}
+
+
+class TestBranchThreadsPinned:
+    @pytest.fixture(scope="class")
+    def readme_batch(self):
+        # the README workload's data (8 fields, cardinality 10, order 4)
+        records, _ = synth_interaction_data(8, 10, 4, 4096, Rng(derive_seed(1, "synth")))
+        return encode(records, build_schema(records, [FieldSpec(f"f{j}") for j in range(8)]))
+
+    @staticmethod
+    def two_step_digest(batch, mask):
+        config = ModelConfig(mask_mode=mask, seed=1)  # dropout on, at its default 0.1
+        params = init_model_params(config, batch.sizes, derive_seed(1, "init"))
+        state = init_adam_state(params)
+        rng = Rng(derive_seed(1, "dropout"))
+        for _ in range(2):
+            train_step(batch, params, config, TrainConfig(learning_rate=0.01), state, rng)
+        digest = hashlib.sha256()
+        for t in params.embeddings:
+            digest.update(t.tobytes())
+        for layer in params.lcn_layers + params.ecn_layers:
+            for t in (layer.w, layer.b, layer.gain, layer.beta):
+                digest.update(t.tobytes())
+        heads = params.heads
+        for t in (heads.w_deep, heads.b_deep, heads.w_shallow, heads.b_shallow):
+            digest.update(t.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("mask", ["paper", "identity", "no_ln"])
+    def test_two_steps_match_pinned_digest_threaded_and_serial(self, readme_batch, mask,
+                                                               monkeypatch):
+        activations = readme_batch.n * ModelConfig().d * 8
+        assert activations >= model_mod.PARALLEL_MIN_ACTIVATIONS
+        threads = set()
+        real = model_mod.cross_layer_forward
+
+        def spy(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "cross_layer_forward", spy)
+        threaded = model_mod._parallel(activations)
+        assert self.two_step_digest(readme_batch, mask) == README_STEP_DIGESTS[mask]
+        assert len(threads) == (2 if threaded else 1)
+
+        threads.clear()
+        monkeypatch.setattr(model_mod, "PARALLEL_MIN_ACTIVATIONS", sys.maxsize)
+        assert self.two_step_digest(readme_batch, mask) == README_STEP_DIGESTS[mask]
+        assert threads == {threading.get_ident()}
