@@ -20,11 +20,14 @@ Byte layout (all integers little-endian, documented in the README):
 
 Loading reproduces the float32-stored values exactly (widened to float64)
 and fails with a distinct error for a bad magic, an unsupported version, a
-truncated file, or a checksum mismatch.
+truncated file, a checksum mismatch, or content no valid file holds (an
+invalid code, an undecodable string, a rank above 64, a non-finite value).
+Saving refuses parameters whose float32 cast is not finite.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -60,15 +63,24 @@ class ChecksumError(CheckpointError):
     pass
 
 
+class FormatError(CheckpointError):
+    """Bytes that decode to something no valid checkpoint holds."""
+
+
+# numpy's limit on array dimensions
+_MAX_RANK = 64
+
+
 def _iter_tensors(params: ModelParams):
-    for e in params.embeddings:
-        yield e
-    for layer in params.lcn_layers:
-        yield from (layer.w, layer.b, layer.gain, layer.beta)
-    for layer in params.ecn_layers:
-        yield from (layer.w, layer.b, layer.gain, layer.beta)
-    h = params.heads
-    yield from (h.w_deep, h.b_deep, h.w_shallow, h.b_shallow)
+    """(name, tensor) in the fixed checkpoint order."""
+    for i, e in enumerate(params.embeddings):
+        yield f"embeddings[{i}]", e
+    for branch in ("lcn_layers", "ecn_layers"):
+        for i, layer in enumerate(getattr(params, branch)):
+            for key in ("w", "b", "gain", "beta"):
+                yield f"{branch}[{i}].{key}", getattr(layer, key)
+    for key in ("w_deep", "b_deep", "w_shallow", "b_shallow"):
+        yield f"heads.{key}", getattr(params.heads, key)
 
 
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
@@ -95,10 +107,14 @@ def checkpoint_bytes(params: ModelParams, config: ModelConfig,
             tb = tok.encode("utf-8")
             buf += struct.pack("<I", len(tb)) + tb
 
-    for tensor in _iter_tensors(params):
+    for name, tensor in _iter_tensors(params):
+        with np.errstate(over="ignore"):
+            stored = np.ascontiguousarray(tensor, dtype="<f4")
+        if not np.isfinite(stored).all():
+            raise ValueError(f"cannot save tensor {name}: a value is not finite as float32")
         buf += struct.pack("<I", tensor.ndim)
         buf += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        buf += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
+        buf += stored.tobytes()
 
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     return bytes(buf)
@@ -133,7 +149,11 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8 string ending at offset {self.pos}") from exc
 
 
 def parse_checkpoint(data: bytes):
@@ -152,12 +172,12 @@ def parse_checkpoint(data: bytes):
     ecn_depth = r.u32()
     mask_idx = r.u32()
     if mask_idx >= len(MASK_MODES):
-        raise ChecksumError(f"invalid mask mode code {mask_idx}")
+        raise FormatError(f"invalid mask mode code {mask_idx}")
     dropout = r.f64()
     ln_epsilon = r.f64()
     disc_idx = r.u32()
     if disc_idx >= len(DISCRETIZE_MODES):
-        raise ChecksumError(f"invalid discretize mode code {disc_idx}")
+        raise FormatError(f"invalid discretize mode code {disc_idx}")
 
     fields = []
     vocabs = []
@@ -166,7 +186,7 @@ def parse_checkpoint(data: bytes):
         name = r.string()
         kind_idx = r.u32()
         if kind_idx >= len(_FIELD_KINDS):
-            raise ChecksumError(f"invalid field kind code {kind_idx}")
+            raise FormatError(f"invalid field kind code {kind_idx}")
         min_count = r.u32()
         size = r.u32()
         tokens = [r.string() for _ in range(size)]
@@ -177,9 +197,10 @@ def parse_checkpoint(data: bytes):
 
     def tensor() -> np.ndarray:
         rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        raw = np.frombuffer(r.take(4 * count), dtype="<f4")
+        if rank > _MAX_RANK:
+            raise FormatError(f"tensor rank {rank} above {_MAX_RANK} at offset {r.pos - 4}")
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        raw = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4")
         return raw.astype(np.float64).reshape(dims)
 
     embeddings = [tensor() for _ in range(num_fields)]
@@ -200,10 +221,13 @@ def parse_checkpoint(data: bytes):
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
+    params = ModelParams(embeddings, lcn, ecn, heads)
+    for name, t in _iter_tensors(params):
+        if not np.isfinite(t).all():
+            raise FormatError(f"tensor {name} holds a non-finite value")
     config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
                          mask_mode=MASK_MODES[mask_idx], dropout_rate=dropout,
                          ln_epsilon=ln_epsilon, seed=0)
-    params = ModelParams(embeddings, lcn, ecn, heads)
     return params, config, schema
 
 

@@ -221,8 +221,10 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
     f = len(params.embeddings)
     if ids2.shape[1] != f:
         raise ValueError(f"expected {f} fields, got {ids2.shape[1]}")
-    firsts = []
-    seconds = []
+    n = ids2.shape[0]
+    x1 = np.empty((n, f * d))
+    # x1 seen as (row, view, field, d/2): field j's rows land in both halves at once
+    views = x1.reshape(n, 2, f, half)
     for j in range(f):
         col = ids2[:, j]
         table = params.embeddings[j]
@@ -230,10 +232,7 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
             raise ValueError(
                 f"field {j}: id out of range [0, {table.shape[0]}) in batch"
             )
-        e = table[col]
-        firsts.append(e[:, :half])
-        seconds.append(e[:, half:])
-    x1 = np.concatenate(firsts + seconds, axis=1)
+        views[:, :, j, :] = table[col].reshape(n, 2, half)
     return x1[0] if single else x1
 
 
@@ -411,15 +410,19 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     A trace is captured by default only in training mode; pass
     ``want_trace=True`` to capture one for inspection without dropout.
     Large batches run the two branches on two threads (see
-    ``_both_branches``); the dropout draws stay on this thread, ecn first.
+    ``_both_branches``). Each branch draws its own dropout uniforms: the ecn
+    from a split of ``rng`` that covers its words, the lcn from ``rng`` after
+    them, so the stream is the one a single thread would draw, ecn first.
     """
     if want_trace is None:
         want_trace = training
     rate = config.dropout_rate if training else 0.0
     shape = x1.shape
-    ecn_uniforms = _dropout_uniforms(rng, len(params.ecn_layers), shape, rate)
+    ecn_depth = len(params.ecn_layers)
+    ecn_rng = rng.split(ecn_depth * x1.size) if rate and rng is not None else rng
     (x_ecn, ecn_traces), (x_lcn, lcn_traces) = _both_branches(
-        lambda: _branch_forward(x1, None, params.ecn_layers, config, ecn_uniforms, want_trace),
+        lambda: _branch_forward(x1, None, params.ecn_layers, config,
+                                _dropout_uniforms(ecn_rng, ecn_depth, shape, rate), want_trace),
         lambda: _branch_forward(x1, x1, params.lcn_layers, config,
                                 _dropout_uniforms(rng, len(params.lcn_layers), shape, rate),
                                 want_trace),
@@ -560,19 +563,18 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
 
     # scatter x1 gradient back into the touched embedding rows
     if trace.ids is not None:
-        m = dx1.shape[1] // 2
-        half = config.d // 2
+        n = dx1.shape[0]
+        d = config.d
         f = params.num_fields
+        views = dx1.reshape(n, 2, f, d // 2)
+        columns = np.arange(d)
         for j in range(f):
-            de = np.concatenate(
-                [dx1[:, j * half:(j + 1) * half],
-                 dx1[:, m + j * half:m + (j + 1) * half]],
-                axis=1,
-            )
             uids, inverse = np.unique(trace.ids[:, j], return_inverse=True)
-            rows = np.zeros((uids.shape[0], config.d))
-            np.add.at(rows, inverse, de)
-            grads.embeddings[j] = (uids, rows)
+            # bincount adds each row's gradient to its id's row in row order,
+            # from 0.0, as np.add.at does: the same bits, several times faster
+            rows = np.bincount((inverse.reshape(n, 1) * d + columns).ravel(),
+                               weights=views[:, :, j, :].ravel())
+            grads.embeddings[j] = (uids, rows.reshape(uids.shape[0], d))
     return grads
 
 

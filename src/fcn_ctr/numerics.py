@@ -4,7 +4,9 @@ Conventions used across the package: vectors are 1-D float64 numpy arrays,
 matrices are 2-D row-major float64 arrays. All training arithmetic runs in
 float64; float32 appears only inside checkpoint files. Every function here is
 pure over caller-owned buffers and safe to call concurrently; ``Rng``
-instances are single-owner and must not be shared between threads.
+instances are single-owner and must not be shared between threads. A thread
+gets its own ``Rng`` from ``Rng.split``, which hands it a stretch of the
+stream exactly where the owner would have drawn it.
 """
 
 from __future__ import annotations
@@ -61,8 +63,27 @@ class Rng:
         return self._gen.bit_generator.random_raw(n)
 
     def random(self, size=None) -> np.ndarray:
-        """Uniform float64 draws in [0, 1)."""
+        """Uniform float64 draws in [0, 1), one raw word each."""
         return self._gen.random(size)
+
+    def split(self, words: int) -> "Rng":
+        """A copy of this stream at its current position, while this stream
+        moves on by ``words`` raw words as if it had drawn them, so another
+        thread can draw exactly those words from the copy. Philox is
+        counter-based: after the rest of its 4-word buffer, whole blocks are
+        skipped with ``advance`` (which empties the buffer), then the
+        remainder is drawn."""
+        bg = self._gen.bit_generator
+        state = bg.state
+        copy = Rng(self.seed)
+        copy._gen.bit_generator.state = state
+        buffered = min(words, 4 - state["buffer_pos"])
+        bg.random_raw(buffered)
+        rest = words - buffered
+        if rest:
+            bg.advance(rest // 4)
+            bg.random_raw(rest % 4)
+        return copy
 
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)

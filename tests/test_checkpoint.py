@@ -1,13 +1,15 @@
 """Checkpoint serialization: round trips, error taxonomy, golden file."""
 
 import hashlib
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcn_ctr.checkpoint import (BadMagicError, ChecksumError, MAGIC,
-                                TruncatedCheckpointError,
+from fcn_ctr.checkpoint import (BadMagicError, CheckpointError, ChecksumError,
+                                FormatError, MAGIC, TruncatedCheckpointError,
                                 UnsupportedVersionError, checkpoint_bytes,
                                 load_checkpoint, parse_checkpoint,
                                 save_checkpoint)
@@ -96,6 +98,74 @@ class TestErrorTaxonomy:
         data = checkpoint_bytes(params, config, schema) + b"xx"
         with pytest.raises(ChecksumError):
             parse_checkpoint(data)
+
+
+def with_crc(data: bytearray) -> bytes:
+    """``data`` with its trailing CRC32 recomputed over the rest."""
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
+    return bytes(data)
+
+
+# byte offsets in a sample_state() checkpoint: magic 8, version 4, then
+# five u32 config fields, two f64, the discretize code, then field 0's name
+MASK_CODE_AT = 28
+NAME_AT = 56
+
+
+class TestFormatErrors:
+    def test_invalid_mask_code(self):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        data[MASK_CODE_AT:MASK_CODE_AT + 4] = struct.pack("<I", 7)
+        with pytest.raises(FormatError, match="invalid mask mode code 7"):
+            parse_checkpoint(with_crc(data))
+
+    def test_undecodable_name(self):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        assert data[NAME_AT:NAME_AT + 5] == b"color"
+        data[NAME_AT] = 0xFF
+        with pytest.raises(FormatError, match="UTF-8"):
+            parse_checkpoint(with_crc(data))
+
+    def test_rank_above_64(self):
+        params, config, schema = sample_state()
+        data = bytearray(checkpoint_bytes(params, config, schema))
+        # the last tensor, b_shallow, is rank 1 with one float before the CRC
+        rank_at = len(data) - 4 - 4 - 4 - 4
+        assert struct.unpack("<II", data[rank_at:rank_at + 8]) == (1, 1)
+        data[rank_at:rank_at + 4] = struct.pack("<I", 65)
+        with pytest.raises(FormatError, match="rank 65"):
+            parse_checkpoint(with_crc(data))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_payload(self, value):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        data[-8:-4] = struct.pack("<f", value)
+        with pytest.raises(FormatError, match="heads.b_shallow"):
+            parse_checkpoint(with_crc(data))
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_save_refuses_non_finite_float32(self, value, tmp_path):
+        params, config, schema = sample_state()
+        params.ecn_layers[1].gain[2] = value
+        with pytest.raises(ValueError, match=r"ecn_layers\[1\]\.gain"):
+            save_checkpoint(tmp_path / "m.ckpt", params, config, schema)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_every_flipped_golden_byte_is_a_checkpoint_error(self):
+        golden = (GOLDEN_DIR / "model.ckpt").read_bytes()
+        kinds = {}
+        for pos in range(len(golden)):
+            for bits in (0x01, 0x80, 0xFF):
+                data = bytearray(golden)
+                data[pos] ^= bits
+                try:
+                    parse_checkpoint(bytes(data))
+                except CheckpointError as exc:
+                    kinds[type(exc)] = kinds.get(type(exc), 0) + 1
+                else:
+                    pytest.fail(f"byte {pos} ^ {bits:#04x} loaded without an error")
+        assert sum(kinds.values()) == 3 * len(golden)
+        assert kinds.get(FormatError, 0) > 0
 
 
 class TestGoldenFile:

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import hashlib
+import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
 from fcn_ctr.features import read_csv
 from fcn_ctr.runconfig import RunConfig, parse_run_config, render_run_config
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def sha(path):
@@ -191,6 +196,48 @@ class TestPredict:
         out = tmp_path / "preds.csv"
         assert run("predict", "--checkpoint", str(workspace["ckpt"]),
                    "--input", str(unlabeled), "--output", str(out)) == 0
+
+
+class TestNonFiniteParameters:
+    def test_float32_overflow_in_training_is_data_error(self, tmp_path, capsys):
+        # lr = 1e40 keeps every float64 weight finite, but not their float32 casts
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--fields", "3", "--cardinality", "4",
+                   "--order", "2", "--rows", "600", "--seed", "3") == 0
+        config = tmp_path / "diverge.cfg"
+        config.write_text("d = 4\nlcn_depth = 1\necn_depth = 1\nmax_epochs = 2\n"
+                          "batch_size = 64\nlr = 1e40\n")
+        out = tmp_path / "diverged.ckpt"
+        code = run("train", "--config", str(config), "--train", str(data / "train.csv"),
+                   "--valid", str(data / "valid.csv"), "--out-checkpoint", str(out))
+        assert code == 2
+        assert "not finite as float32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture
+    def inf_checkpoint(self, tmp_path):
+        # the golden checkpoint with its last payload float, b_shallow, set to
+        # inf and the CRC recomputed, so only the value itself is wrong
+        data = bytearray((GOLDEN_DIR / "model.ckpt").read_bytes())
+        data[-8:-4] = struct.pack("<f", float("inf"))
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
+        path = tmp_path / "inf.ckpt"
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_eval_refuses_non_finite_checkpoint(self, inf_checkpoint, capsys):
+        assert run("eval", "--checkpoint", str(inf_checkpoint),
+                   "--data", str(GOLDEN_DIR / "inputs.csv")) == 2
+        captured = capsys.readouterr()
+        assert "heads.b_shallow" in captured.err
+        assert "auc=" not in captured.out
+
+    def test_predict_refuses_non_finite_checkpoint(self, inf_checkpoint, tmp_path, capsys):
+        out = tmp_path / "preds.csv"
+        assert run("predict", "--checkpoint", str(inf_checkpoint),
+                   "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
+        assert "heads.b_shallow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInspect:

@@ -85,6 +85,42 @@ class TestBackwardBasics:
             sparse[uids] = rows
             np.testing.assert_allclose(sparse, dense, rtol=1e-12, atol=1e-15)
 
+    @staticmethod
+    def add_at_scatter(dx1, ids, d):
+        # the per-field np.add.at reference the scatter must match bit for bit
+        m, half = dx1.shape[1] // 2, d // 2
+        out = []
+        for j in range(ids.shape[1]):
+            de = np.concatenate([dx1[:, j * half:(j + 1) * half],
+                                 dx1[:, m + j * half:m + (j + 1) * half]], axis=1)
+            uids, inverse = np.unique(ids[:, j], return_inverse=True)
+            rows = np.zeros((uids.shape[0], d))
+            np.add.at(rows, inverse, de)
+            out.append((uids, rows))
+        return out
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_embedding_scatter_bitwise_equals_add_at(self, d):
+        # unsorted ids with repeats, and a field whose ids are all equal; the
+        # gradients span 16 decades, so any other summation order shows
+        n = 40
+        config, params, _ = setup(0, 0, f=3, d=d, vocab=7, n=n)
+        rng = Rng(17)
+        ids = np.stack([rng.integers(7, size=n)[::-1], np.full(n, 4),
+                        np.array([6, 0, 6, 3, 0, 6, 1, 3] * 5)], axis=1)
+        batch = EncodedBatch(ids, np.arange(n) % 2, [7, 7, 7])
+        res = forward(batch, params, config, training=True)
+        dy_deep = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        dy_shallow = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        grads = backward(res.trace, params, config, dy_deep, dy_shallow)
+        dx1 = np.outer(dy_deep * res.y_deep * (1.0 - res.y_deep), params.heads.w_deep)
+        dx1 += np.outer(dy_shallow * res.y_shallow * (1.0 - res.y_shallow), params.heads.w_shallow)
+        for (uids, rows), (ref_uids, ref_rows) in zip(grads.embeddings,
+                                                      self.add_at_scatter(dx1, ids, d)):
+            assert uids.tobytes() == ref_uids.tobytes()
+            assert rows.shape == ref_rows.shape
+            assert rows.tobytes() == ref_rows.tobytes()
+
     def test_untouched_embedding_rows_absent(self):
         config, params, batch = setup(1, 1, vocab=9, n=3)
         _, grads = run_backward(config, params, batch)

@@ -54,6 +54,34 @@ class TestEmbedReshape:
             embed_reshape(np.array([[3]]), params, d=4)
 
 
+    @staticmethod
+    def concatenate_layout(ids, params, d):
+        # the reference layout: every field's first halves, then its second halves
+        tables = params.embeddings
+        rows = [tables[j][ids[..., j]] for j in range(len(tables))]
+        return np.concatenate([e[..., :d // 2] for e in rows] + [e[..., d // 2:] for e in rows],
+                              axis=-1)
+
+    @pytest.mark.parametrize("f", [1, 8])
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("n", [None, 1, 37])
+    def test_matches_concatenate_layout(self, f, d, n):
+        rng = Rng(4)
+        params = manual_params([rng.standard_normal((3 + j, d)) for j in range(f)])
+        shape = (f,) if n is None else (n, f)
+        ids = np.stack([rng.integers(3 + j, size=shape[:-1]) for j in range(f)], axis=-1)
+        x1 = embed_reshape(ids, params, d)
+        expected = self.concatenate_layout(ids, params, d)
+        assert x1.shape == expected.shape == shape[:-1] + (f * d,)
+        assert x1.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_names_field_and_range(self, bad):
+        params = manual_params([np.zeros((3, 4)), np.zeros((5, 4))])
+        with pytest.raises(ValueError, match=r"^field 1: id out of range \[0, 5\) in batch$"):
+            embed_reshape(np.array([[0, 2], [1, bad]]), params, d=4)
+
+
 class TestSelfMask:
     def ones_like(self, n):
         return np.ones(n), np.zeros(n)

@@ -59,6 +59,22 @@ class TestRng:
         assert stacked.tobytes() == layered.tobytes()
         assert stacked_rng.random((n, d)).tobytes() == layered_rng.random((n, d)).tobytes()
 
+    @pytest.mark.parametrize("start", [0, 1, 2, 3])
+    @pytest.mark.parametrize("words", [0, 1, 3, 4, 5, 3 * 4096 * 128])
+    def test_split_hands_over_the_next_words(self, start, words):
+        # Philox fills a 4-word buffer; a split must land exactly wherever in
+        # it the stream stands, for jumps shorter and longer than one block
+        rng, reference = Rng(33), Rng(33)
+        rng.random(start)
+        reference.random(start)
+        copy = rng.split(words)
+        assert copy.random(words).tobytes() == reference.random(words).tobytes()
+        state = rng._gen.bit_generator.state["state"]
+        expected = reference._gen.bit_generator.state["state"]
+        for key in ("counter", "key"):
+            assert state[key].tobytes() == expected[key].tobytes()
+        assert rng.random(9).tobytes() == reference.random(9).tobytes()
+
     def test_permutation_is_a_permutation(self):
         perm = Rng(9).permutation(50)
         assert sorted(perm) == list(range(50))
