@@ -21,12 +21,14 @@ Byte layout (all integers little-endian, documented in the README):
 Loading reproduces the float32-stored values exactly (widened to float64)
 and fails with a distinct error for a bad magic, an unsupported version, a
 truncated file, a checksum mismatch, or content no valid file holds (an
-invalid code, an undecodable string, a rank above 64, a non-finite value).
+invalid code, an undecodable string, a tensor whose shape is not the one d,
+the depths and the vocab sizes give it, a non-finite value).
 Saving refuses parameters whose float32 cast is not finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -34,8 +36,8 @@ import zlib
 import numpy as np
 
 from fcn_ctr.features import DISCRETIZE_MODES, FeatureSchema, FieldSpec
-from fcn_ctr.model import (CrossLayerParams, HeadParams, MASK_MODES,
-                           ModelConfig, ModelParams)
+from fcn_ctr.model import (MASK_MODES, ModelConfig, ModelParams, dense_layout,
+                           layer_views, named_tensors)
 
 MAGIC = b"FCNCKPT1"
 VERSION = 1
@@ -67,22 +69,6 @@ class FormatError(CheckpointError):
     """Bytes that decode to something no valid checkpoint holds."""
 
 
-# numpy's limit on array dimensions
-_MAX_RANK = 64
-
-
-def _iter_tensors(params: ModelParams):
-    """(name, tensor) in the fixed checkpoint order."""
-    for i, e in enumerate(params.embeddings):
-        yield f"embeddings[{i}]", e
-    for branch in ("lcn_layers", "ecn_layers"):
-        for i, layer in enumerate(getattr(params, branch)):
-            for key in ("w", "b", "gain", "beta"):
-                yield f"{branch}[{i}].{key}", getattr(layer, key)
-    for key in ("w_deep", "b_deep", "w_shallow", "b_shallow"):
-        yield f"heads.{key}", getattr(params.heads, key)
-
-
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
                      schema: FeatureSchema) -> bytes:
     buf = bytearray()
@@ -107,7 +93,7 @@ def checkpoint_bytes(params: ModelParams, config: ModelConfig,
             tb = tok.encode("utf-8")
             buf += struct.pack("<I", len(tb)) + tb
 
-    for name, tensor in _iter_tensors(params):
+    for name, tensor in named_tensors(params):
         with np.errstate(over="ignore"):
             stored = np.ascontiguousarray(tensor, dtype="<f4")
         if not np.isfinite(stored).all():
@@ -195,22 +181,19 @@ def parse_checkpoint(data: bytes):
         sizes.append(size)
     schema = FeatureSchema(fields, vocabs, sizes, DISCRETIZE_MODES[disc_idx])
 
-    def tensor() -> np.ndarray:
+    # every tensor's shape follows from d, the depths and the vocab sizes;
+    # a tensor of any other shape is refused before its payload is read
+    expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(sizes)]
+    payloads = []
+    for name, shape in itertools.chain(expected,
+                                       dense_layout(d * num_fields, lcn_depth, ecn_depth)):
         rank = r.u32()
-        if rank > _MAX_RANK:
-            raise FormatError(f"tensor rank {rank} above {_MAX_RANK} at offset {r.pos - 4}")
+        if rank != len(shape):
+            raise FormatError(f"tensor {name}: expected rank {len(shape)}, found rank {rank}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        raw = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4")
-        return raw.astype(np.float64).reshape(dims)
-
-    embeddings = [tensor() for _ in range(num_fields)]
-
-    def layer() -> CrossLayerParams:
-        return CrossLayerParams(tensor(), tensor(), tensor(), tensor())
-
-    lcn = [layer() for _ in range(lcn_depth)]
-    ecn = [layer() for _ in range(ecn_depth)]
-    heads = HeadParams(tensor(), tensor(), tensor(), tensor())
+        if dims != shape:
+            raise FormatError(f"tensor {name}: expected dims {shape}, found {dims}")
+        payloads.append(np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4"))
 
     stored_crc = r.u32()
     if r.pos != len(data):
@@ -221,8 +204,11 @@ def parse_checkpoint(data: bytes):
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    params = ModelParams(embeddings, lcn, ecn, heads)
-    for name, t in _iter_tensors(params):
+    embeddings = [p.astype(np.float64).reshape(size, d) for p, size in zip(payloads, sizes)]
+    dense = np.concatenate(payloads[num_fields:]).astype(np.float64)
+    params = ModelParams(embeddings, *layer_views(dense, d * num_fields, lcn_depth, ecn_depth),
+                         dense)
+    for name, t in named_tensors(params):
         if not np.isfinite(t).all():
             raise FormatError(f"tensor {name} holds a non-finite value")
     config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,

@@ -15,7 +15,9 @@ of the gated view. Two sigmoid heads read the branch outputs and the model
 prediction is their mean.
 
 Batches are row-major: ids (n, f) int64, activations (n, D) float64, cross
-vectors (n, D/2). Params are immutable during forward/backward; traces are
+vectors (n, D/2). Every parameter but the embedding tables lives in one
+flat float64 vector, ``ModelParams.dense``, which the layer and head fields
+view. Params are immutable during forward/backward; traces are
 per-batch and single-owner. The two branches share only x1 and the heads, so
 large batches run the ecn on a worker thread and the lcn on the caller's,
 with bitwise the same results as one after the other.
@@ -23,6 +25,7 @@ with bitwise the same results as one after the other.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -70,9 +73,6 @@ class CrossLayerParams:
     gain: np.ndarray   # (D/2,) layernorm gain
     beta: np.ndarray   # (D/2,) layernorm bias
 
-    def copy(self) -> "CrossLayerParams":
-        return CrossLayerParams(self.w.copy(), self.b.copy(), self.gain.copy(), self.beta.copy())
-
 
 @dataclass
 class HeadParams:
@@ -81,17 +81,62 @@ class HeadParams:
     w_shallow: np.ndarray  # (D,)
     b_shallow: np.ndarray  # (1,)
 
-    def copy(self) -> "HeadParams":
-        return HeadParams(self.w_deep.copy(), self.b_deep.copy(),
-                          self.w_shallow.copy(), self.b_shallow.copy())
+
+def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
+    """(name, shape) of every non-embedding tensor, in checkpoint order: each
+    lcn layer's w, b, gain, beta, then each ecn layer's, then the heads."""
+    m = width // 2
+    for branch, depth in (("lcn_layers", lcn_depth), ("ecn_layers", ecn_depth)):
+        for i in range(depth):
+            for key, shape in (("w", (m, width)), ("b", (m,)), ("gain", (m,)), ("beta", (m,))):
+                yield f"{branch}[{i}].{key}", shape
+    for key, shape in (("w_deep", (width,)), ("b_deep", (1,)),
+                       ("w_shallow", (width,)), ("b_shallow", (1,))):
+        yield f"heads.{key}", shape
+
+
+def _named_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
+    """[(name, view into vec)] along ``dense_layout``."""
+    views, pos = [], 0
+    for name, shape in dense_layout(width, lcn_depth, ecn_depth):
+        views.append((name, vec[pos:pos + math.prod(shape)].reshape(shape)))
+        pos += math.prod(shape)
+    return views
+
+
+def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
+    """(lcn layers, ecn layers, heads) whose tensors are views into vec."""
+    t = [view for _, view in _named_views(vec, width, lcn_depth, ecn_depth)]
+    layers = [CrossLayerParams(*t[i:i + 4]) for i in range(0, len(t) - 4, 4)]
+    return layers[:lcn_depth], layers[lcn_depth:], HeadParams(*t[-4:])
 
 
 @dataclass
 class ModelParams:
+    """Every model parameter. The embeddings are per-field (s_i, d) tables,
+    updated row by row; every other tensor is a view into ``dense``, one
+    contiguous float64 vector laid out by ``dense_layout``. Built without
+    ``dense``, it packs copies of the given tensors into a new vector;
+    built with it, the given tensors must be its ``layer_views``."""
+
     embeddings: list[np.ndarray]          # per field, (s_i, d): row per token id
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
+    dense: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.dense is not None:
+            return
+        width, depths = len(self.heads.w_deep), (len(self.lcn_layers), len(self.ecn_layers))
+        given = [getattr(layer, key) for layer in [*self.lcn_layers, *self.ecn_layers]
+                 for key in ("w", "b", "gain", "beta")]
+        given += [self.heads.w_deep, self.heads.b_deep, self.heads.w_shallow, self.heads.b_shallow]
+        for (name, shape), t in zip(dense_layout(width, *depths), given):
+            if np.shape(t) != shape:
+                raise ValueError(f"tensor {name}: expected shape {shape}, got {np.shape(t)}")
+        self.dense = np.concatenate([np.ravel(t) for t in given]).astype(np.float64, copy=False)
+        self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width, *depths)
 
     @property
     def num_fields(self) -> int:
@@ -101,13 +146,21 @@ class ModelParams:
     def width(self) -> int:
         return int(self.heads.w_deep.shape[0])
 
+    def dense_views(self, vec: np.ndarray | None = None):
+        """[(name, view)] of ``vec`` (default ``self.dense``) in this model's layout."""
+        return _named_views(self.dense if vec is None else vec, self.width,
+                            len(self.lcn_layers), len(self.ecn_layers))
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [e.copy() for e in self.embeddings],
-            [l.copy() for l in self.lcn_layers],
-            [l.copy() for l in self.ecn_layers],
-            self.heads.copy(),
-        )
+        dense = self.dense.copy()
+        views = layer_views(dense, self.width, len(self.lcn_layers), len(self.ecn_layers))
+        return ModelParams([e.copy() for e in self.embeddings], *views, dense)
+
+
+def named_tensors(params: ModelParams):
+    """[(name, tensor)] of every parameter in checkpoint order: the embedding
+    tables, then views into ``params.dense``."""
+    return [(f"embeddings[{j}]", e) for j, e in enumerate(params.embeddings)] + params.dense_views()
 
 
 @dataclass
@@ -151,12 +204,14 @@ class ForwardResult:
 @dataclass
 class Gradients:
     """Mirror of ModelParams, with embedding gradients kept sparse as
-    per-field (ids, rows) accumulations over the touched rows only."""
+    per-field (ids, rows) accumulations over the touched rows only, and the
+    other tensors views into ``dense``, laid out as the params'."""
 
     embeddings: list[tuple[np.ndarray, np.ndarray] | None]
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
+    dense: np.ndarray
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -197,17 +252,10 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
 
 
 def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(
-        embeddings=[None] * params.num_fields,
-        lcn_layers=[CrossLayerParams(np.zeros_like(l.w), np.zeros_like(l.b),
-                                     np.zeros_like(l.gain), np.zeros_like(l.beta))
-                    for l in params.lcn_layers],
-        ecn_layers=[CrossLayerParams(np.zeros_like(l.w), np.zeros_like(l.b),
-                                     np.zeros_like(l.gain), np.zeros_like(l.beta))
-                    for l in params.ecn_layers],
-        heads=HeadParams(np.zeros_like(params.heads.w_deep), np.zeros_like(params.heads.b_deep),
-                         np.zeros_like(params.heads.w_shallow), np.zeros_like(params.heads.b_shallow)),
-    )
+    dense = np.zeros_like(params.dense)
+    return Gradients([None] * params.num_fields,
+                     *layer_views(dense, params.width, len(params.lcn_layers),
+                                  len(params.ecn_layers)), dense)
 
 
 def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
@@ -222,17 +270,17 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
     if ids2.shape[1] != f:
         raise ValueError(f"expected {f} fields, got {ids2.shape[1]}")
     n = ids2.shape[0]
+    if n:
+        sizes = [table.shape[0] for table in params.embeddings]
+        bad = (ids2.min(axis=0) < 0) | (ids2.max(axis=0) >= sizes)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"field {j}: id out of range [0, {sizes[j]}) in batch")
     x1 = np.empty((n, f * d))
     # x1 seen as (row, view, field, d/2): field j's rows land in both halves at once
     views = x1.reshape(n, 2, f, half)
-    for j in range(f):
-        col = ids2[:, j]
-        table = params.embeddings[j]
-        if col.size and (col.min() < 0 or col.max() >= table.shape[0]):
-            raise ValueError(
-                f"field {j}: id out of range [0, {table.shape[0]}) in batch"
-            )
-        views[:, :, j, :] = table[col].reshape(n, 2, half)
+    for j, table in enumerate(params.embeddings):
+        views[:, :, j, :] = table[ids2[:, j]].reshape(n, 2, half)
     return x1[0] if single else x1
 
 

@@ -42,7 +42,8 @@ def _as_prob(preds: np.ndarray, clip_epsilon: float) -> np.ndarray:
     p = np.asarray(preds, dtype=np.float64)
     if p.size == 0:
         raise ValueError("bce: empty batch")
-    return np.clip(p, clip_epsilon, 1.0 - clip_epsilon)
+    # np.clip's bits, without its Python layer
+    return np.minimum(np.maximum(p, clip_epsilon), 1.0 - clip_epsilon)
 
 
 def bce(preds: np.ndarray, labels: np.ndarray, clip_epsilon: float = CLIP_EPSILON) -> float:
@@ -52,7 +53,8 @@ def bce(preds: np.ndarray, labels: np.ndarray, clip_epsilon: float = CLIP_EPSILO
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"bce shape mismatch: preds {p.shape} vs labels {y.shape}")
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    v = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    return float(-(np.add.reduce(v, axis=None) / v.size))  # np.mean, bit for bit
 
 
 def tri_bce(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,

@@ -57,12 +57,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers mirroring the parameter tensors. Embedding
-    moments are full per-field arrays, but rows untouched by a batch are never
-    read or written, so they stay at zero and decay nothing (lazy sparse
-    Adam with a single global step counter)."""
+    """First/second moment buffers: one flat pair for ``ModelParams.dense``
+    and one per embedding table. Embedding rows untouched by a batch are
+    never read or written, so they stay at zero and decay nothing (lazy
+    sparse Adam with a single global step counter)."""
 
-    dense: dict
+    m: np.ndarray
+    v: np.ndarray
     emb_m: list[np.ndarray]
     emb_v: list[np.ndarray]
     t: int = 0
@@ -76,59 +77,44 @@ class EpochReport:
     seconds: float
 
 
-def _dense_tensors(params: ModelParams, grads: Gradients | None = None):
-    """Yield (name, param tensor, grad tensor) for every non-embedding tensor."""
-    for branch, layers, glayers in (
-        ("lcn", params.lcn_layers, grads.lcn_layers if grads else params.lcn_layers),
-        ("ecn", params.ecn_layers, grads.ecn_layers if grads else params.ecn_layers),
-    ):
-        for i, (layer, glayer) in enumerate(zip(layers, glayers)):
-            yield f"{branch}[{i}].w", layer.w, glayer.w
-            yield f"{branch}[{i}].b", layer.b, glayer.b
-            yield f"{branch}[{i}].gain", layer.gain, glayer.gain
-            yield f"{branch}[{i}].beta", layer.beta, glayer.beta
-    gh = grads.heads if grads else params.heads
-    yield "heads.w_deep", params.heads.w_deep, gh.w_deep
-    yield "heads.b_deep", params.heads.b_deep, gh.b_deep
-    yield "heads.w_shallow", params.heads.w_shallow, gh.w_shallow
-    yield "heads.b_shallow", params.heads.b_shallow, gh.b_shallow
-
-
 def init_adam_state(params: ModelParams) -> AdamState:
-    dense = {name: (np.zeros_like(p), np.zeros_like(p))
-             for name, p, _ in _dense_tensors(params)}
-    emb_m = [np.zeros_like(e) for e in params.embeddings]
-    emb_v = [np.zeros_like(e) for e in params.embeddings]
-    return AdamState(dense, emb_m, emb_v)
+    return AdamState(np.zeros_like(params.dense), np.zeros_like(params.dense),
+                     [np.zeros_like(e) for e in params.embeddings],
+                     [np.zeros_like(e) for e in params.embeddings])
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
               config: TrainConfig) -> None:
     """One bias-corrected Adam update, in place. Embedding rows absent from
     the sparse gradients receive no update and no moment decay. Raises on any
-    non-finite gradient, naming the offending tensor."""
+    non-finite gradient, naming the first offending tensor, before any
+    parameter changes."""
+    if not np.isfinite(grads.dense).all():
+        name = next(name for name, g in params.dense_views(grads.dense)
+                    if not np.isfinite(g).all())
+        # training names a branch's layers lcn[i] and ecn[i]
+        raise FloatingPointError(f"non-finite gradient for tensor {name.replace('_layers', '')}")
+    for j, sparse in enumerate(grads.embeddings):
+        if sparse is not None and not np.isfinite(sparse[1]).all():
+            raise FloatingPointError(f"non-finite gradient for tensor embeddings[{j}]")
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     lr, eps = config.learning_rate, config.adam_epsilon
 
-    for name, p, g in _dense_tensors(params, grads):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for tensor {name}")
-        m, v = state.dense[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    # every dense tensor in one elementwise pass: the same bits as per tensor
+    g, m, v = grads.dense, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    params.dense -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
     for j, sparse in enumerate(grads.embeddings):
         if sparse is None:
             continue
         rows, g = sparse
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for tensor embeddings[{j}]")
         m = state.emb_m[j]
         v = state.emb_v[j]
         m[rows] = b1 * m[rows] + (1.0 - b1) * g
@@ -162,7 +148,9 @@ def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
 
 def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
                    batch_size: int = 4096):
-    """Fused and per-branch predictions for every row, inference mode."""
+    """Fused and per-branch predictions for every row, inference mode.
+    Raises FloatingPointError when a score is not finite: a branch
+    overflowed, and no metric or prediction file should be made from it."""
     if batch.n == 0:
         empty = np.zeros(0)
         return empty, empty.copy(), empty.copy()
@@ -173,7 +161,10 @@ def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig
         ys.append(res.y)
         yds.append(res.y_deep)
         yss.append(res.y_shallow)
-    return np.concatenate(ys), np.concatenate(yds), np.concatenate(yss)
+    y = np.concatenate(ys)
+    if not np.isfinite(y).all():
+        raise FloatingPointError(f"non-finite score for row {int(np.isfinite(y).argmin())}")
+    return y, np.concatenate(yds), np.concatenate(yss)
 
 
 def train_step(batch: EncodedBatch, params: ModelParams, model_config: ModelConfig,

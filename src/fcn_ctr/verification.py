@@ -27,11 +27,10 @@ import numpy as np
 
 from fcn_ctr.features import EncodedBatch
 from fcn_ctr.metrics import auc as rank_auc
-from fcn_ctr.model import (ModelConfig, ModelParams, backward, forward,
-                           forward_from_x1, init_model_params, self_mask)
+from fcn_ctr.model import (ModelConfig, backward, forward, forward_from_x1,
+                           init_model_params, self_mask)
 from fcn_ctr.numerics import Rng, derive_seed, finite_diff_grad
 from fcn_ctr.objective import bce, tri_bce, tri_bce_grads
-from fcn_ctr.training import _dense_tensors
 
 GRAD_TOLERANCE = 1e-4
 DEGREE_TOLERANCE = 1e-6
@@ -54,40 +53,6 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(params: ModelParams, touched: list[np.ndarray]) -> np.ndarray:
-    parts = [params.embeddings[j][rows].ravel() for j, rows in enumerate(touched)]
-    parts += [p.ravel() for _, p, _ in _dense_tensors(params)]
-    return np.concatenate(parts)
-
-
-def _unflatten_into(vec: np.ndarray, params: ModelParams,
-                    touched: list[np.ndarray]) -> None:
-    pos = 0
-    for j, rows in enumerate(touched):
-        block = params.embeddings[j][rows]
-        n = block.size
-        params.embeddings[j][rows] = vec[pos:pos + n].reshape(block.shape)
-        pos += n
-    for _, p, _ in _dense_tensors(params):
-        n = p.size
-        p[...] = vec[pos:pos + n].reshape(p.shape)
-        pos += n
-
-
-def _flatten_grads(grads, params: ModelParams, touched: list[np.ndarray]) -> np.ndarray:
-    parts = []
-    for j, rows in enumerate(touched):
-        sparse = grads.embeddings[j]
-        if sparse is None:
-            parts.append(np.zeros(rows.shape[0] * params.embeddings[j].shape[1]))
-        else:
-            uids, gr = sparse
-            assert np.array_equal(uids, rows)
-            parts.append(gr.ravel())
-    parts += [g.ravel() for _, _, g in _dense_tensors(params, grads)]
-    return np.concatenate(parts)
-
-
 def audit_config(config: ModelConfig, num_fields: int, seed: int, n_rows: int = 2,
                  vocab: int = 3, h: float = 1e-5):
     """Max relative error between the analytic gradient and central finite
@@ -108,18 +73,26 @@ def audit_config(config: ModelConfig, num_fields: int, seed: int, n_rows: int = 
                                       labels, report)
     grads = backward(base.trace, params, config, g_deep, g_shallow)
 
+    # theta: each field's touched embedding rows, then the dense vector
     touched = [np.unique(ids[:, j]) for j in range(f)]
-    analytic = _flatten_grads(grads, params, touched)
+    for rows, (uids, _) in zip(touched, grads.embeddings):
+        assert np.array_equal(uids, rows)
+    analytic = np.concatenate([g.ravel() for _, g in grads.embeddings] + [grads.dense])
+    theta0 = np.concatenate([e[rows].ravel() for e, rows in zip(params.embeddings, touched)]
+                            + [params.dense])
 
     work = params.copy()
+    y = labels.astype(np.float64)
+    ends = np.cumsum([0] + [rows.size * config.d for rows in touched]).tolist()
 
     def loss(theta: np.ndarray) -> float:
-        _unflatten_into(theta, work, touched)
+        for table, rows, lo, hi in zip(work.embeddings, touched, ends, ends[1:]):
+            table[rows] = theta[lo:hi].reshape(rows.size, config.d)
+        work.dense[:] = theta[ends[-1]:]
         res = forward(batch, work, config, training=False)
-        return (bce(res.y, labels) + w_deep * bce(res.y_deep, labels)
-                + w_shallow * bce(res.y_shallow, labels))
+        return (bce(res.y, y) + w_deep * bce(res.y_deep, y)
+                + w_shallow * bce(res.y_shallow, y))
 
-    theta0 = _flatten(params, touched)
     numeric = finite_diff_grad(loss, theta0, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-2)
     return float(np.max(np.abs(analytic - numeric) / denom))

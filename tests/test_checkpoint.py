@@ -151,6 +151,33 @@ class TestFormatErrors:
             save_checkpoint(tmp_path / "m.ckpt", params, config, schema)
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_embedding_row_count_checked_against_vocab(self):
+        params, config, schema = sample_state()
+        params.embeddings[0] = params.embeddings[0][:2]   # vocab size is 3
+        data = checkpoint_bytes(params, config, schema)    # CRC over the short table
+        with pytest.raises(FormatError,
+                           match=r"embeddings\[0\]: expected dims \(3, 4\), found \(2, 4\)"):
+            parse_checkpoint(data)
+
+    def test_transposed_layer_weight(self):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        # the first (4, 8) tensor is lcn_layers[0].w; the payload size stays
+        at = data.index(struct.pack("<III", 2, 4, 8))
+        data[at:at + 12] = struct.pack("<III", 2, 8, 4)
+        with pytest.raises(FormatError,
+                           match=r"lcn_layers\[0\]\.w: expected dims \(4, 8\), found \(8, 4\)"):
+            parse_checkpoint(with_crc(data))
+
+    def test_head_of_wrong_length(self):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        # the first rank-1 tensor of length 8 is heads.w_deep: drop its last float
+        at = data.index(struct.pack("<II", 1, 8))
+        data[at:at + 8] = struct.pack("<II", 1, 7)
+        del data[at + 8 + 4 * 7:at + 8 + 4 * 8]
+        with pytest.raises(FormatError,
+                           match=r"heads\.w_deep: expected dims \(8,\), found \(7,\)"):
+            parse_checkpoint(with_crc(data))
+
     def test_every_flipped_golden_byte_is_a_checkpoint_error(self):
         golden = (GOLDEN_DIR / "model.ckpt").read_bytes()
         kinds = {}

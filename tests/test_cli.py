@@ -240,6 +240,36 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
 
+class TestNonFiniteScores:
+    @pytest.fixture
+    def overflow_checkpoint(self, tmp_path):
+        # every value stays finite in float32, but the ecn branch overflows
+        # float64 on the golden inputs, so its scores are nan
+        params, config, schema = load_checkpoint(GOLDEN_DIR / "model.ckpt")
+        for layer in params.ecn_layers:
+            layer.w *= 1e37
+            layer.gain *= 1e37
+        for table in params.embeddings:
+            table *= 1e37
+        path = tmp_path / "overflow.ckpt"
+        save_checkpoint(path, params, config, schema)
+        return path
+
+    def test_eval_refuses_non_finite_scores(self, overflow_checkpoint, capsys):
+        assert run("eval", "--checkpoint", str(overflow_checkpoint),
+                   "--data", str(GOLDEN_DIR / "inputs.csv")) == 2
+        captured = capsys.readouterr()
+        assert "non-finite score" in captured.err
+        assert "auc=" not in captured.out
+
+    def test_predict_refuses_non_finite_scores(self, overflow_checkpoint, tmp_path, capsys):
+        out = tmp_path / "preds.csv"
+        assert run("predict", "--checkpoint", str(overflow_checkpoint),
+                   "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
+        assert "non-finite score" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInspect:
     def test_matrix_shapes(self, workspace, tmp_path):
         out = tmp_path / "views"

@@ -8,7 +8,7 @@ from fcn_ctr.features import EncodedBatch
 from fcn_ctr.model import (CrossLayerParams, HeadParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
                            field_importance, forward, init_model_params,
-                           param_count, self_mask, sigmoid)
+                           named_tensors, param_count, self_mask, sigmoid)
 from fcn_ctr.numerics import Rng, derive_seed
 
 
@@ -260,6 +260,60 @@ class TestParamCount:
         counts = param_count(config, sizes)
         assert counts["non_embedding_total"] == total
         assert counts["embedding"] == sum(e.size for e in params.embeddings)
+
+
+class TestFlatStore:
+    def params(self):
+        config = ModelConfig(d=4, lcn_depth=2, ecn_depth=1, seed=0)
+        return init_model_params(config, [3, 5, 4], 1)
+
+    def test_named_tensors_view_dense_in_checkpoint_order(self):
+        params = self.params()
+        named = named_tensors(params)
+        layer = ["w", "b", "gain", "beta"]
+        assert [name for name, _ in named] == (
+            [f"embeddings[{j}]" for j in range(3)]
+            + [f"lcn_layers[{i}].{k}" for i in range(2) for k in layer]
+            + [f"ecn_layers[0].{k}" for k in layer]
+            + ["heads.w_deep", "heads.b_deep", "heads.w_shallow", "heads.b_shallow"])
+        base = params.dense.__array_interface__["data"][0]
+        pos = 0
+        for (_, t), e in zip(named, params.embeddings):
+            assert t is e and not np.shares_memory(t, params.dense)
+        for _, t in named[3:]:
+            assert t.base is params.dense
+            assert t.__array_interface__["data"][0] == base + 8 * pos
+            pos += t.size
+        assert pos == params.dense.size
+        # the layer and head fields are those same views
+        assert params.lcn_layers[1].gain.__array_interface__ == named[3 + 6][1].__array_interface__
+        assert params.heads.b_shallow.__array_interface__ == named[-1][1].__array_interface__
+        params.dense[-1] = 7.0
+        assert params.heads.b_shallow[0] == 7.0
+
+    def test_copy_shares_no_memory(self):
+        params = self.params()
+        twin = params.copy()
+        assert twin.dense.tobytes() == params.dense.tobytes()
+        for (name, a), (_, b) in zip(named_tensors(params), named_tensors(twin)):
+            assert a.tobytes() == b.tobytes(), name
+            assert not np.shares_memory(a, b), name
+        for _, t in named_tensors(twin)[3:]:
+            assert t.base is twin.dense
+        twin.ecn_layers[0].w[0, 0] += 1.0
+        assert twin.ecn_layers[0].w[0, 0] != params.ecn_layers[0].w[0, 0]
+
+    def test_constructor_packs_copies(self):
+        layer = plain_layer(np.ones((2, 4)))
+        params = manual_params([np.zeros((3, 4))], lcn=[layer])
+        assert params.lcn_layers[0].w.base is params.dense
+        layer.w[...] = 5.0
+        np.testing.assert_array_equal(params.lcn_layers[0].w, np.ones((2, 4)))
+
+    def test_constructor_refuses_wrong_shape(self):
+        transposed = CrossLayerParams(np.ones((4, 2)), np.zeros(2), np.ones(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"lcn_layers\[0\]\.w: expected shape \(2, 4\)"):
+            manual_params([np.zeros((3, 4))], lcn=[transposed])
 
 
 class TestFieldImportance:

@@ -12,9 +12,9 @@ import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split, synth_interaction_data
 from fcn_ctr.metrics import EvalResult
-from fcn_ctr.model import ModelConfig, forward, init_model_params
+from fcn_ctr.model import ModelConfig, backward, forward, init_model_params
 from fcn_ctr.numerics import Rng, derive_seed
-from fcn_ctr.objective import tri_bce
+from fcn_ctr.objective import tri_bce, tri_bce_grads
 from fcn_ctr.training import (TrainConfig, adam_step, evaluate,
                               init_adam_state, train, train_step)
 
@@ -82,6 +82,56 @@ class TestAdam:
         grads.lcn_layers[0].w[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match=r"lcn\[0\]\.w"):
             adam_step(params, grads, init_adam_state(params), TrainConfig())
+
+    def test_flat_update_bitwise_equals_per_tensor_reference(self):
+        # the update each tensor got from its own Adam loop before the
+        # dense parameters shared one vector
+        config, params = toy_model(lcn=2, ecn=2)
+        ref = params.copy()
+        tcfg = TrainConfig(learning_rate=0.01)
+        b1, b2, lr, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.learning_rate, tcfg.adam_epsilon
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in ref.dense_views()}
+        state = init_adam_state(params)
+        batch = toy_batch()
+        for t in range(1, 4):
+            res = forward(batch, params, config, training=True)
+            report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+            g_deep, g_shallow = tri_bce_grads(res.y, res.y_deep, res.y_shallow,
+                                              batch.labels, report)
+            grads = backward(res.trace, params, config, g_deep, g_shallow)
+            assert np.abs(grads.dense).max() > 0.0
+            adam_step(params, grads, state, tcfg)
+            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for (name, p), (_, g) in zip(ref.dense_views(), ref.dense_views(grads.dense)):
+                m, v = moments[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            assert params.dense.tobytes() == ref.dense.tobytes()
+
+    @pytest.mark.parametrize("bad, named", [("lcn", r"lcn\[1\]\.w"),
+                                            ("embedding", r"embeddings\[2\]")])
+    def test_non_finite_gradient_raises_before_any_update(self, bad, named):
+        config, params = toy_model(lcn=2, ecn=1)
+        batch = toy_batch()
+        res = forward(batch, params, config, training=True)
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        grads = backward(res.trace, params, config,
+                         *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report))
+        if bad == "embedding":
+            grads.embeddings[2][1][-1, 0] = np.inf
+        else:
+            grads.lcn_layers[1].w[1, 2] = np.nan
+        before = params.copy()
+        state = init_adam_state(params)
+        with pytest.raises(FloatingPointError, match=named):
+            adam_step(params, grads, state, TrainConfig())
+        assert params.dense.tobytes() == before.dense.tobytes()
+        for e, b in zip(params.embeddings, before.embeddings):
+            assert e.tobytes() == b.tobytes()
+        assert not state.m.any() and not state.v.any()
 
     def test_two_runs_bitwise_identical(self):
         results = []

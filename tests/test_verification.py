@@ -1,12 +1,16 @@
 """The oracles themselves: degree probe, pairwise AUC, mask census, audits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import fcn_ctr.model as model_mod
+from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng
-from fcn_ctr.verification import (degree_probe, degree_suite, grad_audit,
-                                  mask_census, mask_suite, measured_degree,
+from fcn_ctr.verification import (audit_config, default_grad_grid, degree_probe,
+                                  degree_suite, grad_audit, mask_census,
+                                  mask_suite, measured_degree,
                                   pairwise_auc_oracle, run_suites)
 
 
@@ -91,6 +95,16 @@ class TestSuites:
                 (3, 2, 2, 0, "identity")]
         result = grad_audit(grid=grid, seeds=(1,))
         assert result.passed
+
+    def test_audit_errors_pinned(self):
+        # every relative error of the two-field half of the grid, seed 1,
+        # frozen bit for bit: a faster audit must compute the same numbers
+        errors = [audit_config(ModelConfig(d=d, lcn_depth=lcn, ecn_depth=ecn, mask_mode=mask,
+                                           dropout_rate=0.0, seed=0), f, 1)
+                  for f, d, lcn, ecn, mask in default_grad_grid() if f == 2]
+        assert len(errors) == 96
+        assert hashlib.sha256(repr(errors).encode()).hexdigest() == (
+            "add0867e4797bac3b0449305f3326d91fd76846a8faf67092e8293e2afdb9feb")
 
     def test_grad_audit_catches_sign_flip(self, monkeypatch):
         monkeypatch.setattr(model_mod, "_inject_grad_sign_flip", True)
