@@ -205,9 +205,9 @@ def parse_checkpoint(data: bytes):
         )
 
     embeddings = [p.astype(np.float64).reshape(size, d) for p, size in zip(payloads, sizes)]
-    dense = np.concatenate(payloads[num_fields:]).astype(np.float64)
-    params = ModelParams(embeddings, *layer_views(dense, d * num_fields, lcn_depth, ecn_depth),
-                         dense)
+    # the constructor widens the float32 views into one float64 vector
+    stored = np.concatenate(payloads[num_fields:])
+    params = ModelParams(embeddings, *layer_views(stored, d * num_fields, lcn_depth, ecn_depth))
     for name, t in named_tensors(params):
         if not np.isfinite(t).all():
             raise FormatError(f"tensor {name} holds a non-finite value")

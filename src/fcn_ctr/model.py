@@ -29,7 +29,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,60 +82,70 @@ class HeadParams:
     b_shallow: np.ndarray  # (1,)
 
 
-def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
-    """(name, shape) of every non-embedding tensor, in checkpoint order: each
-    lcn layer's w, b, gain, beta, then each ecn layer's, then the heads."""
+def _dense_slots(lcn_layers, ecn_layers, heads):
+    """(name, holder, field) of every non-embedding tensor in checkpoint order, the
+    one walk of it: each lcn layer's w, b, gain, beta, each ecn layer's, the heads'."""
+    for branch, layers in (("lcn_layers", lcn_layers), ("ecn_layers", ecn_layers)):
+        for i, layer in enumerate(layers):
+            for key in ("w", "b", "gain", "beta"):
+                yield f"{branch}[{i}].{key}", layer, key
+    for key in ("w_deep", "b_deep", "w_shallow", "b_shallow"):
+        yield f"heads.{key}", heads, key
+
+
+def _shape_tree(width: int, lcn_depth: int, ecn_depth: int):
+    """(lcn layers, ecn layers, heads) whose fields hold their tensors' shapes.
+    The layers come from generators: a checkpoint header may claim any depth."""
     m = width // 2
-    for branch, depth in (("lcn_layers", lcn_depth), ("ecn_layers", ecn_depth)):
-        for i in range(depth):
-            for key, shape in (("w", (m, width)), ("b", (m,)), ("gain", (m,)), ("beta", (m,))):
-                yield f"{branch}[{i}].{key}", shape
-    for key, shape in (("w_deep", (width,)), ("b_deep", (1,)),
-                       ("w_shallow", (width,)), ("b_shallow", (1,))):
-        yield f"heads.{key}", shape
+    layer = (m, width), (m,), (m,), (m,)
+    return ((CrossLayerParams(*layer) for _ in range(lcn_depth)),
+            (CrossLayerParams(*layer) for _ in range(ecn_depth)),
+            HeadParams((width,), (1,), (width,), (1,)))
 
 
-def _named_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
-    """[(name, view into vec)] along ``dense_layout``."""
-    views, pos = [], 0
-    for name, shape in dense_layout(width, lcn_depth, ecn_depth):
-        views.append((name, vec[pos:pos + math.prod(shape)].reshape(shape)))
-        pos += math.prod(shape)
-    return views
+def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
+    """(name, shape) of every non-embedding tensor, in checkpoint order."""
+    for name, holder, key in _dense_slots(*_shape_tree(width, lcn_depth, ecn_depth)):
+        yield name, getattr(holder, key)
 
 
 def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
     """(lcn layers, ecn layers, heads) whose tensors are views into vec."""
-    t = [view for _, view in _named_views(vec, width, lcn_depth, ecn_depth)]
-    layers = [CrossLayerParams(*t[i:i + 4]) for i in range(0, len(t) - 4, 4)]
-    return layers[:lcn_depth], layers[lcn_depth:], HeadParams(*t[-4:])
+    lcn, ecn, heads = _shape_tree(width, lcn_depth, ecn_depth)
+    tree = list(lcn), list(ecn), heads
+    pos = 0
+    for _, holder, key in _dense_slots(*tree):
+        shape = getattr(holder, key)
+        setattr(holder, key, vec[pos:pos + math.prod(shape)].reshape(shape))
+        pos += math.prod(shape)
+    return tree
+
+
+def named_dense(tree) -> list:
+    """[(name, tensor)] of a ModelParams' or Gradients' dense tensors, in checkpoint order."""
+    return [(name, getattr(holder, key)) for name, holder, key
+            in _dense_slots(tree.lcn_layers, tree.ecn_layers, tree.heads)]
 
 
 @dataclass
 class ModelParams:
     """Every model parameter. The embeddings are per-field (s_i, d) tables,
-    updated row by row; every other tensor is a view into ``dense``, one
-    contiguous float64 vector laid out by ``dense_layout``. Built without
-    ``dense``, it packs copies of the given tensors into a new vector;
-    built with it, the given tensors must be its ``layer_views``."""
+    updated row by row; the constructor copies every other tensor into
+    ``dense``, one float64 vector laid out by ``dense_layout``, and views it."""
 
     embeddings: list[np.ndarray]          # per field, (s_i, d): row per token id
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
-    dense: np.ndarray | None = None
+    dense: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.dense is not None:
-            return
         width, depths = len(self.heads.w_deep), (len(self.lcn_layers), len(self.ecn_layers))
-        given = [getattr(layer, key) for layer in [*self.lcn_layers, *self.ecn_layers]
-                 for key in ("w", "b", "gain", "beta")]
-        given += [self.heads.w_deep, self.heads.b_deep, self.heads.w_shallow, self.heads.b_shallow]
-        for (name, shape), t in zip(dense_layout(width, *depths), given):
+        given = named_dense(self)
+        for (name, t), (_, shape) in zip(given, dense_layout(width, *depths)):
             if np.shape(t) != shape:
                 raise ValueError(f"tensor {name}: expected shape {shape}, got {np.shape(t)}")
-        self.dense = np.concatenate([np.ravel(t) for t in given]).astype(np.float64, copy=False)
+        self.dense = np.concatenate([np.ravel(t) for _, t in given], dtype=np.float64)
         self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width, *depths)
 
     @property
@@ -146,21 +156,14 @@ class ModelParams:
     def width(self) -> int:
         return int(self.heads.w_deep.shape[0])
 
-    def dense_views(self, vec: np.ndarray | None = None):
-        """[(name, view)] of ``vec`` (default ``self.dense``) in this model's layout."""
-        return _named_views(self.dense if vec is None else vec, self.width,
-                            len(self.lcn_layers), len(self.ecn_layers))
-
     def copy(self) -> "ModelParams":
-        dense = self.dense.copy()
-        views = layer_views(dense, self.width, len(self.lcn_layers), len(self.ecn_layers))
-        return ModelParams([e.copy() for e in self.embeddings], *views, dense)
+        return ModelParams([e.copy() for e in self.embeddings],
+                           self.lcn_layers, self.ecn_layers, self.heads)
 
 
 def named_tensors(params: ModelParams):
-    """[(name, tensor)] of every parameter in checkpoint order: the embedding
-    tables, then views into ``params.dense``."""
-    return [(f"embeddings[{j}]", e) for j, e in enumerate(params.embeddings)] + params.dense_views()
+    """[(name, tensor)] of every parameter in checkpoint order, embeddings first."""
+    return [(f"embeddings[{j}]", e) for j, e in enumerate(params.embeddings)] + named_dense(params)
 
 
 @dataclass
@@ -233,21 +236,13 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     embeddings = [init_params((s, d), "uniform_fan", rng, fan_in=d) for s in sizes]
 
     def make_layer() -> CrossLayerParams:
-        return CrossLayerParams(
-            w=init_params((m, D), "uniform_fan", rng),
-            b=np.zeros(m),
-            gain=np.ones(m),
-            beta=np.zeros(m),
-        )
+        return CrossLayerParams(init_params((m, D), "uniform_fan", rng), np.zeros(m),
+                                np.ones(m), np.zeros(m))
 
     lcn = [make_layer() for _ in range(config.lcn_depth)]
     ecn = [make_layer() for _ in range(config.ecn_depth)]
-    heads = HeadParams(
-        w_deep=init_params((D,), "uniform_fan", rng),
-        b_deep=np.zeros(1),
-        w_shallow=init_params((D,), "uniform_fan", rng),
-        b_shallow=np.zeros(1),
-    )
+    heads = HeadParams(init_params((D,), "uniform_fan", rng), np.zeros(1),
+                       init_params((D,), "uniform_fan", rng), np.zeros(1))
     return ModelParams(embeddings, lcn, ecn, heads)
 
 

@@ -23,11 +23,15 @@ import numpy as np
 from fcn_ctr.features import DataError, EncodedBatch
 from fcn_ctr.metrics import EvalResult, auc as rank_auc, logloss as eval_logloss
 from fcn_ctr.model import (Gradients, ModelConfig, ModelParams, backward,
-                           forward, init_model_params)
+                           forward, init_model_params, named_dense)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import TriLossReport, tri_bce, tri_bce_grads
 
 LOSS_MODES = ("tri", "plain")
+
+# Dense Adam updates the flat vectors this many entries at a time, a (64, 128)
+# w at the README sizes: with glibc, whole-vector temporaries raised peak RSS.
+ADAM_CHUNK = 8192
 
 
 @dataclass
@@ -90,8 +94,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     non-finite gradient, naming the first offending tensor, before any
     parameter changes."""
     if not np.isfinite(grads.dense).all():
-        name = next(name for name, g in params.dense_views(grads.dense)
-                    if not np.isfinite(g).all())
+        name = next(name for name, g in named_dense(grads) if not np.isfinite(g).all())
         # training names a branch's layers lcn[i] and ecn[i]
         raise FloatingPointError(f"non-finite gradient for tensor {name.replace('_layers', '')}")
     for j, sparse in enumerate(grads.embeddings):
@@ -103,13 +106,15 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     corr2 = 1.0 - b2 ** state.t
     lr, eps = config.learning_rate, config.adam_epsilon
 
-    # every dense tensor in one elementwise pass: the same bits as per tensor
-    g, m, v = grads.dense, state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * (g * g)
-    params.dense -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    # elementwise over the flat vectors, chunk by chunk: the same bits as per tensor
+    for lo in range(0, grads.dense.size, ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        g, m, v = grads.dense[part], state.m[part], state.v[part]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        params.dense[part] -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
     for j, sparse in enumerate(grads.embeddings):
         if sparse is None:

@@ -12,7 +12,7 @@ import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split, synth_interaction_data
 from fcn_ctr.metrics import EvalResult
-from fcn_ctr.model import ModelConfig, backward, forward, init_model_params
+from fcn_ctr.model import ModelConfig, backward, forward, init_model_params, named_dense
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import tri_bce, tri_bce_grads
 from fcn_ctr.training import (TrainConfig, adam_step, evaluate,
@@ -83,14 +83,17 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match=r"lcn\[0\]\.w"):
             adam_step(params, grads, init_adam_state(params), TrainConfig())
 
-    def test_flat_update_bitwise_equals_per_tensor_reference(self):
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_flat_update_bitwise_equals_per_tensor_reference(self, chunk, monkeypatch):
         # the update each tensor got from its own Adam loop before the
-        # dense parameters shared one vector
+        # dense parameters shared one vector; 7-entry chunks cut across tensors
+        if chunk is not None:
+            monkeypatch.setattr(training_mod, "ADAM_CHUNK", chunk)
         config, params = toy_model(lcn=2, ecn=2)
         ref = params.copy()
         tcfg = TrainConfig(learning_rate=0.01)
         b1, b2, lr, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.learning_rate, tcfg.adam_epsilon
-        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in ref.dense_views()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in named_dense(ref)}
         state = init_adam_state(params)
         batch = toy_batch()
         for t in range(1, 4):
@@ -102,7 +105,7 @@ class TestAdam:
             assert np.abs(grads.dense).max() > 0.0
             adam_step(params, grads, state, tcfg)
             corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for (name, p), (_, g) in zip(ref.dense_views(), ref.dense_views(grads.dense)):
+            for (name, p), (_, g) in zip(named_dense(ref), named_dense(grads)):
                 m, v = moments[name]
                 m *= b1
                 m += (1.0 - b1) * g
