@@ -105,26 +105,6 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``out[i] = sum_j m[i, j] * v[j]``."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"matvec shape mismatch: matrix is {m.shape}, vector is {v.shape}"
-        )
-    return m @ v
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise product of two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def init_params(shape, scheme: str = "uniform_fan", rng: Rng | None = None,
                 value: float = 0.0, fan_in: int | None = None) -> np.ndarray:
     """Allocate and fill a parameter tensor.

@@ -8,7 +8,7 @@ reproduced from its own log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from fcn_ctr.features import DISCRETIZE_MODES
 from fcn_ctr.model import MASK_MODES, ModelConfig
@@ -48,13 +48,8 @@ class RunConfig:
                            loss=self.loss)
 
 
-_KEYS = ("d", "lcn_depth", "ecn_depth", "mask", "dropout", "ln_epsilon",
-         "loss", "lr", "batch_size", "max_epochs", "patience", "seed",
-         "discretize", "min_count")
-
-_INT_KEYS = {"d", "lcn_depth", "ecn_depth", "batch_size", "max_epochs",
-             "patience", "seed", "min_count"}
-_FLOAT_KEYS = {"dropout", "ln_epsilon", "lr"}
+_KEYS = tuple(f.name for f in fields(RunConfig))
+_TYPES = {f.name: f.type for f in fields(RunConfig)}  # "int", "float" or "str"
 _ENUM_KEYS = {"mask": MASK_MODES, "loss": LOSS_MODES, "discretize": DISCRETIZE_MODES}
 
 
@@ -76,9 +71,9 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         if key in values:
             raise UsageError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
+            if _TYPES[key] == "int":
                 values[key] = int(value)
-            elif key in _FLOAT_KEYS:
+            elif _TYPES[key] == "float":
                 values[key] = float(value)
             else:
                 allowed = _ENUM_KEYS[key]

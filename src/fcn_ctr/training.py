@@ -154,15 +154,16 @@ def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
 def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
                    batch_size: int = 4096):
     """Fused and per-branch predictions for every row, inference mode.
-    Raises FloatingPointError when a score is not finite: a branch
-    overflowed, and no metric or prediction file should be made from it."""
+    Raises FloatingPointError, and no numpy warning, when a score is not
+    finite: a branch overflowed, and no metric or file should be made from it."""
     if batch.n == 0:
         empty = np.zeros(0)
         return empty, empty.copy(), empty.copy()
     ys, yds, yss = [], [], []
     for lo in range(0, batch.n, batch_size):
         part = batch.rows(slice(lo, lo + batch_size))
-        res = forward(part, params, config, training=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = forward(part, params, config, training=False)
         ys.append(res.y)
         yds.append(res.y_deep)
         yss.append(res.y_shallow)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import hashlib
+import warnings
 import struct
 import zlib
 from pathlib import Path
@@ -256,17 +257,21 @@ class TestNonFiniteScores:
         return path
 
     def test_eval_refuses_non_finite_scores(self, overflow_checkpoint, capsys):
-        assert run("eval", "--checkpoint", str(overflow_checkpoint),
-                   "--data", str(GOLDEN_DIR / "inputs.csv")) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("eval", "--checkpoint", str(overflow_checkpoint),
+                       "--data", str(GOLDEN_DIR / "inputs.csv")) == 2
         captured = capsys.readouterr()
-        assert "non-finite score" in captured.err
+        assert captured.err == "error: non-finite score for row 5\n"
         assert "auc=" not in captured.out
 
     def test_predict_refuses_non_finite_scores(self, overflow_checkpoint, tmp_path, capsys):
         out = tmp_path / "preds.csv"
-        assert run("predict", "--checkpoint", str(overflow_checkpoint),
-                   "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
-        assert "non-finite score" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("predict", "--checkpoint", str(overflow_checkpoint),
+                       "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
+        assert capsys.readouterr().err == "error: non-finite score for row 5\n"
         assert not out.exists()
 
 

@@ -1,15 +1,21 @@
 """Forward-pass behavior: reshape layout, self-mask, cross layers, heads,
 parameter accounting, and the field-wise importance views."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from fcn_ctr.features import EncodedBatch
+import fcn_ctr.model as model_mod
+from fcn_ctr.checkpoint import checkpoint_bytes, parse_checkpoint
+from fcn_ctr.features import OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec
 from fcn_ctr.model import (CrossLayerParams, HeadParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
-                           field_importance, forward, init_model_params,
-                           named_tensors, param_count, self_mask, sigmoid)
+                           field_importance, forward, forward_from_x1,
+                           init_model_params, named_tensors, param_count,
+                           self_mask, sigmoid)
 from fcn_ctr.numerics import Rng, derive_seed
+from fcn_ctr.training import TrainConfig, init_adam_state, train_step
 
 
 def manual_params(embeddings, lcn=(), ecn=(), w_deep=None, w_shallow=None):
@@ -349,3 +355,93 @@ class TestFieldImportance:
         config, params, batch = small_setup(1, 1)
         with pytest.raises(ValueError, match="out of range"):
             field_importance(params, config, batch, 1, "lcn")
+
+
+class TestStackedBranches:
+    """Small inference batches run both branches as one (2, n, D) stack; it must
+    give the serial and threaded paths' bits and follow every write to dense."""
+
+    D = 32
+
+    @classmethod
+    def setup_for(cls, lcn, ecn, mask="paper", seed=3):
+        config = ModelConfig(d=8, lcn_depth=lcn, ecn_depth=ecn, mask_mode=mask, seed=seed)
+        params = init_model_params(config, [5] * (cls.D // 8), derive_seed(seed, "init"))
+        return config, params
+
+    @staticmethod
+    def x1(n, seed=11):
+        return Rng(seed).standard_normal((n, TestStackedBranches.D))
+
+    @staticmethod
+    def outputs(x1, params, config, path, monkeypatch):
+        stacked = path == "stacked"
+        monkeypatch.setattr(model_mod, "STACKED_MAX_ACTIVATIONS", sys.maxsize if stacked else -1)
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: path == "threaded")
+        res = forward_from_x1(x1, params, config)
+        return res.y, res.y_deep, res.y_shallow
+
+    def assert_paths_equal(self, x1, params, config, monkeypatch, paths=("serial", "threaded")):
+        stacked = self.outputs(x1, params, config, "stacked", monkeypatch)
+        for path in paths:
+            other = self.outputs(x1, params, config, path, monkeypatch)
+            for name, a, b in zip(("y", "y_deep", "y_shallow"), stacked, other):
+                assert np.array_equal(a, b), (path, name)
+
+    @pytest.mark.parametrize("mask", ["paper", "no_ln", "identity"])
+    @pytest.mark.parametrize("depths", [(0, 3), (3, 1), (2, 2), (3, 3)])
+    def test_stacked_serial_threaded_bitwise_equal(self, mask, depths, monkeypatch):
+        config, params = self.setup_for(*depths, mask=mask)
+        crossover = model_mod.STACKED_MAX_ACTIVATIONS // self.D + 1
+        for n in (1, 2, 7, crossover - 1, crossover):
+            self.assert_paths_equal(self.x1(n), params, config, monkeypatch)
+
+    def test_switch_at_crossover(self, monkeypatch):
+        config, params = self.setup_for(2, 2)
+        crossover = model_mod.STACKED_MAX_ACTIVATIONS // self.D + 1
+        calls = []
+        real = model_mod._stacked_forward
+        monkeypatch.setattr(model_mod, "_stacked_forward",
+                            lambda x1, *args: calls.append(len(x1)) or real(x1, *args))
+        for n in (1, crossover - 1, crossover):
+            forward_from_x1(self.x1(n), params, config)
+        # traced and training forwards keep the per-branch path
+        forward_from_x1(self.x1(2), params, config, want_trace=True)
+        forward_from_x1(self.x1(2), params, config, training=True, rng=Rng(1))
+        assert calls == [1, crossover - 1]
+
+    def test_views_follow_adam_dense_writes_and_checkpoints(self, monkeypatch):
+        config, params = self.setup_for(3, 2)
+        x1 = self.x1(5)
+        before = self.outputs(x1, params, config, "stacked", monkeypatch)
+        ids = Rng(4).integers(5, size=(16, params.num_fields))
+        batch = EncodedBatch(ids, np.arange(16) % 2, [5] * params.num_fields)
+        train_step(batch, params, config, TrainConfig(learning_rate=0.1),
+                   init_adam_state(params), Rng(2))
+        after = self.outputs(x1, params, config, "stacked", monkeypatch)
+        assert not np.array_equal(before[0], after[0])
+        self.assert_paths_equal(x1, params, config, monkeypatch, paths=("serial",))
+
+        params.dense[:] = Rng(6).uniform(-0.5, 0.5, params.dense.size)
+        self.assert_paths_equal(x1, params, config, monkeypatch, paths=("serial",))
+
+        vocab = {OOV_TOKEN: 0, **{str(t): t for t in range(1, 5)}}
+        schema = FeatureSchema([FieldSpec(f"f{j}") for j in range(params.num_fields)],
+                               [vocab] * params.num_fields, [5] * params.num_fields, "lnsq")
+        loaded, _, _ = parse_checkpoint(checkpoint_bytes(params, config, schema))
+        self.assert_paths_equal(x1, loaded, config, monkeypatch, paths=("serial",))
+
+    def test_copy_gets_its_own_stacks(self):
+        _, params = self.setup_for(3, 2)
+        twin = params.copy()
+        assert len(twin.stacked) == 2
+        for a, b in zip(params.stacked, twin.stacked):
+            for key in ("w", "b", "gain", "beta"):
+                mine, theirs = getattr(a, key), getattr(b, key)
+                assert np.shares_memory(theirs, twin.dense)
+                assert not np.shares_memory(mine, theirs), key
+                assert not theirs.flags.writeable
+        for i, layer in enumerate(twin.stacked):
+            assert np.array_equal(layer.w[0], twin.lcn_layers[i].w)
+            assert np.array_equal(layer.w[1], twin.ecn_layers[i].w)
+            assert np.array_equal(layer.beta[1, 0], twin.ecn_layers[i].beta)

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fcn_ctr.numerics import (Rng, derive_seed, finite_diff_grad, hadamard,
-                              init_params, matvec)
+from fcn_ctr.numerics import Rng, derive_seed, finite_diff_grad, init_params
 
 # Frozen raw Philox4x64-10 words; these pin the bit-generator stream across
 # platforms and releases (also documented in the README).
@@ -78,69 +77,6 @@ class TestRng:
     def test_permutation_is_a_permutation(self):
         perm = Rng(9).permutation(50)
         assert sorted(perm) == list(range(50))
-
-
-class TestMatvec:
-    def test_row_sums(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, [3.0, 7.0])
-
-    def test_identity(self):
-        v = np.array([5.0, -2.0, 0.0])
-        np.testing.assert_array_equal(matvec(np.eye(3), v), v)
-
-    def test_hand_case(self):
-        out = matvec(np.array([[0.5, 0.5]]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, [1.5])
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3,\)"):
-            matvec(np.eye(2), np.zeros(3))
-
-    def test_matches_triple_loop_reference(self):
-        # exact for integer-valued entries, 1e-12 relative for random floats
-        rng = Rng(31)
-
-        def reference(m, v):
-            out = np.zeros(m.shape[0])
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    out[i] += m[i, j] * v[j]
-            return out
-
-        m_int = np.floor(rng.uniform(-10, 10, (7, 5)))
-        v_int = np.floor(rng.uniform(-10, 10, 5))
-        np.testing.assert_array_equal(matvec(m_int, v_int), reference(m_int, v_int))
-
-        for _ in range(20):
-            m = rng.uniform(-1, 1, (8, 6))
-            v = rng.uniform(-1, 1, 6)
-            np.testing.assert_allclose(matvec(m, v), reference(m, v), rtol=1e-12)
-
-
-class TestHadamard:
-    def test_basic(self):
-        np.testing.assert_array_equal(
-            hadamard(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0])),
-            [0.0, 2.0, 6.0])
-
-    def test_ones_identity(self):
-        a = Rng(4).uniform(-2, 2, 9)
-        np.testing.assert_array_equal(hadamard(a, np.ones(9)), a)
-
-    def test_hand_case(self):
-        np.testing.assert_array_equal(
-            hadamard(np.array([1.0, 2.0]), np.array([1.5, 0.0])), [1.5, 0.0])
-
-    def test_commutative_exactly(self):
-        rng = Rng(8)
-        a = rng.uniform(-3, 3, 32)
-        b = rng.uniform(-3, 3, 32)
-        np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="hadamard"):
-            hadamard(np.zeros(3), np.zeros(4))
 
 
 class TestInitParams:
