@@ -18,10 +18,13 @@ Batches are row-major: ids (n, f) int64, activations (n, D) float64, cross
 vectors (n, D/2). Every parameter but the embedding tables lives in one
 flat float64 vector, ``ModelParams.dense``, which the layer and head fields
 view. Params are immutable during forward/backward; traces are
-per-batch and single-owner. The two branches share only x1 and the heads, so
-small inference batches run them as one (2, n, D) stack, large batches with
-the ecn on a worker thread and the lcn on the caller's, the rest one after
-the other, all with bitwise the same results.
+per-batch and single-owner. A training run hands forward and backward a
+``BranchWorkspace`` per branch, whose buffers take a step's arrays in place
+of fresh temporaries; every other caller gets fresh arrays. The two
+branches share only x1 and the heads, so small inference batches run them
+as one (2, n, D) stack, large batches with the ecn on a worker thread and
+the lcn on the caller's, the rest one after the other, all with bitwise the
+same results.
 """
 
 from __future__ import annotations
@@ -233,6 +236,46 @@ class Gradients:
     dense: np.ndarray
 
 
+class BranchWorkspace:
+    """One branch's buffers for training steps, which fill them in place of
+    fresh temporaries: one flat array per role, grown to the largest batch
+    seen, so a smaller batch takes reshaped prefixes of the same memory. A
+    step's trace and gradients view these buffers until the next step (or the
+    epoch's evaluation) overwrites them. Single-owner, like an ``Rng``."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-contiguous view of ``role``'s buffer, which
+        always has the same ``dtype``."""
+        size = math.prod(shape)
+        flat = self.buffers.get(role)
+        if flat is None or flat.size < size:
+            flat = self.buffers[role] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
+        """Per layer, the views ``cross_layer_forward`` fills: its output and
+        the arrays its trace keeps (each role holds every layer's), and the
+        masked half, scratch that the layers share."""
+        m = width // 2
+        layered = {role: self.take(role, (depth, n, cols), dtype) for role, cols, dtype in (
+            ("x_out", width, float), ("gate", width, float), ("c", m, float), ("relu", m, float),
+            ("act", m, bool), ("mu", 1, float), ("delta", 1, float), ("unclamped", 1, bool))}
+        masked = self.take("masked", (n, m))
+        return [dict(masked=masked, **{role: a[i] for role, a in layered.items()})
+                for i in range(depth)]
+
+    def backward_views(self, n: int, width: int) -> dict:
+        """The views ``_branch_backward`` fills; nrm takes the forward's masked
+        scratch, spent by then."""
+        m = width // 2
+        return {role: self.take(buffer, (n, cols)) for role, buffer, cols in (
+            ("dx", "dx", width), ("dgate", "dgate", width), ("dc", "dc", m),
+            ("dnrm", "dnrm", m), ("nrm", "masked", m))}
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, both from e = exp(-|z|)."""
@@ -262,17 +305,23 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     return ModelParams(embeddings, lcn, ecn, heads)
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    dense = np.zeros_like(params.dense)
+def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Gradients:
+    """Zero gradients over ``dense`` when given (zeroed here), else a fresh vector."""
+    if dense is None:
+        dense = np.zeros_like(params.dense)
+    else:
+        dense.fill(0.0)
     return Gradients([None] * params.num_fields,
                      *layer_views(dense, params.width, len(params.lcn_layers),
                                   len(params.ecn_layers)), dense)
 
 
-def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
+def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Look up field embeddings and lay them out as [a_1..a_f, b_1..b_f].
 
-    ids is (n, f) or (f,) for a single row; output is (n, D) or (D,).
+    ids is (n, f) or (f,) for a single row; output is (n, D) or (D,), written
+    into ``out`` (n, D) when given.
     """
     single = ids.ndim == 1
     ids2 = ids[None, :] if single else ids
@@ -287,7 +336,7 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
         if bad.any():
             j = int(bad.argmax())
             raise ValueError(f"field {j}: id out of range [0, {sizes[j]}) in batch")
-    x1 = np.empty((n, f * d))
+    x1 = np.empty((n, f * d)) if out is None else out
     # x1 seen as (row, view, field, d/2): field j's rows land in both halves at once
     views = x1.reshape(n, 2, f, half)
     for j, table in enumerate(params.embeddings):
@@ -295,10 +344,14 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int) -> np.ndarray:
     return x1[0] if single else x1
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
+def _row_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit (numpy's mean is this
     sum over the count), without the Python layer that dominates small rows."""
-    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    if out is None:
+        return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    out /= a.shape[-1]
+    return out
 
 
 def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -310,7 +363,8 @@ def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
-              mode: str = "paper", ln_epsilon: float = 1e-5, want_stats: bool = True):
+              mode: str = "paper", ln_epsilon: float = 1e-5, want_stats: bool = True,
+              out: dict | None = None):
     """Gate a cross vector against its own normalized sign.
 
     paper:    c * relu(gain * (c - mean) / max(std, eps) + beta), with mean and
@@ -321,28 +375,42 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
     Works over the last axis of a vector, an (n, D/2) batch or a (2, n, D/2)
     stack of both branches'. Returns (masked, stats) where stats maps
-    LayerTrace fields to what the backward pass needs, or None.
+    LayerTrace fields to what the backward pass needs, or None. ``out``, when
+    given, maps roles to the workspace views the arrays go into
+    (``BranchWorkspace.forward_views``); without it they are new, and each
+    line takes the form without ``out=``, the cheaper call for small rows.
     """
     stats = {}
     if mode == "identity":
-        masked = c.copy()
+        masked = c.copy() if out is None else np.positive(c, out=out["masked"])
     elif mode == "no_ln":
-        relu = _relu(c)
-        masked = relu * relu
+        relu = _relu(c, None if out is None else out["relu"])
+        masked = relu * relu if out is None else np.multiply(relu, relu, out=out["masked"])
         stats = {"relu": relu}
     elif mode == "paper":
-        mu = _row_mean(c)
-        nrm = c - mu
-        raw_std = np.sqrt(_row_mean(nrm * nrm))
-        delta = np.maximum(raw_std, ln_epsilon)
+        if out is None:
+            mu = _row_mean(c)
+            nrm = c - mu
+            raw_std = np.sqrt(_row_mean(nrm * nrm))
+        else:
+            mu = _row_mean(c, out["mu"])
+            nrm = np.subtract(c, mu, out=out["relu"])
+            raw_std = _row_mean(np.multiply(nrm, nrm, out=out["masked"]), out["delta"])
+            np.sqrt(raw_std, out=raw_std)
+        if want_stats:
+            unclamped = (raw_std > ln_epsilon if out is None
+                         else np.greater(raw_std, ln_epsilon, out=out["unclamped"]))
+        # the workspace's delta buffer holds raw_std, now spent
+        delta = (np.maximum(raw_std, ln_epsilon) if out is None
+                 else np.maximum(raw_std, ln_epsilon, out=raw_std))
         nrm /= delta
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
         if want_stats:
-            masked = c * relu
-            stats = {"relu": relu, "act": relu > 0.0, "mu": mu, "delta": delta,
-                     "unclamped": raw_std > ln_epsilon}
+            masked = c * relu if out is None else np.multiply(c, relu, out=out["masked"])
+            act = relu > 0.0 if out is None else np.greater(relu, 0.0, out=out["act"])
+            stats = {"relu": relu, "act": act, "mu": mu, "delta": delta, "unclamped": unclamped}
         else:
             masked = np.multiply(c, relu, out=relu)
     else:
@@ -352,26 +420,29 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
                         mode: str, ln_epsilon: float, drop_mask: np.ndarray | None = None,
-                        want_trace: bool = True):
+                        want_trace: bool = True, out: dict | None = None):
     """One cross layer: c = W x_in + b, gate = [c || mask(c)],
     out = anchor * gate + x_in. ``drop_mask``, when given, is the (n, D)
     dropout mask the gate is multiplied by: 0 where an entry is dropped,
     1/(1 - dropout rate) where it is kept. A layer of ``ModelParams.stacked``
-    runs on (2, n, D) stacks of both branches' x_in and anchor.
-    Returns (x_out, LayerTrace), the trace None unless ``want_trace``."""
+    runs on (2, n, D) stacks of both branches' x_in and anchor. ``out`` is
+    as in ``self_mask``. Returns (x_out, LayerTrace), the trace None unless
+    ``want_trace``."""
     if x_in.shape != anchor.shape:
         raise ValueError(f"cross layer shape mismatch: x_in {x_in.shape} vs anchor {anchor.shape}")
     if x_in.shape[-1] != layer.w.shape[-1]:
         raise ValueError(
             f"cross layer shape mismatch: input width {x_in.shape[-1]}, weight is {layer.w.shape}"
         )
-    c = np.matmul(x_in, layer.w.swapaxes(-1, -2))
+    w_t = layer.w.swapaxes(-1, -2)
+    c = np.matmul(x_in, w_t) if out is None else np.matmul(x_in, w_t, out=out["c"])
     c += layer.b
-    masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, want_trace)
-    gate = np.concatenate([c, masked], axis=-1)
+    masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, want_trace, out)
+    gate = (np.concatenate([c, masked], axis=-1) if out is None
+            else np.concatenate([c, masked], axis=-1, out=out["gate"]))
     if drop_mask is not None:
         gate *= drop_mask
-    x_out = anchor * gate
+    x_out = anchor * gate if out is None else np.multiply(anchor, gate, out=out["x_out"])
     x_out += x_in
     if not want_trace:
         return x_out, None
@@ -433,25 +504,29 @@ def _both_branches(ecn_job, lcn_job, parallel: bool):
     return ecn, lcn
 
 
-def _dropout_uniforms(rng: Rng | None, depth: int, shape: tuple, rate: float):
-    """All of one branch's dropout draws in one call, layer-major; None when
-    nothing drops. One (depth, n, D) draw is the same stream as depth
-    consecutive (n, D) draws."""
+def _dropout_uniforms(rng: Rng | None, depth: int, shape: tuple, rate: float,
+                      ws: BranchWorkspace | None = None):
+    """All of one branch's dropout draws in one call, layer-major, into ``ws``
+    when given; None when nothing drops. One (depth, n, D) draw is the same
+    stream as depth consecutive (n, D) draws."""
     if rate == 0.0 or depth == 0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout requires an rng")
-    return rng.random((depth, *shape))
+    shape = (depth, *shape)
+    return rng.random(shape, out=None if ws is None else ws.take("uniforms", shape))
 
 
 def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
                     layers: list[CrossLayerParams], config: ModelConfig,
-                    uniforms: np.ndarray | None, want_trace: bool):
-    """Run one branch's cross layers from x1. The lcn passes ``anchor=x1``;
-    ``anchor=None`` anchors each layer on its own input, as the ecn does.
-    Returns (branch output, layer traces)."""
+                    uniforms: np.ndarray | None, want_trace: bool,
+                    ws: BranchWorkspace | None = None):
+    """Run one branch's cross layers from x1, into ``ws`` when given. The lcn
+    passes ``anchor=x1``; ``anchor=None`` anchors each layer on its own input,
+    as the ecn does. Returns (branch output, layer traces)."""
     x = x1
     traces = []
+    views = None if ws is None else ws.forward_views(len(layers), *x1.shape)
     for i, layer in enumerate(layers):
         drop_mask = None
         if uniforms is not None:
@@ -459,8 +534,9 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
             # where its draw is >= rate, and survivors are scaled by 1/(1 - rate)
             drop_mask = np.greater_equal(uniforms[i], config.dropout_rate, out=uniforms[i])
             drop_mask /= 1.0 - config.dropout_rate
-        x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer,
-                                    config.mask_mode, config.ln_epsilon, drop_mask, want_trace)
+        x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer, config.mask_mode,
+                                    config.ln_epsilon, drop_mask, want_trace,
+                                    None if ws is None else views[i])
         traces.append(tr)
     return x, traces
 
@@ -482,7 +558,9 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
 
 def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
                     training: bool = False, rng: Rng | None = None,
-                    want_trace: bool | None = None) -> ForwardResult:
+                    want_trace: bool | None = None,
+                    workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None
+                    ) -> ForwardResult:
     """Run both cross branches and the fused heads from a prepared x1 batch.
 
     A trace is captured by default only in training mode; pass
@@ -492,23 +570,27 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     all with the serial bits. Each branch draws its own dropout uniforms: the ecn
     from a split of ``rng`` that covers its words, the lcn from ``rng`` after
     them, so the stream is the one a single thread would draw, ecn first.
+    ``workspace``, the (ecn, lcn) pair a training run reuses, takes the
+    branches' arrays, and the trace then views it.
     """
     if want_trace is None:
         want_trace = training
     rate = config.dropout_rate if training else 0.0
     shape = x1.shape
     ecn_depth = len(params.ecn_layers)
+    ecn_ws, lcn_ws = workspace or (None, None)
     if not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
         ecn_rng = rng.split(ecn_depth * x1.size) if rate and rng is not None else rng
         (x_ecn, ecn_traces), (x_lcn, lcn_traces) = _both_branches(
             lambda: _branch_forward(x1, None, params.ecn_layers, config,
-                                    _dropout_uniforms(ecn_rng, ecn_depth, shape, rate),
-                                    want_trace),
+                                    _dropout_uniforms(ecn_rng, ecn_depth, shape, rate, ecn_ws),
+                                    want_trace, ecn_ws),
             lambda: _branch_forward(x1, x1, params.lcn_layers, config,
-                                    _dropout_uniforms(rng, len(params.lcn_layers), shape, rate),
-                                    want_trace),
+                                    _dropout_uniforms(rng, len(params.lcn_layers), shape, rate,
+                                                      lcn_ws),
+                                    want_trace, lcn_ws),
             _parallel(x1.size))
 
     heads = params.heads
@@ -527,35 +609,46 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
 
 def forward(batch, params: ModelParams, config: ModelConfig,
             training: bool = False, rng: Rng | None = None,
-            want_trace: bool | None = None) -> ForwardResult:
+            want_trace: bool | None = None,
+            workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> ForwardResult:
     """Embed an encoded batch and run the network. See forward_from_x1."""
-    x1 = embed_reshape(batch.ids, params, config.d)
-    result = forward_from_x1(x1, params, config, training, rng, want_trace)
+    x1 = embed_reshape(batch.ids, params, config.d,
+                       None if workspace is None else
+                       workspace[1].take("x1", (len(batch.ids), params.width)))
+    result = forward_from_x1(x1, params, config, training, rng, want_trace, workspace)
     if result.trace is not None:
         result.trace.ids = batch.ids
     return result
 
 
 def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
-                   mode: str, grads_layer: CrossLayerParams) -> np.ndarray:
+                   mode: str, grads_layer: CrossLayerParams,
+                   out: dict | None = None) -> np.ndarray:
     """Gradient with respect to c from the gradient at the whole gate: the
     c half passes straight through, the masked half goes back through the
     self-mask, accumulating the layernorm gain/bias gradients on the way.
-    Returns a new dc (n, D/2); the masked half of ``dgate`` is overwritten."""
+    Returns dc (n, D/2); the masked half of ``dgate`` is overwritten. ``out``,
+    when given, maps roles to workspace views (``BranchWorkspace.backward_views``)
+    for the (n, D/2) arrays, as in ``self_mask``."""
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
     if mode == "identity":
-        return dg_c + dg_hi
+        return dg_c + dg_hi if out is None else np.add(dg_c, dg_hi, out=out["dc"])
     if mode == "no_ln":
         # masked = c * relu(c): derivative 2 relu(c)
-        dc = np.multiply(tr.relu, 2.0)
+        dc = np.multiply(tr.relu, 2.0, out=None if out is None else out["dc"])
         dc *= dg_hi
     else:
         # paper mode: masked = c * relu(gain * nrm + beta)
-        dc = dg_hi * tr.relu
-        dnrm = dg_hi * tr.c
+        if out is None:
+            dc = dg_hi * tr.relu
+            dnrm = dg_hi * tr.c
+            nrm = tr.c - tr.mu   # the forward's normalized c, recomputed bit for bit
+        else:
+            dc = np.multiply(dg_hi, tr.relu, out=out["dc"])
+            dnrm = np.multiply(dg_hi, tr.c, out=out["dnrm"])
+            nrm = np.subtract(tr.c, tr.mu, out=out["nrm"])
         dnrm *= tr.act           # the gradient at the layernorm output
-        nrm = tr.c - tr.mu       # the forward's normalized c, recomputed bit for bit
         nrm /= tr.delta
         tmp = np.multiply(dnrm, nrm, out=dg_hi)
         grads_layer.gain += tmp.sum(axis=0)
@@ -575,33 +668,39 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     return dc
 
 
-def _branch_backward(dx: np.ndarray, anchor: np.ndarray | None,
+def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | None,
                      layers: list[CrossLayerParams], grads_layers: list[CrossLayerParams],
-                     traces: list[LayerTrace], mode: str):
-    """Reverse one branch from ``dx``, the gradient at its output, which it
-    consumes. ``anchor`` is as in ``_branch_forward``. Accumulates the
-    layers' parameter gradients and returns (gradient at x1 through the
-    first layer's input, the anchor gradient of each lcn layer, last layer
-    first). The ecn anchor is the layer input, so its gradient joins dx."""
+                     traces: list[LayerTrace], mode: str, ws: BranchWorkspace | None = None):
+    """Reverse one branch from its head's ``dz`` and weight, into ``ws`` when
+    given. ``anchor`` is as in ``_branch_forward``. Accumulates the layers'
+    parameter gradients and returns (gradient at x1 through the first
+    layer's input, the anchor gradient of each lcn layer, last layer first).
+    The ecn anchor is the layer input, so its gradient joins dx. With ``ws``
+    the traces are spent: each lcn anchor gradient overwrites its layer's gate."""
+    out = None if ws is None else ws.backward_views(len(dz), len(w_head))
+    dx = np.outer(dz, w_head) if ws is None else np.outer(dz, w_head, out=out["dx"])
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        dgate = dx * (tr.x_in if anchor is None else anchor)
+        a = tr.x_in if anchor is None else anchor
+        dgate = dx * a if ws is None else np.multiply(dx, a, out=out["dgate"])
         if tr.drop_mask is not None:
             dgate *= tr.drop_mask
-        dc = _mask_backward(dgate, tr, layer, mode, gl)
+        dc = _mask_backward(dgate, tr, layer, mode, gl, out)
         gl.w += dc.T @ tr.x_in
         gl.b += dc.sum(axis=0)
         # dgate is spent: its buffer takes the anchor gradient, then dc @ W
         if anchor is None:
             dx += np.multiply(dx, tr.gate_dropped, out=dgate)
         else:
-            anchor_terms.append(dx * tr.gate_dropped)
+            anchor_terms.append(dx * tr.gate_dropped if ws is None
+                                else np.multiply(dx, tr.gate_dropped, out=tr.gate_dropped))
         dx += np.matmul(dc, layer.w, out=dgate)
     return dx, anchor_terms
 
 
 def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
-             dy_deep: np.ndarray, dy_shallow: np.ndarray) -> Gradients:
+             dy_deep: np.ndarray, dy_shallow: np.ndarray,
+             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> Gradients:
     """Exact reverse-mode gradients of the loss for every parameter tensor.
 
     ``dy_deep`` and ``dy_shallow`` are the per-sample loss gradients with
@@ -611,11 +710,14 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     lcn anchor x1 collects a contribution from every layer. Large batches
     run the two branches on two threads, like the forward pass; dx1 is then
     summed in one fixed order, so the result does not depend on which
-    branch finishes first.
+    branch finishes first. With a ``workspace`` (as in ``forward_from_x1``)
+    the gradients and the branches' temporaries live in it.
     """
     if trace is None:
         raise ValueError("backward requires a training-mode forward trace")
-    grads = zero_gradients(params)
+    ecn_ws, lcn_ws = workspace or (None, None)
+    grads = zero_gradients(params, None if ecn_ws is None else
+                           ecn_ws.take("grads", params.dense.shape))
     heads = params.heads
 
     dz_deep = dy_deep * trace.y_deep * (1.0 - trace.y_deep)
@@ -628,10 +730,10 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
 
     mode = config.mask_mode
     (dx_ecn, _), (dx_lcn, lcn_anchor_terms) = _both_branches(
-        lambda: _branch_backward(np.outer(dz_deep, heads.w_deep), None, params.ecn_layers,
-                                 grads.ecn_layers, trace.ecn, mode),
-        lambda: _branch_backward(np.outer(dz_shallow, heads.w_shallow), trace.x1,
-                                 params.lcn_layers, grads.lcn_layers, trace.lcn, mode),
+        lambda: _branch_backward(dz_deep, heads.w_deep, None, params.ecn_layers,
+                                 grads.ecn_layers, trace.ecn, mode, ecn_ws),
+        lambda: _branch_backward(dz_shallow, heads.w_shallow, trace.x1, params.lcn_layers,
+                                 grads.lcn_layers, trace.lcn, mode, lcn_ws),
         _parallel(trace.x1.size))
     # left to right: the ecn input gradient, each lcn anchor term, the lcn input gradient
     dx1 = dx_ecn
@@ -644,20 +746,26 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
         if target:
             target[0].b *= -1.0
 
-    # scatter x1 gradient back into the touched embedding rows
+    # scatter x1 gradient back into the touched embedding rows: every entry of
+    # dx1 gets the bin of its field, id and column, and one bincount adds each
+    # bin's entries in row order, from 0.0, as np.add.at does: the same bits
     if trace.ids is not None:
-        n = dx1.shape[0]
-        d = config.d
-        f = params.num_fields
-        views = dx1.reshape(n, 2, f, d // 2)
-        columns = np.arange(d)
+        n, f, half = len(dx1), params.num_fields, config.d // 2
+        shape = (n, 2, f, half)
+        # the ecn's dgate is spent: its buffer holds the bins
+        bins = (np.empty(shape, np.int64) if ecn_ws is None
+                else ecn_ws.take("dgate", shape).view(np.int64))
+        columns = np.arange(config.d).reshape(2, half)
+        uids, starts = [], [0]
         for j in range(f):
-            uids, inverse = np.unique(trace.ids[:, j], return_inverse=True)
-            # bincount adds each row's gradient to its id's row in row order,
-            # from 0.0, as np.add.at does: the same bits, several times faster
-            rows = np.bincount((inverse.reshape(n, 1) * d + columns).ravel(),
-                               weights=views[:, :, j, :].ravel())
-            grads.embeddings[j] = (uids, rows.reshape(uids.shape[0], d))
+            u, inverse = np.unique(trace.ids[:, j], return_inverse=True)
+            np.add((inverse * config.d + starts[j]).reshape(n, 1, 1), columns,
+                   out=bins[:, :, j, :])
+            uids.append(u)
+            starts.append(starts[j] + len(u) * config.d)
+        sums = np.bincount(bins.ravel(), weights=dx1.ravel(), minlength=starts[-1])
+        for j, u in enumerate(uids):
+            grads.embeddings[j] = (u, sums[starts[j]:starts[j + 1]].reshape(len(u), config.d))
     return grads
 
 

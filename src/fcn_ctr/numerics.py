@@ -62,9 +62,10 @@ class Rng:
         """``n`` raw 64-bit words straight from the Philox core (uint64)."""
         return self._gen.bit_generator.random_raw(n)
 
-    def random(self, size=None) -> np.ndarray:
-        """Uniform float64 draws in [0, 1), one raw word each."""
-        return self._gen.random(size)
+    def random(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Uniform float64 draws in [0, 1), one raw word each, into ``out``
+        (of shape ``size``) when given: the same words either way."""
+        return self._gen.random(size, out=out)
 
     def split(self, words: int) -> "Rng":
         """A copy of this stream at its current position, while this stream

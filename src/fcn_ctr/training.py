@@ -22,8 +22,8 @@ import numpy as np
 
 from fcn_ctr.features import DataError, EncodedBatch
 from fcn_ctr.metrics import EvalResult, auc as rank_auc, logloss as eval_logloss
-from fcn_ctr.model import (Gradients, ModelConfig, ModelParams, backward,
-                           forward, init_model_params, named_dense)
+from fcn_ctr.model import (BranchWorkspace, Gradients, ModelConfig, ModelParams,
+                           backward, forward, init_model_params, named_dense)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import TriLossReport, tri_bce, tri_bce_grads
 
@@ -64,13 +64,16 @@ class AdamState:
     """First/second moment buffers: one flat pair for ``ModelParams.dense``
     and one per embedding table. Embedding rows untouched by a batch are
     never read or written, so they stay at zero and decay nothing (lazy
-    sparse Adam with a single global step counter)."""
+    sparse Adam with a single global step counter). The run's other state
+    rides along: ``workspace``, the (ecn, lcn) pair of buffers every step
+    and evaluation of the run reuses, one for each branch's thread."""
 
     m: np.ndarray
     v: np.ndarray
     emb_m: list[np.ndarray]
     emb_v: list[np.ndarray]
     t: int = 0
+    workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None
 
 
 @dataclass
@@ -84,7 +87,8 @@ class EpochReport:
 def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(np.zeros_like(params.dense), np.zeros_like(params.dense),
                      [np.zeros_like(e) for e in params.embeddings],
-                     [np.zeros_like(e) for e in params.embeddings])
+                     [np.zeros_like(e) for e in params.embeddings],
+                     workspace=(BranchWorkspace(), BranchWorkspace()))
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
@@ -135,14 +139,15 @@ def _check_labels(batch: EncodedBatch, name: str) -> None:
 
 
 def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
-             batch_size: int = 4096) -> EvalResult:
-    """Inference-mode metrics: no dropout, no trace, chunked over rows.
+             batch_size: int = 4096, workspace=None) -> EvalResult:
+    """Inference-mode metrics: no dropout, no trace, chunked over rows, the
+    forwards in ``workspace`` when given (see ``predict_scores``).
 
     When the labels are single-class the AUC is undefined; the result then
     carries ``auc=None`` and the caller decides how loudly to complain.
     """
     _check_labels(batch, "evaluation")
-    preds = predict_scores(batch, params, config, batch_size)[0]
+    preds = predict_scores(batch, params, config, batch_size, workspace)[0]
     labels = batch.labels
     positives = int((labels == 1).sum())
     ll = eval_logloss(preds, labels)
@@ -152,8 +157,9 @@ def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
 
 
 def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
-                   batch_size: int = 4096):
-    """Fused and per-branch predictions for every row, inference mode.
+                   batch_size: int = 4096, workspace=None):
+    """Fused and per-branch predictions for every row, inference mode, the
+    cross layers' arrays in ``workspace`` when given (the scores are fresh).
     Raises FloatingPointError, and no numpy warning, when a score is not
     finite: a branch overflowed, and no metric or file should be made from it."""
     if batch.n == 0:
@@ -163,7 +169,7 @@ def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig
     for lo in range(0, batch.n, batch_size):
         part = batch.rows(slice(lo, lo + batch_size))
         with np.errstate(over="ignore", invalid="ignore"):
-            res = forward(part, params, config, training=False)
+            res = forward(part, params, config, training=False, workspace=workspace)
         ys.append(res.y)
         yds.append(res.y_deep)
         yss.append(res.y_shallow)
@@ -177,7 +183,8 @@ def train_step(batch: EncodedBatch, params: ModelParams, model_config: ModelConf
                train_config: TrainConfig, state: AdamState,
                dropout_rng: Rng) -> TriLossReport:
     """Forward, loss, backward, Adam, on one mini-batch."""
-    res = forward(batch, params, model_config, training=True, rng=dropout_rng)
+    res = forward(batch, params, model_config, training=True, rng=dropout_rng,
+                  workspace=state.workspace)
     report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
     if train_config.loss == "plain":
         # train on the fused loss alone; branch weights carry no supervision
@@ -185,7 +192,7 @@ def train_step(batch: EncodedBatch, params: ModelParams, model_config: ModelConf
                                0.0, 0.0, report.primary, report.n)
     g_deep, g_shallow = tri_bce_grads(res.y, res.y_deep, res.y_shallow,
                                       batch.labels, report)
-    grads = backward(res.trace, params, model_config, g_deep, g_shallow)
+    grads = backward(res.trace, params, model_config, g_deep, g_shallow, state.workspace)
     adam_step(params, grads, state, train_config)
     return report
 
@@ -234,7 +241,7 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
         means = sums / train_set.n
         epoch_loss = TriLossReport(means[1], means[2], means[3], means[4],
                                    means[5], means[0], train_set.n)
-        valid = evaluate(valid_set, params, model_config)
+        valid = evaluate(valid_set, params, model_config, workspace=state.workspace)
         secs = time.monotonic() - t0
         log(f"epoch={epoch} L_tri={means[0]:.6f} L={means[1]:.6f} "
             f"L_D={means[2]:.6f} L_S={means[3]:.6f} w_D={means[4]:.6f} "

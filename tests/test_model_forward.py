@@ -357,6 +357,52 @@ class TestFieldImportance:
             field_importance(params, config, batch, 1, "lcn")
 
 
+def trace_arrays(trace):
+    """Every array a ForwardTrace holds, its layer traces' included."""
+    arrays = [trace.x1, trace.x_ecn, trace.x_lcn, trace.z_deep, trace.z_shallow,
+              trace.y_deep, trace.y_shallow]
+    for tr in trace.ecn + trace.lcn:
+        arrays += [a for a in vars(tr).values() if isinstance(a, np.ndarray)]
+    return arrays
+
+
+class TestFreshTracesOutsideTraining:
+    """Only a training run passes a workspace: no other trace aliases one."""
+
+    @staticmethod
+    def assert_disjoint(first, second):
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+
+    def test_consecutive_traced_forwards_share_no_memory(self):
+        config, params, batch = small_setup(2, 3, dropout=0.2, n=40)
+        for kwargs in ({"want_trace": True}, {"training": True, "rng": Rng(1)}):
+            first = forward(batch, params, config, **kwargs).trace
+            second = forward(batch, params, config, **kwargs).trace
+            self.assert_disjoint(trace_arrays(first), trace_arrays(second))
+
+    def test_field_importance_traces_share_no_memory(self, monkeypatch):
+        config, params, batch = small_setup(2, 3, dropout=0.2, n=40)
+        state = init_adam_state(params)
+        train_step(batch, params, config, TrainConfig(), state, Rng(1))
+        traces, real = [], model_mod.forward
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            traces.append(result.trace)
+            return result
+
+        monkeypatch.setattr(model_mod, "forward", spy)
+        views = [field_importance(params, config, batch, 1, "ecn") for _ in range(2)]
+        assert len(traces) == 2
+        self.assert_disjoint(trace_arrays(traces[0]), trace_arrays(traces[1]))
+        self.assert_disjoint(views[0], views[1])
+        for trace in traces:
+            for ws in state.workspace:
+                self.assert_disjoint(trace_arrays(trace), ws.buffers.values())
+
+
 class TestStackedBranches:
     """Small inference batches run both branches as one (2, n, D) stack; it must
     give the serial and threaded paths' bits and follow every write to dense."""

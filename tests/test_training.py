@@ -239,7 +239,7 @@ class TestTrainLoop:
         tr, va, _ = self.sets()
         scripted = iter([0.9, 0.8, 0.7, 0.6, 0.5])
 
-        def fake_evaluate(batch, params, config, batch_size=4096):
+        def fake_evaluate(batch, params, config, batch_size=4096, workspace=None):
             return EvalResult(next(scripted), 0.5, batch.n, 1)
 
         monkeypatch.setattr(training_mod, "evaluate", fake_evaluate)
@@ -295,23 +295,30 @@ README_STEP_DIGESTS = {
     "identity": "bf16b421005a36d788a326b516e28f2bde5f640b97011caeda1c42273fb09518",
     "no_ln": "bb3919f625b70ea655dd2d11d7b7f57e0ea0c184462eaad97eb25a4acd236c2d",
 }
+# paper mask, steps of 4096, 3136 (the README's ragged last batch) and 4096 rows
+README_RAGGED_DIGEST = "35d501489075801d710285e17771272e7a8b7d02fd60958810871c7b94c83db5"
+
+
+@pytest.fixture(scope="module")
+def readme_batch():
+    # the README workload's data (8 fields, cardinality 10, order 4)
+    records, _ = synth_interaction_data(8, 10, 4, 4096, Rng(derive_seed(1, "synth")))
+    return encode(records, build_schema(records, [FieldSpec(f"f{j}") for j in range(8)]))
+
+
+def readme_run(batch, mask="paper"):
+    config = ModelConfig(mask_mode=mask, seed=1)  # dropout on, at its default 0.1
+    params = init_model_params(config, batch.sizes, derive_seed(1, "init"))
+    return config, params, init_adam_state(params), Rng(derive_seed(1, "dropout"))
 
 
 class TestBranchThreadsPinned:
-    @pytest.fixture(scope="class")
-    def readme_batch(self):
-        # the README workload's data (8 fields, cardinality 10, order 4)
-        records, _ = synth_interaction_data(8, 10, 4, 4096, Rng(derive_seed(1, "synth")))
-        return encode(records, build_schema(records, [FieldSpec(f"f{j}") for j in range(8)]))
-
     @staticmethod
-    def two_step_digest(batch, mask):
-        config = ModelConfig(mask_mode=mask, seed=1)  # dropout on, at its default 0.1
-        params = init_model_params(config, batch.sizes, derive_seed(1, "init"))
-        state = init_adam_state(params)
-        rng = Rng(derive_seed(1, "dropout"))
-        for _ in range(2):
-            train_step(batch, params, config, TrainConfig(learning_rate=0.01), state, rng)
+    def steps_digest(batch, mask, rows):
+        config, params, state, rng = readme_run(batch, mask)
+        for n in rows:
+            part = batch if n == batch.n else batch.rows(slice(0, n))
+            train_step(part, params, config, TrainConfig(learning_rate=0.01), state, rng)
         digest = hashlib.sha256()
         for t in params.embeddings:
             digest.update(t.tobytes())
@@ -322,6 +329,13 @@ class TestBranchThreadsPinned:
         for t in (heads.w_deep, heads.b_deep, heads.w_shallow, heads.b_shallow):
             digest.update(t.tobytes())
         return digest.hexdigest()
+
+    def two_step_digest(self, batch, mask):
+        return self.steps_digest(batch, mask, (batch.n, batch.n))
+
+    def test_full_ragged_full_steps_match_pinned_digest(self, readme_batch):
+        digest = self.steps_digest(readme_batch, "paper", (4096, 3136, 4096))
+        assert digest == README_RAGGED_DIGEST
 
     @pytest.mark.parametrize("mask", ["paper", "identity", "no_ln"])
     def test_two_steps_match_pinned_digest_threaded_and_serial(self, readme_batch, mask,
@@ -344,3 +358,43 @@ class TestBranchThreadsPinned:
         monkeypatch.setattr(model_mod, "PARALLEL_MIN_ACTIVATIONS", sys.maxsize)
         assert self.two_step_digest(readme_batch, mask) == README_STEP_DIGESTS[mask]
         assert threads == {threading.get_ident()}
+
+
+def workspace_nbytes(state):
+    return sum(flat.nbytes for ws in state.workspace for flat in ws.buffers.values())
+
+
+class TestStepWorkspace:
+    def test_ragged_step_reuses_the_buffers(self, readme_batch, monkeypatch):
+        config, params, state, rng = readme_run(readme_batch)
+        traces, real = [], training_mod.backward
+
+        def spy(trace, *args):
+            traces.append(trace)
+            return real(trace, *args)
+
+        monkeypatch.setattr(training_mod, "backward", spy)
+        nbytes = []
+        for n in (4096, 3136, 4096):
+            train_step(readme_batch.rows(slice(0, n)), params, config,
+                       TrainConfig(learning_rate=0.01), state, rng)
+            nbytes.append(workspace_nbytes(state))
+        assert nbytes[0] == nbytes[1] == nbytes[2]
+        for branch, ws in zip(("ecn", "lcn"), state.workspace):
+            first, ragged, third = (getattr(t, branch)[0].c for t in traces)
+            assert np.shares_memory(third, first)
+            assert np.shares_memory(ragged, first) and len(ragged) == 3136
+            # each branch's thread fills its own workspace
+            assert np.shares_memory(first, ws.buffers["c"])
+        assert not np.shares_memory(state.workspace[0].buffers["c"],
+                                    state.workspace[1].buffers["c"])
+
+    def test_evaluate_in_the_workspace_scores_as_without(self, readme_batch):
+        config, params, state, rng = readme_run(readme_batch)
+        train_step(readme_batch, params, config, TrainConfig(learning_rate=0.01), state, rng)
+        nbytes = workspace_nbytes(state)
+        fresh = evaluate(readme_batch, params, config, batch_size=3000)
+        borrowed = evaluate(readme_batch, params, config, batch_size=3000,
+                            workspace=state.workspace)
+        assert borrowed == fresh
+        assert workspace_nbytes(state) == nbytes
