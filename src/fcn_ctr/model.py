@@ -241,7 +241,8 @@ class BranchWorkspace:
     fresh temporaries: one flat array per role, grown to the largest batch
     seen, so a smaller batch takes reshaped prefixes of the same memory. A
     step's trace and gradients view these buffers until the next step (or the
-    epoch's evaluation) overwrites them. Single-owner, like an ``Rng``."""
+    epoch's evaluation) overwrites them, and the backward spends the trace
+    (``spend``). Single-owner, like an ``Rng``."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -275,6 +276,34 @@ class BranchWorkspace:
             ("dx", "dx", width), ("dgate", "dgate", width), ("dc", "dc", m),
             ("dnrm", "dnrm", m), ("nrm", "masked", m))}
 
+    def spend(self, array: np.ndarray) -> np.ndarray | None:
+        """Where a result may go that overwrites ``array``, a trace array the
+        step no longer reads."""
+        return array
+
+
+class FreshArrays(BranchWorkspace):
+    """The workspace of every caller but a training run, which reuses
+    nothing, so no result aliases another call's: ``take`` allocates, and
+    every view and ``spend`` are None, so each numpy call makes its own result."""
+
+    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
+        return [_NO_VIEWS] * depth
+
+    def backward_views(self, n: int, width: int) -> dict:
+        return _NO_VIEWS
+
+    def spend(self, array: np.ndarray) -> None:
+        return None
+
+
+_NO_VIEWS = dict.fromkeys(("x_out", "gate", "c", "relu", "act", "mu", "delta", "unclamped",
+                           "masked", "dx", "dgate", "dc", "dnrm", "nrm"))
+FRESH = FreshArrays()
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
@@ -306,11 +335,10 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
 
 
 def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Gradients:
-    """Zero gradients over ``dense`` when given (zeroed here), else a fresh vector."""
+    """Zero gradients over ``dense``, zeroed here, or by default a new vector."""
     if dense is None:
-        dense = np.zeros_like(params.dense)
-    else:
-        dense.fill(0.0)
+        dense = np.empty_like(params.dense)
+    dense.fill(0.0)
     return Gradients([None] * params.num_fields,
                      *layer_views(dense, params.width, len(params.lcn_layers),
                                   len(params.ecn_layers)), dense)
@@ -347,9 +375,7 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
 def _row_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit (numpy's mean is this
     sum over the count), without the Python layer that dominates small rows."""
-    if out is None:
-        return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
-    np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    out = np.add.reduce(a, axis=-1, keepdims=True, out=out)
     out /= a.shape[-1]
     return out
 
@@ -364,7 +390,7 @@ def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
               mode: str = "paper", ln_epsilon: float = 1e-5, want_stats: bool = True,
-              out: dict | None = None):
+              out: dict = _NO_VIEWS):
     """Gate a cross vector against its own normalized sign.
 
     paper:    c * relu(gain * (c - mean) / max(std, eps) + beta), with mean and
@@ -375,41 +401,32 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
     Works over the last axis of a vector, an (n, D/2) batch or a (2, n, D/2)
     stack of both branches'. Returns (masked, stats) where stats maps
-    LayerTrace fields to what the backward pass needs, or None. ``out``, when
-    given, maps roles to the workspace views the arrays go into
-    (``BranchWorkspace.forward_views``); without it they are new, and each
-    line takes the form without ``out=``, the cheaper call for small rows.
+    LayerTrace fields to what the backward pass needs, or None. ``out`` maps
+    roles to the views the arrays go into (``BranchWorkspace.forward_views``),
+    or to None, by default, for new arrays.
     """
     stats = {}
     if mode == "identity":
-        masked = c.copy() if out is None else np.positive(c, out=out["masked"])
+        masked = np.positive(c, out=out["masked"])
     elif mode == "no_ln":
-        relu = _relu(c, None if out is None else out["relu"])
-        masked = relu * relu if out is None else np.multiply(relu, relu, out=out["masked"])
+        relu = _relu(c, out["relu"])
+        masked = np.multiply(relu, relu, out=out["masked"])
         stats = {"relu": relu}
     elif mode == "paper":
-        if out is None:
-            mu = _row_mean(c)
-            nrm = c - mu
-            raw_std = np.sqrt(_row_mean(nrm * nrm))
-        else:
-            mu = _row_mean(c, out["mu"])
-            nrm = np.subtract(c, mu, out=out["relu"])
-            raw_std = _row_mean(np.multiply(nrm, nrm, out=out["masked"]), out["delta"])
-            np.sqrt(raw_std, out=raw_std)
+        mu = _row_mean(c, out["mu"])
+        nrm = np.subtract(c, mu, out=out["relu"])
+        raw_std = _row_mean(np.multiply(nrm, nrm, out=out["masked"]), out["delta"])
+        np.sqrt(raw_std, out=raw_std)
         if want_stats:
-            unclamped = (raw_std > ln_epsilon if out is None
-                         else np.greater(raw_std, ln_epsilon, out=out["unclamped"]))
-        # the workspace's delta buffer holds raw_std, now spent
-        delta = (np.maximum(raw_std, ln_epsilon) if out is None
-                 else np.maximum(raw_std, ln_epsilon, out=raw_std))
+            unclamped = np.greater(raw_std, ln_epsilon, out=out["unclamped"])
+        delta = np.maximum(raw_std, ln_epsilon, out=raw_std)
         nrm /= delta
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
         if want_stats:
-            masked = c * relu if out is None else np.multiply(c, relu, out=out["masked"])
-            act = relu > 0.0 if out is None else np.greater(relu, 0.0, out=out["act"])
+            masked = np.multiply(c, relu, out=out["masked"])
+            act = np.greater(relu, 0.0, out=out["act"])
             stats = {"relu": relu, "act": act, "mu": mu, "delta": delta, "unclamped": unclamped}
         else:
             masked = np.multiply(c, relu, out=relu)
@@ -420,7 +437,7 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
                         mode: str, ln_epsilon: float, drop_mask: np.ndarray | None = None,
-                        want_trace: bool = True, out: dict | None = None):
+                        want_trace: bool = True, out: dict = _NO_VIEWS):
     """One cross layer: c = W x_in + b, gate = [c || mask(c)],
     out = anchor * gate + x_in. ``drop_mask``, when given, is the (n, D)
     dropout mask the gate is multiplied by: 0 where an entry is dropped,
@@ -434,15 +451,13 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
         raise ValueError(
             f"cross layer shape mismatch: input width {x_in.shape[-1]}, weight is {layer.w.shape}"
         )
-    w_t = layer.w.swapaxes(-1, -2)
-    c = np.matmul(x_in, w_t) if out is None else np.matmul(x_in, w_t, out=out["c"])
+    c = np.matmul(x_in, layer.w.swapaxes(-1, -2), out=out["c"])
     c += layer.b
     masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, want_trace, out)
-    gate = (np.concatenate([c, masked], axis=-1) if out is None
-            else np.concatenate([c, masked], axis=-1, out=out["gate"]))
+    gate = np.concatenate([c, masked], axis=-1, out=out["gate"])
     if drop_mask is not None:
         gate *= drop_mask
-    x_out = anchor * gate if out is None else np.multiply(anchor, gate, out=out["x_out"])
+    x_out = np.multiply(anchor, gate, out=out["x_out"])
     x_out += x_in
     if not want_trace:
         return x_out, None
@@ -505,28 +520,28 @@ def _both_branches(ecn_job, lcn_job, parallel: bool):
 
 
 def _dropout_uniforms(rng: Rng | None, depth: int, shape: tuple, rate: float,
-                      ws: BranchWorkspace | None = None):
-    """All of one branch's dropout draws in one call, layer-major, into ``ws``
-    when given; None when nothing drops. One (depth, n, D) draw is the same
-    stream as depth consecutive (n, D) draws."""
+                      ws: BranchWorkspace):
+    """All of one branch's dropout draws in one call, layer-major, into ``ws``;
+    None when nothing drops. One (depth, n, D) draw is the same stream as
+    depth consecutive (n, D) draws."""
     if rate == 0.0 or depth == 0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout requires an rng")
     shape = (depth, *shape)
-    return rng.random(shape, out=None if ws is None else ws.take("uniforms", shape))
+    return rng.random(shape, out=ws.take("uniforms", shape))
 
 
 def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
                     layers: list[CrossLayerParams], config: ModelConfig,
                     uniforms: np.ndarray | None, want_trace: bool,
-                    ws: BranchWorkspace | None = None):
-    """Run one branch's cross layers from x1, into ``ws`` when given. The lcn
-    passes ``anchor=x1``; ``anchor=None`` anchors each layer on its own input,
-    as the ecn does. Returns (branch output, layer traces)."""
+                    ws: BranchWorkspace = FRESH):
+    """Run one branch's cross layers from x1, into ``ws``. The lcn passes
+    ``anchor=x1``; ``anchor=None`` anchors each layer on its own input, as
+    the ecn does. Returns (branch output, layer traces)."""
     x = x1
     traces = []
-    views = None if ws is None else ws.forward_views(len(layers), *x1.shape)
+    views = ws.forward_views(len(layers), *x1.shape)
     for i, layer in enumerate(layers):
         drop_mask = None
         if uniforms is not None:
@@ -535,8 +550,7 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
             drop_mask = np.greater_equal(uniforms[i], config.dropout_rate, out=uniforms[i])
             drop_mask /= 1.0 - config.dropout_rate
         x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer, config.mask_mode,
-                                    config.ln_epsilon, drop_mask, want_trace,
-                                    None if ws is None else views[i])
+                                    config.ln_epsilon, drop_mask, want_trace, views[i])
         traces.append(tr)
     return x, traces
 
@@ -571,14 +585,15 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     from a split of ``rng`` that covers its words, the lcn from ``rng`` after
     them, so the stream is the one a single thread would draw, ecn first.
     ``workspace``, the (ecn, lcn) pair a training run reuses, takes the
-    branches' arrays, and the trace then views it.
+    branches' arrays, and the trace then views it until the workspace's next
+    use; by default every array is new.
     """
     if want_trace is None:
         want_trace = training
     rate = config.dropout_rate if training else 0.0
     shape = x1.shape
     ecn_depth = len(params.ecn_layers)
-    ecn_ws, lcn_ws = workspace or (None, None)
+    ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
     if not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
@@ -613,8 +628,7 @@ def forward(batch, params: ModelParams, config: ModelConfig,
             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> ForwardResult:
     """Embed an encoded batch and run the network. See forward_from_x1."""
     x1 = embed_reshape(batch.ids, params, config.d,
-                       None if workspace is None else
-                       workspace[1].take("x1", (len(batch.ids), params.width)))
+                       (workspace or (FRESH, FRESH))[1].take("x1", (len(batch.ids), params.width)))
     result = forward_from_x1(x1, params, config, training, rng, want_trace, workspace)
     if result.trace is not None:
         result.trace.ids = batch.ids
@@ -622,32 +636,27 @@ def forward(batch, params: ModelParams, config: ModelConfig,
 
 
 def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
-                   mode: str, grads_layer: CrossLayerParams,
-                   out: dict | None = None) -> np.ndarray:
+                   mode: str, grads_layer: CrossLayerParams, out: dict) -> np.ndarray:
     """Gradient with respect to c from the gradient at the whole gate: the
     c half passes straight through, the masked half goes back through the
     self-mask, accumulating the layernorm gain/bias gradients on the way.
-    Returns dc (n, D/2); the masked half of ``dgate`` is overwritten. ``out``,
-    when given, maps roles to workspace views (``BranchWorkspace.backward_views``)
-    for the (n, D/2) arrays, as in ``self_mask``."""
+    Returns dc (n, D/2); the masked half of ``dgate`` is overwritten. ``out``
+    maps roles to the views of the (n, D/2) arrays
+    (``BranchWorkspace.backward_views``), as in ``self_mask``."""
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
     if mode == "identity":
-        return dg_c + dg_hi if out is None else np.add(dg_c, dg_hi, out=out["dc"])
+        return np.add(dg_c, dg_hi, out=out["dc"])
     if mode == "no_ln":
         # masked = c * relu(c): derivative 2 relu(c)
-        dc = np.multiply(tr.relu, 2.0, out=None if out is None else out["dc"])
+        dc = np.multiply(tr.relu, 2.0, out=out["dc"])
         dc *= dg_hi
     else:
         # paper mode: masked = c * relu(gain * nrm + beta)
-        if out is None:
-            dc = dg_hi * tr.relu
-            dnrm = dg_hi * tr.c
-            nrm = tr.c - tr.mu   # the forward's normalized c, recomputed bit for bit
-        else:
-            dc = np.multiply(dg_hi, tr.relu, out=out["dc"])
-            dnrm = np.multiply(dg_hi, tr.c, out=out["dnrm"])
-            nrm = np.subtract(tr.c, tr.mu, out=out["nrm"])
+        dc = np.multiply(dg_hi, tr.relu, out=out["dc"])
+        dnrm = np.multiply(dg_hi, tr.c, out=out["dnrm"])
+        # the forward's normalized c, recomputed bit for bit
+        nrm = np.subtract(tr.c, tr.mu, out=out["nrm"])
         dnrm *= tr.act           # the gradient at the layernorm output
         nrm /= tr.delta
         tmp = np.multiply(dnrm, nrm, out=dg_hi)
@@ -670,19 +679,19 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
 
 def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | None,
                      layers: list[CrossLayerParams], grads_layers: list[CrossLayerParams],
-                     traces: list[LayerTrace], mode: str, ws: BranchWorkspace | None = None):
-    """Reverse one branch from its head's ``dz`` and weight, into ``ws`` when
-    given. ``anchor`` is as in ``_branch_forward``. Accumulates the layers'
+                     traces: list[LayerTrace], mode: str, ws: BranchWorkspace):
+    """Reverse one branch from its head's ``dz`` and weight, into ``ws``.
+    ``anchor`` is as in ``_branch_forward``. Accumulates the layers'
     parameter gradients and returns (gradient at x1 through the first
     layer's input, the anchor gradient of each lcn layer, last layer first).
-    The ecn anchor is the layer input, so its gradient joins dx. With ``ws``
-    the traces are spent: each lcn anchor gradient overwrites its layer's gate."""
-    out = None if ws is None else ws.backward_views(len(dz), len(w_head))
-    dx = np.outer(dz, w_head) if ws is None else np.outer(dz, w_head, out=out["dx"])
+    The ecn anchor is the layer input, so its gradient joins dx. Each lcn
+    anchor gradient goes where ``ws.spend`` puts it: in a training run's
+    workspace, over its layer's gate."""
+    out = ws.backward_views(len(dz), len(w_head))
+    dx = np.outer(dz, w_head, out=out["dx"])
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        a = tr.x_in if anchor is None else anchor
-        dgate = dx * a if ws is None else np.multiply(dx, a, out=out["dgate"])
+        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out["dgate"])
         if tr.drop_mask is not None:
             dgate *= tr.drop_mask
         dc = _mask_backward(dgate, tr, layer, mode, gl, out)
@@ -692,8 +701,8 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
         if anchor is None:
             dx += np.multiply(dx, tr.gate_dropped, out=dgate)
         else:
-            anchor_terms.append(dx * tr.gate_dropped if ws is None
-                                else np.multiply(dx, tr.gate_dropped, out=tr.gate_dropped))
+            anchor_terms.append(np.multiply(dx, tr.gate_dropped,
+                                            out=ws.spend(tr.gate_dropped)))
         dx += np.matmul(dc, layer.w, out=dgate)
     return dx, anchor_terms
 
@@ -711,13 +720,15 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     run the two branches on two threads, like the forward pass; dx1 is then
     summed in one fixed order, so the result does not depend on which
     branch finishes first. With a ``workspace`` (as in ``forward_from_x1``)
-    the gradients and the branches' temporaries live in it.
+    the gradients and the branches' temporaries live in it, and the trace is
+    spent: each lcn layer's ``gate_dropped`` is overwritten, and the
+    gradients hold until the workspace's next backward. By default the
+    trace is left as it was and the gradients are new.
     """
     if trace is None:
         raise ValueError("backward requires a training-mode forward trace")
-    ecn_ws, lcn_ws = workspace or (None, None)
-    grads = zero_gradients(params, None if ecn_ws is None else
-                           ecn_ws.take("grads", params.dense.shape))
+    ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
+    grads = zero_gradients(params, ecn_ws.take("grads", params.dense.shape))
     heads = params.heads
 
     dz_deep = dy_deep * trace.y_deep * (1.0 - trace.y_deep)
@@ -753,8 +764,7 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
         n, f, half = len(dx1), params.num_fields, config.d // 2
         shape = (n, 2, f, half)
         # the ecn's dgate is spent: its buffer holds the bins
-        bins = (np.empty(shape, np.int64) if ecn_ws is None
-                else ecn_ws.take("dgate", shape).view(np.int64))
+        bins = ecn_ws.take("dgate", shape).view(np.int64)
         columns = np.arange(config.d).reshape(2, half)
         uids, starts = [], [0]
         for j in range(f):

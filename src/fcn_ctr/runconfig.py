@@ -8,10 +8,9 @@ reproduced from its own log.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import field, fields, make_dataclass
+from dataclasses import dataclass, fields
 
-from fcn_ctr.features import DISCRETIZE_MODES, FieldSpec, build_schema
+from fcn_ctr.features import DISCRETIZE_MODES
 from fcn_ctr.model import MASK_MODES, ModelConfig
 from fcn_ctr.training import LOSS_MODES, TrainConfig
 
@@ -20,38 +19,36 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
 
 
-# The keys in file order. Each is a field of ModelConfig, TrainConfig or
-# FieldSpec (min_count), or build_schema's discretize, and takes its type and
-# default from there; three are shorter names of their field.
-_KEYS = ("d", "lcn_depth", "ecn_depth", "mask", "dropout", "ln_epsilon", "loss", "lr",
-         "batch_size", "max_epochs", "patience", "seed", "discretize", "min_count")
-_RENAMED = {"mask": "mask_mode", "dropout": "dropout_rate", "lr": "learning_rate"}
+@dataclass
+class RunConfig:
+    d: int = 16
+    lcn_depth: int = 3
+    ecn_depth: int = 3
+    mask: str = "paper"
+    dropout: float = 0.1
+    ln_epsilon: float = 1e-5
+    loss: str = "tri"
+    lr: float = 0.001
+    batch_size: int = 4096
+    max_epochs: int = 20
+    patience: int = 2
+    seed: int = 1
+    discretize: str = "lnsq"
+    min_count: int = 1
+
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(d=self.d, lcn_depth=self.lcn_depth,
+                           ecn_depth=self.ecn_depth, mask_mode=self.mask,
+                           dropout_rate=self.dropout, ln_epsilon=self.ln_epsilon,
+                           seed=self.seed)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(learning_rate=self.lr, batch_size=self.batch_size,
+                           max_epochs=self.max_epochs, patience=self.patience,
+                           loss=self.loss)
 
 
-def _sources() -> dict:
-    """key -> (owner, the key's name there, type, default), in file order."""
-    found = {f.name: (owner, f.name, f.type, f.default)
-             for owner in (ModelConfig, TrainConfig, FieldSpec) for f in fields(owner)}
-    found["discretize"] = (build_schema, "discretize", "str",
-                           inspect.signature(build_schema).parameters["discretize"].default)
-    return {key: found[_RENAMED.get(key, key)] for key in _KEYS}
-
-
-_SOURCES = _sources()
-
-
-def _build(owner, config):
-    return owner(**{name: getattr(config, key)
-                    for key, (source, name, _, _) in _SOURCES.items() if source is owner})
-
-
-RunConfig = make_dataclass(
-    "RunConfig", [(key, kind, field(default=default))
-                  for key, (_, _, kind, default) in _SOURCES.items()],
-    namespace={"__doc__": "Every run-config key, with its default.",
-               "__module__": __name__,
-               "model_config": lambda self: _build(ModelConfig, self),
-               "train_config": lambda self: _build(TrainConfig, self)})
+_KEYS = tuple(f.name for f in fields(RunConfig))
 _TYPES = {f.name: f.type for f in fields(RunConfig)}  # "int", "float" or "str"
 _ENUM_KEYS = {"mask": MASK_MODES, "loss": LOSS_MODES, "discretize": DISCRETIZE_MODES}
 

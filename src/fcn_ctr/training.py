@@ -33,6 +33,9 @@ LOSS_MODES = ("tri", "plain")
 # w at the README sizes: with glibc, whole-vector temporaries raised peak RSS.
 ADAM_CHUNK = 8192
 
+# Inference runs over this many rows at a time.
+EVAL_BATCH_ROWS = 4096
+
 
 @dataclass
 class TrainConfig:
@@ -139,7 +142,7 @@ def _check_labels(batch: EncodedBatch, name: str) -> None:
 
 
 def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
-             batch_size: int = 4096, workspace=None) -> EvalResult:
+             batch_size: int = EVAL_BATCH_ROWS, workspace=None) -> EvalResult:
     """Inference-mode metrics: no dropout, no trace, chunked over rows, the
     forwards in ``workspace`` when given (see ``predict_scores``).
 
@@ -157,7 +160,7 @@ def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
 
 
 def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
-                   batch_size: int = 4096, workspace=None):
+                   batch_size: int = EVAL_BATCH_ROWS, workspace=None):
     """Fused and per-branch predictions for every row, inference mode, the
     cross layers' arrays in ``workspace`` when given (the scores are fresh).
     Raises FloatingPointError, and no numpy warning, when a score is not
@@ -222,6 +225,10 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
                     else derive_seed(model_config.seed, "shuffle"))
     shuffle_rng = Rng(shuffle_seed)
     dropout_rng = Rng(derive_seed(model_config.seed, "dropout"))
+    # the evaluation borrows the step buffers only where its chunks fit them,
+    # so they never grow past the training shape
+    fits = min(valid_set.n, EVAL_BATCH_ROWS) <= min(train_set.n, train_config.batch_size)
+    eval_workspace = state.workspace if fits else None
 
     reports: list[EpochReport] = []
     best_params = params
@@ -241,7 +248,7 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
         means = sums / train_set.n
         epoch_loss = TriLossReport(means[1], means[2], means[3], means[4],
                                    means[5], means[0], train_set.n)
-        valid = evaluate(valid_set, params, model_config, workspace=state.workspace)
+        valid = evaluate(valid_set, params, model_config, workspace=eval_workspace)
         secs = time.monotonic() - t0
         log(f"epoch={epoch} L_tri={means[0]:.6f} L={means[1]:.6f} "
             f"L_D={means[2]:.6f} L_S={means[3]:.6f} w_D={means[4]:.6f} "

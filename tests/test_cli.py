@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import hashlib
+import inspect
+import typing
 import warnings
 import struct
 import zlib
@@ -11,8 +14,10 @@ import pytest
 import fcn_ctr.training as training_mod
 from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
-from fcn_ctr.features import read_csv
+from fcn_ctr.features import FieldSpec, build_schema, read_csv
+from fcn_ctr.model import ModelConfig
 from fcn_ctr.runconfig import RunConfig, parse_run_config, render_run_config
+from fcn_ctr.training import TrainConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -352,6 +357,21 @@ class TestRunConfig:
     def test_defaults_round_trip(self):
         config = RunConfig()
         assert parse_run_config(render_run_config(config)) == config
+
+    def test_defaults_and_types_are_their_owners(self):
+        # each key is a field of ModelConfig, TrainConfig or FieldSpec, or
+        # build_schema's discretize; three are shorter names of their field
+        renamed = {"mask": "mask_mode", "dropout": "dropout_rate", "lr": "learning_rate"}
+        owned = {}
+        for owner in (ModelConfig, TrainConfig, FieldSpec):
+            hints = typing.get_type_hints(owner)
+            owned.update({f.name: (hints[f.name], f.default) for f in dataclasses.fields(owner)})
+        owned["discretize"] = (str, inspect.signature(build_schema).parameters["discretize"].default)
+        hints = typing.get_type_hints(RunConfig)
+        for f in dataclasses.fields(RunConfig):
+            assert (hints[f.name], f.default) == owned[renamed.get(f.name, f.name)], f.name
+        assert RunConfig().model_config() == ModelConfig()
+        assert RunConfig().train_config() == TrainConfig()
 
     def test_comments_and_blanks(self):
         config = parse_run_config("# hi\n\nd = 8  # inline\n")

@@ -272,3 +272,42 @@ class TestBranchThreads:
                 pytest.fail("the forked child waited on its parent's worker thread")
             time.sleep(0.05)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+class TestBackwardWorkspace:
+    """By default backward leaves its trace alone and returns new gradients;
+    with a training run's workspace it spends the trace and reuses the buffers."""
+
+    @staticmethod
+    def loss_grads(res, batch):
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        return tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report)
+
+    def test_default_keeps_the_trace_and_the_gradients(self):
+        config, params, batch = setup(2, 2)
+        res = forward(batch, params, config, training=True)
+        gates = [tr.gate_dropped.copy() for tr in res.trace.ecn + res.trace.lcn]
+        first = backward(res.trace, params, config, *self.loss_grads(res, batch))
+        kept = first.dense.copy()
+        second = backward(res.trace, params, config, *self.loss_grads(res, batch))
+        for tr, gate in zip(res.trace.ecn + res.trace.lcn, gates):
+            np.testing.assert_array_equal(tr.gate_dropped, gate)
+        np.testing.assert_array_equal(first.dense, kept)
+        np.testing.assert_array_equal(second.dense, kept)
+        assert not np.shares_memory(first.dense, second.dense)
+
+    def test_workspace_spends_the_lcn_gates_for_the_same_gradients(self):
+        config, params, batch = setup(2, 2)
+        res = forward(batch, params, config, training=True)
+        expected = backward(res.trace, params, config, *self.loss_grads(res, batch))
+        workspace = (model_mod.BranchWorkspace(), model_mod.BranchWorkspace())
+        res = forward(batch, params, config, training=True, workspace=workspace)
+        lcn_gates = [tr.gate_dropped.copy() for tr in res.trace.lcn]
+        grads = backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
+        np.testing.assert_array_equal(grads.dense, expected.dense)
+        for (ids, rows), (want_ids, want_rows) in zip(grads.embeddings, expected.embeddings):
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(rows, want_rows)
+        assert np.shares_memory(grads.dense, workspace[0].buffers["grads"])
+        for tr, gate in zip(res.trace.lcn, lcn_gates):
+            assert not np.array_equal(tr.gate_dropped, gate)

@@ -398,3 +398,20 @@ class TestStepWorkspace:
                             workspace=state.workspace)
         assert borrowed == fresh
         assert workspace_nbytes(state) == nbytes
+
+    @pytest.mark.parametrize("batch_size, borrowed", [(64, False), (4096, True)])
+    def test_evaluation_borrows_the_workspace_only_where_it_fits(self, batch_size, borrowed,
+                                                                 monkeypatch):
+        tr, va, _ = TestTrainLoop().sets()
+        assert 64 < va.n <= tr.n
+        passed, real = [], training_mod.evaluate
+
+        def spy(*args, workspace=None, **kwargs):
+            passed.append(workspace)
+            return real(*args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(training_mod, "evaluate", spy)
+        config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1, seed=4)
+        train(tr, va, config, TrainConfig(batch_size=batch_size, max_epochs=1),
+              log=lambda s: None)
+        assert len(passed) == 1 and (passed[0] is not None) == borrowed
