@@ -27,12 +27,12 @@ def _float_token(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _detect_field_specs(columns, records, min_count, label_column="label"):
+def _detect_field_specs(columns, records, min_count):
     """Fields whose every non-empty value parses as a finite number are
     treated as numeric (and discretized); everything else is categorical."""
     specs = []
     for name in columns:
-        if name == label_column:
+        if name == features.LABEL_COLUMN:
             continue
         numeric = True
         for rec in records:
@@ -65,7 +65,7 @@ def cmd_synth(args) -> int:
     rng = Rng(derive_seed(args.seed, "synth"))
     records, truth = features.synth_interaction_data(
         args.fields, args.cardinality, args.order, args.rows, rng)
-    columns = [f"f{j}" for j in range(args.fields)] + ["label"]
+    columns = [f"f{j}" for j in range(args.fields)] + [features.LABEL_COLUMN]
     os.makedirs(args.out, exist_ok=True)
 
     n = len(records)
@@ -99,7 +99,7 @@ def cmd_train(args) -> int:
     print(render_run_config(config))
 
     columns, train_records = features.read_csv(args.train)
-    if "label" not in columns:
+    if features.LABEL_COLUMN not in columns:
         raise DataError(f"{args.train}: no label column")
     specs = _detect_field_specs(columns, train_records, config.min_count)
     schema = features.build_schema(train_records, specs, config.discretize)

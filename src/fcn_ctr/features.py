@@ -18,6 +18,8 @@ from fcn_ctr.numerics import Rng
 
 OOV_TOKEN = "<OOV>"
 OOV_ID = 0
+LABEL_COLUMN = "label"
+SYNTH_NOISE = 0.05  # share of synthetic labels flipped
 
 DISCRETIZE_MODES = ("lnsq", "log2")
 
@@ -166,7 +168,7 @@ def parse_label(raw, row_number: int) -> int:
 
 
 def encode(records: list[dict], schema: FeatureSchema,
-           label_column: str = "label", require_labels: bool = True) -> EncodedBatch:
+           require_labels: bool = True) -> EncodedBatch:
     """Map raw records to an integer id matrix plus labels.
 
     Unknown tokens encode to id 0. Row numbers in error messages are
@@ -175,7 +177,7 @@ def encode(records: list[dict], schema: FeatureSchema,
     n = len(records)
     f = schema.num_fields
     ids = np.zeros((n, f), dtype=np.int64)
-    has_labels = require_labels or (n > 0 and label_column in records[0])
+    has_labels = require_labels or (n > 0 and LABEL_COLUMN in records[0])
     labels = np.zeros(n, dtype=np.int64) if has_labels else None
     for idx, record in enumerate(records):
         for j, spec in enumerate(schema.fields):
@@ -184,9 +186,9 @@ def encode(records: list[dict], schema: FeatureSchema,
             tok = _token_of(record, spec, schema.discretize)
             ids[idx, j] = schema.vocabs[j].get(tok, OOV_ID)
         if labels is not None:
-            if label_column not in record:
-                raise DataError(f"row {idx + 2}: missing label column {label_column!r}")
-            labels[idx] = parse_label(record[label_column], idx + 2)
+            if LABEL_COLUMN not in record:
+                raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
+            labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
     return EncodedBatch(ids, labels, list(schema.sizes))
 
 
@@ -216,15 +218,15 @@ def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
 
 
 def synth_interaction_data(num_fields: int, cardinality: int, order: int,
-                           rows: int, rng: Rng, noise: float = 0.05):
+                           rows: int, rng: Rng):
     """Generate a pure interaction-of-order-k classification workload.
 
     Every category of every field gets a hidden value in {-1, +1}, balanced
     within each field (as evenly as the cardinality allows). A row's clean
     label is 1 iff the product of the hidden values of its first ``order``
-    fields is +1; labels are then flipped with probability ``noise``. Balanced
-    assignments make every interaction of fewer than ``order`` fields carry
-    zero signal by construction.
+    fields is +1; labels are then flipped with probability ``SYNTH_NOISE``.
+    Balanced assignments make every interaction of fewer than ``order``
+    fields carry zero signal by construction.
 
     Returns ``(records, truth)`` where records are dicts with columns
     ``f0..f{num_fields-1}`` (tokens ``v0..v{cardinality-1}``) plus ``label``,
@@ -246,18 +248,18 @@ def synth_interaction_data(num_fields: int, cardinality: int, order: int,
     for j in range(order):
         signs *= latents[j][cats[:, j]]
     labels = (signs > 0).astype(np.int64)
-    flips = rng.random(rows) < noise
+    flips = rng.random(rows) < SYNTH_NOISE
     labels = np.where(flips, 1 - labels, labels)
 
     records = []
     for i in range(rows):
         rec = {f"f{j}": f"v{cats[i, j]}" for j in range(num_fields)}
-        rec["label"] = str(int(labels[i]))
+        rec[LABEL_COLUMN] = str(int(labels[i]))
         records.append(rec)
 
     truth = {
         "order": order,
-        "noise": noise,
+        "noise": SYNTH_NOISE,
         "latents": {
             f"f{j}": {f"v{c}": int(latents[j][c]) for c in range(cardinality)}
             for j in range(num_fields)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcn_ctr.objective import CLIP_EPSILON, bce
+from fcn_ctr.objective import bce
 
 
 @dataclass
@@ -56,7 +56,6 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[pos].sum() - p * (p + 1) / 2.0) / (p * neg))
 
 
-def logloss(scores: np.ndarray, labels: np.ndarray,
-            clip_epsilon: float = CLIP_EPSILON) -> float:
+def logloss(scores: np.ndarray, labels: np.ndarray) -> float:
     """Batch-mean binary cross-entropy of the scores against binary labels."""
-    return bce(scores, labels, clip_epsilon)
+    return bce(scores, labels)

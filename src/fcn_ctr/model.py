@@ -43,10 +43,6 @@ from fcn_ctr.numerics import Rng, init_params
 MASK_MODES = ("paper", "no_ln", "identity")
 BRANCHES = ("ecn", "lcn")
 
-# Test-only fault injection: when set, the backward pass flips the sign of the
-# first cross-layer bias gradient so the gradient audit must fail.
-_inject_grad_sign_flip = False
-
 
 @dataclass
 class ModelConfig:
@@ -67,8 +63,8 @@ class ModelConfig:
             raise ValueError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.ln_epsilon <= 0:
-            raise ValueError(f"ln_epsilon must be positive, got {self.ln_epsilon}")
+        if not (self.ln_epsilon > 0 and math.isfinite(self.ln_epsilon)):
+            raise ValueError(f"ln_epsilon must be finite and > 0, got {self.ln_epsilon}")
 
 
 @dataclass
@@ -321,16 +317,16 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     d = config.d
     D = d * len(sizes)
     m = D // 2
-    embeddings = [init_params((s, d), "uniform_fan", rng, fan_in=d) for s in sizes]
+    embeddings = [init_params((s, d), rng, fan_in=d) for s in sizes]
 
     def make_layer() -> CrossLayerParams:
-        return CrossLayerParams(init_params((m, D), "uniform_fan", rng), np.zeros(m),
+        return CrossLayerParams(init_params((m, D), rng), np.zeros(m),
                                 np.ones(m), np.zeros(m))
 
     lcn = [make_layer() for _ in range(config.lcn_depth)]
     ecn = [make_layer() for _ in range(config.ecn_depth)]
-    heads = HeadParams(init_params((D,), "uniform_fan", rng), np.zeros(1),
-                       init_params((D,), "uniform_fan", rng), np.zeros(1))
+    heads = HeadParams(init_params((D,), rng), np.zeros(1),
+                       init_params((D,), rng), np.zeros(1))
     return ModelParams(embeddings, lcn, ecn, heads)
 
 
@@ -346,21 +342,17 @@ def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Grad
 
 def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Look up field embeddings and lay them out as [a_1..a_f, b_1..b_f].
-
-    ids is (n, f) or (f,) for a single row; output is (n, D) or (D,), written
-    into ``out`` (n, D) when given.
+    """Look up field embeddings and lay them out as [a_1..a_f, b_1..b_f]:
+    ids (n, f) give x1 (n, D), written into ``out`` when given.
     """
-    single = ids.ndim == 1
-    ids2 = ids[None, :] if single else ids
     half = d // 2
     f = len(params.embeddings)
-    if ids2.shape[1] != f:
-        raise ValueError(f"expected {f} fields, got {ids2.shape[1]}")
-    n = ids2.shape[0]
+    n, fields = ids.shape
+    if fields != f:
+        raise ValueError(f"expected {f} fields, got {fields}")
     if n:
         sizes = [table.shape[0] for table in params.embeddings]
-        bad = (ids2.min(axis=0) < 0) | (ids2.max(axis=0) >= sizes)
+        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= sizes)
         if bad.any():
             j = int(bad.argmax())
             raise ValueError(f"field {j}: id out of range [0, {sizes[j]}) in batch")
@@ -368,8 +360,8 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
     # x1 seen as (row, view, field, d/2): field j's rows land in both halves at once
     views = x1.reshape(n, 2, f, half)
     for j, table in enumerate(params.embeddings):
-        views[:, :, j, :] = table[ids2[:, j]].reshape(n, 2, half)
-    return x1[0] if single else x1
+        views[:, :, j, :] = table[ids[:, j]].reshape(n, 2, half)
+    return x1
 
 
 def _row_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -751,11 +743,6 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     for term in lcn_anchor_terms:
         dx1 += term
     dx1 += dx_lcn
-
-    if _inject_grad_sign_flip:
-        target = grads.ecn_layers or grads.lcn_layers
-        if target:
-            target[0].b *= -1.0
 
     # scatter x1 gradient back into the touched embedding rows: every entry of
     # dx1 gets the bin of its field, id and column, and one bincount adds each

@@ -1,4 +1,4 @@
-"""Dense float64 array helpers, deterministic random streams, finite differences.
+"""Deterministic random streams, parameter initialization, finite differences.
 
 Conventions used across the package: vectors are 1-D float64 numpy arrays,
 matrices are 2-D row-major float64 arrays. All training arithmetic runs in
@@ -106,27 +106,16 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def init_params(shape, scheme: str = "uniform_fan", rng: Rng | None = None,
-                value: float = 0.0, fan_in: int | None = None) -> np.ndarray:
-    """Allocate and fill a parameter tensor.
-
-    ``uniform_fan`` draws i.i.d. from U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-    where ``fan_in`` defaults to the last dimension for matrices and to the
-    length for vectors. ``constant`` fills with ``value``. Draws are
+def init_params(shape: tuple, rng: Rng, fan_in: int | None = None) -> np.ndarray:
+    """Allocate a parameter tensor drawn i.i.d. from
+    U(-1/sqrt(fan_in), +1/sqrt(fan_in)), where ``fan_in`` defaults to the
+    last dimension for matrices and to the length for vectors. Draws are
     deterministic under a fixed ``rng`` seed.
     """
-    shape = tuple(int(s) for s in (shape if hasattr(shape, "__len__") else (shape,)))
     if any(s <= 0 for s in shape):
         raise ValueError(f"init_params: non-positive shape {shape}")
-    if scheme == "constant":
-        return np.full(shape, float(value), dtype=np.float64)
-    if scheme == "uniform_fan":
-        if rng is None:
-            raise ValueError("init_params: uniform_fan requires an rng")
-        fan = int(fan_in) if fan_in is not None else shape[-1]
-        bound = 1.0 / np.sqrt(fan)
-        return rng.uniform(-bound, bound, shape)
-    raise ValueError(f"init_params: unknown scheme {scheme!r}")
+    bound = 1.0 / np.sqrt(shape[-1] if fan_in is None else fan_in)
+    return rng.uniform(-bound, bound, shape)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

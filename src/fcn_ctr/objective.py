@@ -38,18 +38,18 @@ class TriLossReport:
     n: int
 
 
-def _as_prob(preds: np.ndarray, clip_epsilon: float) -> np.ndarray:
+def _as_prob(preds: np.ndarray) -> np.ndarray:
     p = np.asarray(preds, dtype=np.float64)
     if p.size == 0:
         raise ValueError("bce: empty batch")
     # np.clip's bits, without its Python layer
-    return np.minimum(np.maximum(p, clip_epsilon), 1.0 - clip_epsilon)
+    return np.minimum(np.maximum(p, CLIP_EPSILON), 1.0 - CLIP_EPSILON)
 
 
-def bce(preds: np.ndarray, labels: np.ndarray, clip_epsilon: float = CLIP_EPSILON) -> float:
+def bce(preds: np.ndarray, labels: np.ndarray) -> float:
     """Batch-mean binary cross-entropy with predictions clipped to
-    [clip_epsilon, 1 - clip_epsilon] inside the logs."""
-    p = _as_prob(preds, clip_epsilon)
+    [CLIP_EPSILON, 1 - CLIP_EPSILON] inside the logs."""
+    p = _as_prob(preds)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"bce shape mismatch: preds {p.shape} vs labels {y.shape}")
@@ -58,12 +58,12 @@ def bce(preds: np.ndarray, labels: np.ndarray, clip_epsilon: float = CLIP_EPSILO
 
 
 def tri_bce(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,
-            labels: np.ndarray, clip_epsilon: float = CLIP_EPSILON) -> TriLossReport:
+            labels: np.ndarray) -> TriLossReport:
     """Composite loss report for one batch. Weights come from the batch-mean
     losses, so they are scalars shared by every sample in the batch."""
-    primary = bce(y_hat, labels, clip_epsilon)
-    deep = bce(y_deep, labels, clip_epsilon)
-    shallow = bce(y_shallow, labels, clip_epsilon)
+    primary = bce(y_hat, labels)
+    deep = bce(y_deep, labels)
+    shallow = bce(y_shallow, labels)
     w_deep = max(0.0, deep - primary)
     w_shallow = max(0.0, shallow - primary)
     total = primary + w_deep * deep + w_shallow * shallow
@@ -72,8 +72,7 @@ def tri_bce(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,
 
 
 def tri_bce_grads(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,
-                  labels: np.ndarray, report: TriLossReport,
-                  clip_epsilon: float = CLIP_EPSILON):
+                  labels: np.ndarray, report: TriLossReport):
     """Per-sample gradients of the composite loss with respect to the two
     branch predictions, holding the adaptive weights fixed at their report
     values.
@@ -86,9 +85,9 @@ def tri_bce_grads(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,
     path shared by both branches; the weighted term is the branch's own
     supervision. Clipped values guard the divisions.
     """
-    p = _as_prob(y_hat, clip_epsilon)
-    pd = _as_prob(y_deep, clip_epsilon)
-    ps = _as_prob(y_shallow, clip_epsilon)
+    p = _as_prob(y_hat)
+    pd = _as_prob(y_deep)
+    ps = _as_prob(y_shallow)
     y = np.asarray(labels, dtype=np.float64)
     n = float(y.shape[0])
     pos = y > 0.5

@@ -15,6 +15,7 @@ row scored alone and within a 4096-row batch differed by up to 2.2e-16.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,6 +37,10 @@ ADAM_CHUNK = 8192
 # Inference runs over this many rows at a time.
 EVAL_BATCH_ROWS = 4096
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -43,15 +48,11 @@ class TrainConfig:
     batch_size: int = 4096
     max_epochs: int = 20
     patience: int = 2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     loss: str = "tri"
-    shuffle_seed: int | None = None  # derived from the model seed when None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
@@ -102,16 +103,15 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     parameter changes."""
     if not np.isfinite(grads.dense).all():
         name = next(name for name, g in named_dense(grads) if not np.isfinite(g).all())
-        # training names a branch's layers lcn[i] and ecn[i]
-        raise FloatingPointError(f"non-finite gradient for tensor {name.replace('_layers', '')}")
+        raise FloatingPointError(f"non-finite gradient for tensor {name}")
     for j, sparse in enumerate(grads.embeddings):
         if sparse is not None and not np.isfinite(sparse[1]).all():
             raise FloatingPointError(f"non-finite gradient for tensor embeddings[{j}]")
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
-    lr, eps = config.learning_rate, config.adam_epsilon
+    lr, eps = config.learning_rate, ADAM_EPSILON
 
     # elementwise over the flat vectors, chunk by chunk: the same bits as per tensor
     for lo in range(0, grads.dense.size, ADAM_CHUNK):
@@ -221,9 +221,7 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
     params = init_model_params(model_config, train_set.sizes,
                                derive_seed(model_config.seed, "init"))
     state = init_adam_state(params)
-    shuffle_seed = (train_config.shuffle_seed if train_config.shuffle_seed is not None
-                    else derive_seed(model_config.seed, "shuffle"))
-    shuffle_rng = Rng(shuffle_seed)
+    shuffle_rng = Rng(derive_seed(model_config.seed, "shuffle"))
     dropout_rng = Rng(derive_seed(model_config.seed, "dropout"))
     # the evaluation borrows the step buffers only where its chunks fit them,
     # so they never grow past the training shape

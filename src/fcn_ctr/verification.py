@@ -53,15 +53,15 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def audit_config(config: ModelConfig, num_fields: int, seed: int, n_rows: int = 2,
-                 vocab: int = 3, h: float = 1e-5):
+def audit_config(config: ModelConfig, num_fields: int, seed: int):
     """Max relative error between the analytic gradient and central finite
-    differences of the frozen-weight composite loss, for one config."""
+    differences of the frozen-weight composite loss, for one config, on two
+    rows over three-token vocabularies."""
     f = num_fields
     rng = Rng(derive_seed(seed, "audit-data"))
-    sizes = [vocab] * f
-    ids = rng.integers(vocab, size=(n_rows, f))
-    labels = np.arange(n_rows) % 2
+    sizes = [3] * f
+    ids = rng.integers(3, size=(2, f))
+    labels = np.arange(2) % 2
     batch = EncodedBatch(ids, labels, sizes)
     params = init_model_params(config, sizes, derive_seed(seed, "init"))
 
@@ -93,7 +93,7 @@ def audit_config(config: ModelConfig, num_fields: int, seed: int, n_rows: int = 
         return (bce(res.y, y) + w_deep * bce(res.y_deep, y)
                 + w_shallow * bce(res.y_shallow, y))
 
-    numeric = finite_diff_grad(loss, theta0, h)
+    numeric = finite_diff_grad(loss, theta0)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-2)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -105,7 +105,7 @@ def default_grad_grid():
         yield f, d, lcn, ecn, mask
 
 
-def grad_audit(grid=None, seeds=(1, 2, 3), h: float = 1e-5) -> SuiteResult:
+def grad_audit(grid=None, seeds=(1, 2, 3)) -> SuiteResult:
     """Run the gradient audit over a config grid; fails if any relative error
     reaches the tolerance."""
     grid = list(grid) if grid is not None else list(default_grad_grid())
@@ -117,7 +117,7 @@ def grad_audit(grid=None, seeds=(1, 2, 3), h: float = 1e-5) -> SuiteResult:
         config = ModelConfig(d=d, lcn_depth=lcn, ecn_depth=ecn, mask_mode=mask,
                              dropout_rate=0.0, seed=0)
         for seed in seeds:
-            err = audit_config(config, f, seed, vocab=3, h=h)
+            err = audit_config(config, f, seed)
             key = (f, d, mask)
             by_shape[key] = max(by_shape.get(key, 0.0), err)
             worst = max(worst, err)
@@ -147,7 +147,7 @@ def _difference_magnitudes(values: np.ndarray) -> list[float]:
     return mags
 
 
-def measured_degree(values: np.ndarray, tol: float = DEGREE_TOLERANCE) -> int:
+def measured_degree(values: np.ndarray) -> int:
     """Smallest k whose k-th forward differences vanish (relative to the
     largest difference magnitude), minus one. Returns the maximum measurable
     degree when nothing vanishes."""
@@ -156,35 +156,32 @@ def measured_degree(values: np.ndarray, tol: float = DEGREE_TOLERANCE) -> int:
     if scale == 0.0:
         return 0
     for k, mk in enumerate(mags, start=1):
-        if mk <= tol * scale:
+        if mk <= DEGREE_TOLERANCE * scale:
             return k - 1
     return len(mags)
 
 
-def degree_probe(ecn_depth: int, lcn_depth: int, seed: int = 0,
-                 num_fields: int = 2, d: int = 4, grid_step: float = 0.5,
-                 weight_scale: float = 3.0, tol: float = DEGREE_TOLERANCE):
+def degree_probe(ecn_depth: int, lcn_depth: int, seed: int = 0):
     """Measure each branch's polynomial degree in t along t * x1.
 
-    Runs the real forward pass with the identity mask, zero biases, and no
-    dropout, on an arithmetic grid of (expected degree + 3) points centered
-    on t = 0, then reads the degree off the forward-difference table. The
-    centered grid keeps the difference table well conditioned up to degree
-    16, and the probe draws its cross weights at unit scale so the
-    top-degree coefficient dominates at the grid edge. Overflowing grids are
-    retried once at a tenth of the step.
+    Runs the real forward pass (two fields, d = 4) with the identity mask,
+    zero biases, and no dropout, on an arithmetic grid of (expected degree
+    + 3) points centered on t = 0 with step 0.5, then reads the degree off
+    the forward-difference table. The centered grid keeps the difference
+    table well conditioned up to degree 16, and the probe draws its cross
+    weights from U(-3, 3) so the top-degree coefficient dominates at the
+    grid edge. Overflowing grids are retried once at a tenth of the step.
     """
-    config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
+    config = ModelConfig(d=4, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
                          mask_mode="identity", dropout_rate=0.0, seed=seed)
-    sizes = [3] * num_fields
-    params = init_model_params(config, sizes, derive_seed(seed, "init"))
+    params = init_model_params(config, [3, 3], derive_seed(seed, "init"))
     rng = Rng(derive_seed(seed, "probe-direction"))
     for layer in params.lcn_layers + params.ecn_layers:
-        layer.w[...] = rng.uniform(-weight_scale, weight_scale, layer.w.shape)
+        layer.w[...] = rng.uniform(-3.0, 3.0, layer.w.shape)
         layer.b[:] = 0.0
     params.heads.b_deep[:] = 0.0
     params.heads.b_shallow[:] = 0.0
-    direction = rng.uniform(-1.0, 1.0, d * num_fields)
+    direction = rng.uniform(-1.0, 1.0, params.width)
 
     def branch_values(npts: int, step: float):
         ts = step * (np.arange(npts) - (npts - 1) / 2.0)
@@ -194,11 +191,11 @@ def degree_probe(ecn_depth: int, lcn_depth: int, seed: int = 0,
 
     def measure(expected: int, pick) -> int:
         npts = expected + 3
-        step = grid_step
+        step = 0.5
         for attempt in range(2):
             zs = pick(*branch_values(npts, step))
             if np.isfinite(zs).all():
-                return measured_degree(zs, tol)
+                return measured_degree(zs)
             step /= 10.0
         raise FloatingPointError(
             f"degree probe overflowed even at grid step {step * 10}"
@@ -209,17 +206,17 @@ def degree_probe(ecn_depth: int, lcn_depth: int, seed: int = 0,
     return ecn_degree, lcn_degree
 
 
-def degree_suite(seed: int = 0) -> SuiteResult:
+def degree_suite() -> SuiteResult:
     lines = []
     passed = True
     for depth in (1, 2, 3, 4):
-        got, _ = degree_probe(ecn_depth=depth, lcn_depth=0, seed=seed)
+        got, _ = degree_probe(ecn_depth=depth, lcn_depth=0)
         ok = got == 2 ** depth
         passed &= ok
         lines.append(f"ecn depth={depth} expected_degree={2 ** depth} measured={got}"
                      + ("" if ok else "  FAIL"))
     for depth in (1, 2, 3):
-        _, got = degree_probe(ecn_depth=0, lcn_depth=depth, seed=seed)
+        _, got = degree_probe(ecn_depth=0, lcn_depth=depth)
         ok = got == depth + 1
         passed &= ok
         lines.append(f"lcn depth={depth} expected_degree={depth + 1} measured={got}"
@@ -250,8 +247,9 @@ def pairwise_auc_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(wins / (pos.size * neg.size))
 
 
-def auc_suite(n_batches: int = 200, max_n: int = 2000, seed: int = 0) -> SuiteResult:
-    rng = Rng(derive_seed(seed, "auc-suite"))
+def auc_suite() -> SuiteResult:
+    n_batches = 200
+    rng = Rng(derive_seed(0, "auc-suite"))
     lines = []
     passed = True
     worst = 0.0
@@ -260,7 +258,7 @@ def auc_suite(n_batches: int = 200, max_n: int = 2000, seed: int = 0) -> SuiteRe
         passed = False
         lines.append(f"FAIL hand example: expected 0.75, got {hand!r}")
     for i in range(n_batches):
-        n = int(rng.integers(max_n - 10, size=None)) + 10
+        n = int(rng.integers(1990, size=None)) + 10
         scores = rng.random(n)
         if i % 2 == 0:
             scores = np.round(scores, 2)  # force heavy ties
@@ -284,7 +282,7 @@ def auc_suite(n_batches: int = 200, max_n: int = 2000, seed: int = 0) -> SuiteRe
 # ---------------------------------------------------------------------------
 
 
-def mask_census(dim: int, trials: int, rng: Rng, ln_epsilon: float = 1e-5):
+def mask_census(dim: int, trials: int, rng: Rng):
     """Zero-fraction statistics of the self-mask (default gain/bias) over
     standard-normal inputs. Returns (mean, std, per-trial fractions)."""
     if dim < 2:
@@ -292,13 +290,14 @@ def mask_census(dim: int, trials: int, rng: Rng, ln_epsilon: float = 1e-5):
     gain = np.ones(dim)
     beta = np.zeros(dim)
     c = rng.standard_normal((trials, dim))
-    masked, _ = self_mask(c, gain, beta, "paper", ln_epsilon)
+    masked, _ = self_mask(c, gain, beta, "paper", ModelConfig.ln_epsilon)
     fracs = (masked == 0.0).mean(axis=1)
     return float(fracs.mean()), float(fracs.std()), fracs
 
 
-def mask_suite(dim: int = 1024, trials: int = 1000, seed: int = 0) -> SuiteResult:
-    rng = Rng(derive_seed(seed, "mask-census"))
+def mask_suite() -> SuiteResult:
+    dim, trials = 1024, 1000
+    rng = Rng(derive_seed(0, "mask-census"))
     mean, std, _ = mask_census(dim, trials, rng)
     passed = 0.45 <= mean <= 0.55
     lines = [f"dim={dim} trials={trials} zero_fraction mean={mean:.4f} std={std:.4f}",

@@ -16,7 +16,7 @@ from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
 from fcn_ctr.features import FieldSpec, build_schema, read_csv
 from fcn_ctr.model import ModelConfig
-from fcn_ctr.runconfig import RunConfig, parse_run_config, render_run_config
+from fcn_ctr.runconfig import RunConfig, UsageError, parse_run_config, render_run_config
 from fcn_ctr.training import TrainConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -330,10 +330,9 @@ class TestVerifySubcommand:
         assert run("verify", "--suite", "mask") == 0
         assert "PASSED" in capsys.readouterr().out
 
-    def test_injected_fault_fails_grad_suite(self, monkeypatch, capsys):
-        import fcn_ctr.model as model_mod
+    def test_injected_fault_fails_grad_suite(self, monkeypatch, capsys, flip_bias_gradient):
         import fcn_ctr.verification as verification_mod
-        monkeypatch.setattr(model_mod, "_inject_grad_sign_flip", True)
+        flip_bias_gradient()
         # thin the grid so the corrupted audit stays quick
         monkeypatch.setattr(verification_mod, "default_grad_grid",
                             lambda: [(2, 2, 1, 1, "paper")])
@@ -372,6 +371,27 @@ class TestRunConfig:
             assert (hints[f.name], f.default) == owned[renamed.get(f.name, f.name)], f.name
         assert RunConfig().model_config() == ModelConfig()
         assert RunConfig().train_config() == TrainConfig()
+        # and the converse: no ModelConfig or TrainConfig field is out of a key's reach
+        keyed = {renamed.get(f.name, f.name) for f in dataclasses.fields(RunConfig)}
+        for owner in (ModelConfig, TrainConfig):
+            for f in dataclasses.fields(owner):
+                assert f.name in keyed, f"{owner.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("key, field", [("lr", "learning_rate"), ("ln_epsilon", "ln_epsilon")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_values_rejected(self, key, field, value):
+        with pytest.raises(UsageError, match=rf"{field} must be finite and > 0, got {value}"):
+            parse_run_config(f"{key} = {value}\n")
+
+    def test_non_finite_lr_is_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("lr = nan\n")
+        assert run("train", "--config", str(cfg),
+                   "--train", str(workspace["data"] / "train.csv"),
+                   "--valid", str(workspace["data"] / "valid.csv"),
+                   "--out-checkpoint", str(tmp_path / "never.ckpt")) == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "never.ckpt").exists()
 
     def test_comments_and_blanks(self):
         config = parse_run_config("# hi\n\nd = 8  # inline\n")

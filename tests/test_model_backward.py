@@ -164,12 +164,12 @@ class TestGradientExactness:
             np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(g1.embeddings[0][1], g2.embeddings[0][1])
 
-    def test_injected_sign_flip_is_caught(self, monkeypatch):
+    def test_injected_sign_flip_is_caught(self, flip_bias_gradient):
         # the audit must detect a deliberately corrupted backward path
         config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1, mask_mode="paper",
                              dropout_rate=0.0, seed=0)
         clean = audit_config(config, num_fields=2, seed=1)
-        monkeypatch.setattr(model_mod, "_inject_grad_sign_flip", True)
+        flip_bias_gradient()
         corrupted = audit_config(config, num_fields=2, seed=1)
         assert clean < 1e-4 <= corrupted
 

@@ -80,27 +80,23 @@ class TestRng:
 
 
 class TestInitParams:
-    def test_constant_fill(self):
-        np.testing.assert_array_equal(init_params((2, 2), "constant", value=0.0),
-                                      np.zeros((2, 2)))
-
     def test_deterministic_under_seed(self):
-        a = init_params((5, 16), "uniform_fan", Rng(7))
-        b = init_params((5, 16), "uniform_fan", Rng(7))
+        a = init_params((5, 16), Rng(7))
+        b = init_params((5, 16), Rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_fan_bound(self):
-        m = init_params((40, 16), "uniform_fan", Rng(3))
+        m = init_params((40, 16), Rng(3))
         assert np.abs(m).max() <= 0.25  # 1/sqrt(16)
 
     def test_explicit_fan_override(self):
-        v = init_params((100,), "uniform_fan", Rng(3), fan_in=4)
+        v = init_params((100,), Rng(3), fan_in=4)
         assert np.abs(v).max() <= 0.5
         assert np.abs(v).max() > 0.25  # draws actually use the wider bound
 
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            init_params((0, 3), "constant")
+        with pytest.raises(ValueError, match="non-positive shape"):
+            init_params((0, 3), Rng(0))
 
 
 class TestFiniteDiff:

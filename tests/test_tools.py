@@ -1,10 +1,14 @@
-"""Smoke tests of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/, and the benchmark's hold on the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+import types
 
-TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def test_step_faults_prints_per_step_quantiles():
@@ -17,3 +21,19 @@ def test_step_faults_prints_per_step_quantiles():
     for line in lines[1:]:
         p10, p50 = (float(part.split("=")[1]) for part in line.split()[1:])
         assert 0.0 <= p10 <= p50
+
+
+def test_benchmark_patch_sites_are_module_attributes():
+    # perfbench/tracing.py swaps these attributes for timing wrappers during
+    # a traced run; one that moved or went would break every traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ("checkpoint", "features", "metrics", "model", "numerics", "objective",
+             "training", "verification")
+    fcn = types.SimpleNamespace(**{n: importlib.import_module(f"fcn_ctr.{n}") for n in names})
+    targets = tracing.Tracer(fcn).targets()
+    assert targets
+    for owner, attr in targets:
+        assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"

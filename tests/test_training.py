@@ -80,7 +80,7 @@ class TestAdam:
         from fcn_ctr.model import zero_gradients
         grads = zero_gradients(params)
         grads.lcn_layers[0].w[0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match=r"lcn\[0\]\.w"):
+        with pytest.raises(FloatingPointError, match=r"lcn_layers\[0\]\.w"):
             adam_step(params, grads, init_adam_state(params), TrainConfig())
 
     @pytest.mark.parametrize("chunk", [None, 7])
@@ -92,7 +92,8 @@ class TestAdam:
         config, params = toy_model(lcn=2, ecn=2)
         ref = params.copy()
         tcfg = TrainConfig(learning_rate=0.01)
-        b1, b2, lr, eps = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.learning_rate, tcfg.adam_epsilon
+        b1, b2, lr, eps = (training_mod.ADAM_BETA1, training_mod.ADAM_BETA2,
+                           tcfg.learning_rate, training_mod.ADAM_EPSILON)
         moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in named_dense(ref)}
         state = init_adam_state(params)
         batch = toy_batch()
@@ -114,7 +115,7 @@ class TestAdam:
                 p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
             assert params.dense.tobytes() == ref.dense.tobytes()
 
-    @pytest.mark.parametrize("bad, named", [("lcn", r"lcn\[1\]\.w"),
+    @pytest.mark.parametrize("bad, named", [("lcn", r"lcn_layers\[1\]\.w"),
                                             ("embedding", r"embeddings\[2\]")])
     def test_non_finite_gradient_raises_before_any_update(self, bad, named):
         config, params = toy_model(lcn=2, ecn=1)

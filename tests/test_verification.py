@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import fcn_ctr.model as model_mod
 from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng
 from fcn_ctr.verification import (audit_config, default_grad_grid, degree_probe,
@@ -106,8 +105,8 @@ class TestSuites:
         assert hashlib.sha256(repr(errors).encode()).hexdigest() == (
             "add0867e4797bac3b0449305f3326d91fd76846a8faf67092e8293e2afdb9feb")
 
-    def test_grad_audit_catches_sign_flip(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "_inject_grad_sign_flip", True)
+    def test_grad_audit_catches_sign_flip(self, flip_bias_gradient):
+        flip_bias_gradient()
         grid = [(2, 2, 1, 1, "paper")]
         result = grad_audit(grid=grid, seeds=(1,))
         assert not result.passed
