@@ -174,9 +174,11 @@ def parse_checkpoint(data: bytes):
         if kind_idx >= len(_FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
         min_count = r.u32()
+        if min_count < 1:
+            raise FormatError(f"field {name!r}: invalid min_count {min_count}")
         size = r.u32()
         tokens = [r.string() for _ in range(size)]
-        fields.append(FieldSpec(name, _FIELD_KINDS[kind_idx], max(1, min_count)))
+        fields.append(FieldSpec(name, _FIELD_KINDS[kind_idx], min_count))
         vocabs.append({tok: i for i, tok in enumerate(tokens)})
         sizes.append(size)
     schema = FeatureSchema(fields, vocabs, sizes, DISCRETIZE_MODES[disc_idx])
@@ -204,8 +206,8 @@ def parse_checkpoint(data: bytes):
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    embeddings = [p.astype(np.float64).reshape(size, d) for p, size in zip(payloads, sizes)]
-    # the constructor widens the float32 views into one float64 vector
+    # the constructor widens the float32 views into the float64 table and vector
+    embeddings = [p.reshape(size, d) for p, size in zip(payloads, sizes)]
     stored = np.concatenate(payloads[num_fields:])
     params = ModelParams(embeddings, *layer_views(stored, d * num_fields, lcn_depth, ecn_depth))
     for name, t in named_tensors(params):

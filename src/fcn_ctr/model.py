@@ -15,9 +15,10 @@ of the gated view. Two sigmoid heads read the branch outputs and the model
 prediction is their mean.
 
 Batches are row-major: ids (n, f) int64, activations (n, D) float64, cross
-vectors (n, D/2). Every parameter but the embedding tables lives in one
-flat float64 vector, ``ModelParams.dense``, which the layer and head fields
-view. Params are immutable during forward/backward; traces are
+vectors (n, D/2). Every embedding row lives in one float64 table,
+``ModelParams.table``, every other parameter in one float64 vector,
+``ModelParams.dense``, and the per-field tables and the layer and head fields
+view the two. Params are immutable during forward/backward; traces are
 per-batch and single-owner. A training run hands forward and backward a
 ``BranchWorkspace`` per branch, whose buffers take a step's arrays in place
 of fresh temporaries; every other caller gets fresh arrays. The two
@@ -130,14 +131,18 @@ def named_dense(tree) -> list:
 
 @dataclass
 class ModelParams:
-    """Every model parameter. The embeddings are per-field (s_i, d) tables,
-    updated row by row; the constructor copies every other tensor into
-    ``dense``, one float64 vector laid out by ``dense_layout``, and views it."""
+    """Every model parameter. The constructor copies the per-field (s_i, d)
+    embedding tables into ``table``, field 0's rows first, field j's from row
+    ``offsets[j]``, and every other tensor into ``dense``, one float64 vector
+    laid out by ``dense_layout``; the tensor fields become views of the two."""
 
     embeddings: list[np.ndarray]          # per field, (s_i, d): row per token id
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
+    table: np.ndarray = field(init=False)    # (sum of s_i, d)
+    sizes: np.ndarray = field(init=False)    # (f,) each field's row count, s_i
+    offsets: np.ndarray = field(init=False)  # (f,) each field's first row in table
     dense: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -148,6 +153,10 @@ class ModelParams:
                 raise ValueError(f"tensor {name}: expected shape {shape}, got {np.shape(t)}")
         self.dense = np.concatenate([np.ravel(t) for _, t in given], dtype=np.float64)
         self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width, *depths)
+        self.sizes = np.array([len(e) for e in self.embeddings], dtype=np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.table = np.concatenate(self.embeddings or [np.empty((0, 0))], dtype=np.float64)
+        self.embeddings = [self.table[lo:lo + size] for lo, size in zip(self.offsets, self.sizes)]
 
     @functools.cached_property
     def stacked(self) -> list[CrossLayerParams]:
@@ -172,8 +181,7 @@ class ModelParams:
         return int(self.heads.w_deep.shape[0])
 
     def copy(self) -> "ModelParams":
-        return ModelParams([e.copy() for e in self.embeddings],
-                           self.lcn_layers, self.ecn_layers, self.heads)
+        return ModelParams(self.embeddings, self.lcn_layers, self.ecn_layers, self.heads)
 
 
 def named_tensors(params: ModelParams):
@@ -221,11 +229,11 @@ class ForwardResult:
 
 @dataclass
 class Gradients:
-    """Mirror of ModelParams, with embedding gradients kept sparse as
-    per-field (ids, rows) accumulations over the touched rows only, and the
-    other tensors views into ``dense``, laid out as the params'."""
+    """Mirror of ModelParams. The embedding gradient is sparse, one (rows, grads)
+    pair: the sorted ``table`` rows a batch touched and their accumulations, or
+    None without ids. The other tensors view ``dense``, laid out as the params'."""
 
-    embeddings: list[tuple[np.ndarray, np.ndarray] | None]
+    embeddings: tuple[np.ndarray, np.ndarray] | None
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
@@ -335,9 +343,8 @@ def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Grad
     if dense is None:
         dense = np.empty_like(params.dense)
     dense.fill(0.0)
-    return Gradients([None] * params.num_fields,
-                     *layer_views(dense, params.width, len(params.lcn_layers),
-                                  len(params.ecn_layers)), dense)
+    return Gradients(None, *layer_views(dense, params.width, len(params.lcn_layers),
+                                        len(params.ecn_layers)), dense)
 
 
 def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
@@ -346,21 +353,22 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
     ids (n, f) give x1 (n, D), written into ``out`` when given.
     """
     half = d // 2
-    f = len(params.embeddings)
+    f = params.num_fields
     n, fields = ids.shape
     if fields != f:
         raise ValueError(f"expected {f} fields, got {fields}")
     if n:
-        sizes = [table.shape[0] for table in params.embeddings]
-        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= sizes)
+        # checked per field: past its field's end, an id is the next field's row
+        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= params.sizes)
         if bad.any():
             j = int(bad.argmax())
-            raise ValueError(f"field {j}: id out of range [0, {sizes[j]}) in batch")
+            raise ValueError(f"field {j}: id out of range [0, {params.sizes[j]}) in batch")
     x1 = np.empty((n, f * d)) if out is None else out
-    # x1 seen as (row, view, field, d/2): field j's rows land in both halves at once
-    views = x1.reshape(n, 2, f, half)
-    for j, table in enumerate(params.embeddings):
-        views[:, :, j, :] = table[ids[:, j]].reshape(n, 2, half)
+    # the table seen as (2 * rows, d/2) halves, x1 as (row, view, field, d/2): one
+    # take fills x1 in place (mode "clip", as the ids are checked: "raise" copies)
+    halves = 2 * (ids + params.offsets)[:, None, :] + np.arange(2)[:, None]
+    np.take(params.table.reshape(-1, half), halves, axis=0, out=x1.reshape(n, 2, f, half),
+            mode="clip")
     return x1
 
 
@@ -711,7 +719,8 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     lcn anchor x1 collects a contribution from every layer. Large batches
     run the two branches on two threads, like the forward pass; dx1 is then
     summed in one fixed order, so the result does not depend on which
-    branch finishes first. With a ``workspace`` (as in ``forward_from_x1``)
+    branch finishes first. dx1 goes to the touched ``table`` rows of the
+    trace's ids as one sparse gradient. With a ``workspace`` (as in ``forward_from_x1``)
     the gradients and the branches' temporaries live in it, and the trace is
     spent: each lcn layer's ``gate_dropped`` is overwritten, and the
     gradients hold until the workspace's next backward. By default the
@@ -744,25 +753,20 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
         dx1 += term
     dx1 += dx_lcn
 
-    # scatter x1 gradient back into the touched embedding rows: every entry of
-    # dx1 gets the bin of its field, id and column, and one bincount adds each
-    # bin's entries in row order, from 0.0, as np.add.at does: the same bits
+    # scatter dx1 into the touched table rows: each entry gets the bin of its row
+    # and column, and one bincount adds a bin's entries in batch order, from 0.0,
+    # as np.add.at does: the same bits. searchsorted finds the rows with fewer
+    # temporaries than np.unique's inverse, which page-faulted every 4096-row step
     if trace.ids is not None:
-        n, f, half = len(dx1), params.num_fields, config.d // 2
-        shape = (n, 2, f, half)
-        # the ecn's dgate is spent: its buffer holds the bins
-        bins = ecn_ws.take("dgate", shape).view(np.int64)
-        columns = np.arange(config.d).reshape(2, half)
-        uids, starts = [], [0]
-        for j in range(f):
-            u, inverse = np.unique(trace.ids[:, j], return_inverse=True)
-            np.add((inverse * config.d + starts[j]).reshape(n, 1, 1), columns,
-                   out=bins[:, :, j, :])
-            uids.append(u)
-            starts.append(starts[j] + len(u) * config.d)
-        sums = np.bincount(bins.ravel(), weights=dx1.ravel(), minlength=starts[-1])
-        for j, u in enumerate(uids):
-            grads.embeddings[j] = (u, sums[starts[j]:starts[j + 1]].reshape(len(u), config.d))
+        d, (n, f) = config.d, trace.ids.shape
+        table_rows = trace.ids + params.offsets
+        rows = np.unique(table_rows)
+        # the ecn's dgate is spent: its buffer holds the bins, seen as x1 is
+        bins = ecn_ws.take("dgate", (n, 2, f, d // 2)).view(np.int64)
+        np.add((np.searchsorted(rows, table_rows) * d)[:, None, :, None],
+               np.arange(d).reshape(2, 1, d // 2), out=bins)
+        sums = np.bincount(bins.ravel(), weights=dx1.ravel(), minlength=rows.size * d)
+        grads.embeddings = rows, sums.reshape(rows.size, d)
     return grads
 
 

@@ -75,25 +75,19 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
                 values[key] = int(value)
             elif _TYPES[key] == "float":
                 values[key] = float(value)
-            else:
-                allowed = _ENUM_KEYS[key]
-                if value not in allowed:
-                    raise UsageError(
-                        f"{source}:{lineno}: {key} must be one of "
-                        f"{'|'.join(allowed)}, got {value!r}"
-                    )
+            elif value in _ENUM_KEYS[key]:
                 values[key] = value
+            else:
+                raise ValueError(f"must be one of {'|'.join(_ENUM_KEYS[key])}, got {value!r}")
+            # every owner's check reads one key, so the defaults stand in for the rest
+            alone = RunConfig(**{key: values[key]})
+            alone.model_config()
+            alone.train_config()
+            if alone.min_count < 1:
+                raise ValueError(f"min_count must be >= 1, got {alone.min_count}")
         except ValueError as exc:
             raise UsageError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    config = RunConfig(**values)
-    try:
-        config.model_config()
-        config.train_config()
-    except ValueError as exc:
-        raise UsageError(f"{source}: {exc}") from exc
-    if config.min_count < 1:
-        raise UsageError(f"{source}: min_count must be >= 1")
-    return config
+    return RunConfig(**values)
 
 
 def load_run_config(path) -> RunConfig:

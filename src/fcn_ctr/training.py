@@ -65,8 +65,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers: one flat pair for ``ModelParams.dense``
-    and one per embedding table. Embedding rows untouched by a batch are
+    """First/second moment buffers: one pair shaped as ``ModelParams.dense``
+    and one as ``ModelParams.table``. Table rows untouched by a batch are
     never read or written, so they stay at zero and decay nothing (lazy
     sparse Adam with a single global step counter). The run's other state
     rides along: ``workspace``, the (ecn, lcn) pair of buffers every step
@@ -74,8 +74,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    emb_m: list[np.ndarray]
-    emb_v: list[np.ndarray]
+    emb_m: np.ndarray
+    emb_v: np.ndarray
     t: int = 0
     workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None
 
@@ -90,48 +90,45 @@ class EpochReport:
 
 def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(np.zeros_like(params.dense), np.zeros_like(params.dense),
-                     [np.zeros_like(e) for e in params.embeddings],
-                     [np.zeros_like(e) for e in params.embeddings],
+                     np.zeros_like(params.table), np.zeros_like(params.table),
                      workspace=(BranchWorkspace(), BranchWorkspace()))
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place. Embedding rows absent from
-    the sparse gradients receive no update and no moment decay. Raises on any
+    """One bias-corrected Adam update, in place. Table rows absent from the
+    sparse gradient receive no update and no moment decay. Raises on any
     non-finite gradient, naming the first offending tensor, before any
     parameter changes."""
     if not np.isfinite(grads.dense).all():
         name = next(name for name, g in named_dense(grads) if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient for tensor {name}")
-    for j, sparse in enumerate(grads.embeddings):
-        if sparse is not None and not np.isfinite(sparse[1]).all():
-            raise FloatingPointError(f"non-finite gradient for tensor embeddings[{j}]")
+    rows, g = grads.embeddings or (params.offsets[:0], params.table[:0])
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        j = np.searchsorted(params.offsets, rows[finite.argmin()], side="right") - 1
+        raise FloatingPointError(f"non-finite gradient for tensor embeddings[{j}]")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
-    lr, eps = config.learning_rate, ADAM_EPSILON
+    lr = config.learning_rate
 
-    # elementwise over the flat vectors, chunk by chunk: the same bits as per tensor
-    for lo in range(0, grads.dense.size, ADAM_CHUNK):
-        part = slice(lo, lo + ADAM_CHUNK)
-        g, m, v = grads.dense[part], state.m[part], state.v[part]
+    def update(p, g, m, v):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        params.dense[part] -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)
 
-    for j, sparse in enumerate(grads.embeddings):
-        if sparse is None:
-            continue
-        rows, g = sparse
-        m = state.emb_m[j]
-        v = state.emb_v[j]
-        m[rows] = b1 * m[rows] + (1.0 - b1) * g
-        v[rows] = b2 * v[rows] + (1.0 - b2) * (g * g)
-        params.embeddings[j][rows] -= lr * (m[rows] / corr1) / (np.sqrt(v[rows] / corr2) + eps)
+    # elementwise over the flat vectors, chunk by chunk: the same bits as per tensor
+    for lo in range(0, grads.dense.size, ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        update(params.dense[part], grads.dense[part], state.m[part], state.v[part])
+    # the touched table rows, gathered, updated and written back
+    p, m, v = params.table[rows], state.emb_m[rows], state.emb_v[rows]
+    update(p, g, m, v)
+    params.table[rows], state.emb_m[rows], state.emb_v[rows] = p, m, v
 
 
 def _check_labels(batch: EncodedBatch, name: str) -> None:

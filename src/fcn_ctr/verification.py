@@ -57,10 +57,9 @@ def audit_config(config: ModelConfig, num_fields: int, seed: int):
     """Max relative error between the analytic gradient and central finite
     differences of the frozen-weight composite loss, for one config, on two
     rows over three-token vocabularies."""
-    f = num_fields
     rng = Rng(derive_seed(seed, "audit-data"))
-    sizes = [3] * f
-    ids = rng.integers(3, size=(2, f))
+    sizes = [3] * num_fields
+    ids = rng.integers(3, size=(2, num_fields))
     labels = np.arange(2) % 2
     batch = EncodedBatch(ids, labels, sizes)
     params = init_model_params(config, sizes, derive_seed(seed, "init"))
@@ -73,22 +72,20 @@ def audit_config(config: ModelConfig, num_fields: int, seed: int):
                                       labels, report)
     grads = backward(base.trace, params, config, g_deep, g_shallow)
 
-    # theta: each field's touched embedding rows, then the dense vector
-    touched = [np.unique(ids[:, j]) for j in range(f)]
-    for rows, (uids, _) in zip(touched, grads.embeddings):
-        assert np.array_equal(uids, rows)
-    analytic = np.concatenate([g.ravel() for _, g in grads.embeddings] + [grads.dense])
-    theta0 = np.concatenate([e[rows].ravel() for e, rows in zip(params.embeddings, touched)]
-                            + [params.dense])
+    # theta: the touched embedding table rows, then the dense vector
+    touched = np.unique(ids + params.offsets)
+    rows, g_rows = grads.embeddings
+    assert np.array_equal(rows, touched)
+    analytic = np.concatenate([g_rows.ravel(), grads.dense])
+    theta0 = np.concatenate([params.table[touched].ravel(), params.dense])
 
     work = params.copy()
     y = labels.astype(np.float64)
-    ends = np.cumsum([0] + [rows.size * config.d for rows in touched]).tolist()
+    split = touched.size * config.d
 
     def loss(theta: np.ndarray) -> float:
-        for table, rows, lo, hi in zip(work.embeddings, touched, ends, ends[1:]):
-            table[rows] = theta[lo:hi].reshape(rows.size, config.d)
-        work.dense[:] = theta[ends[-1]:]
+        work.table[touched] = theta[:split].reshape(touched.size, config.d)
+        work.dense[:] = theta[split:]
         res = forward(batch, work, config, training=False)
         return (bce(res.y, y) + w_deep * bce(res.y_deep, y)
                 + w_shallow * bce(res.y_shallow, y))

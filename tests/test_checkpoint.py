@@ -107,9 +107,11 @@ def with_crc(data: bytearray) -> bytes:
 
 
 # byte offsets in a sample_state() checkpoint: magic 8, version 4, then
-# five u32 config fields, two f64, the discretize code, then field 0's name
+# five u32 config fields, two f64, the discretize code, then field 0's name,
+# its kind code and its min_count
 MASK_CODE_AT = 28
 NAME_AT = 56
+MIN_COUNT_AT = NAME_AT + len("color") + 4
 
 
 class TestFormatErrors:
@@ -117,6 +119,13 @@ class TestFormatErrors:
         data = bytearray(checkpoint_bytes(*sample_state()))
         data[MASK_CODE_AT:MASK_CODE_AT + 4] = struct.pack("<I", 7)
         with pytest.raises(FormatError, match="invalid mask mode code 7"):
+            parse_checkpoint(with_crc(data))
+
+    def test_zero_min_count(self):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        assert struct.unpack("<I", data[MIN_COUNT_AT:MIN_COUNT_AT + 4]) == (2,)
+        data[MIN_COUNT_AT:MIN_COUNT_AT + 4] = struct.pack("<I", 0)
+        with pytest.raises(FormatError, match="field 'color': invalid min_count 0"):
             parse_checkpoint(with_crc(data))
 
     def test_undecodable_name(self):

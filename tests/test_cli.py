@@ -383,6 +383,17 @@ class TestRunConfig:
         with pytest.raises(UsageError, match=rf"{field} must be finite and > 0, got {value}"):
             parse_run_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("lr", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("dropout", "2", r"dropout_rate must be in \[0, 1\), got 2.0"),
+        ("d", "3", "embedding dim must be even and >= 2, got 3"),
+        ("patience", "0", "patience must be >= 1, got 0"),
+        ("min_count", "0", "min_count must be >= 1, got 0"),
+    ])
+    def test_bad_value_names_key_and_line(self, key, value, why):
+        with pytest.raises(UsageError, match=rf"^run.cfg:3: bad value for {key}: {why}$"):
+            parse_run_config(f"# defaults\nseed = 4\n{key} = {value}\n", source="run.cfg")
+
     def test_non_finite_lr_is_usage_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("lr = nan\n")

@@ -46,8 +46,8 @@ class TestBackwardBasics:
             for g in (layer.w, layer.b, layer.gain, layer.beta):
                 np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(grads.heads.w_deep, np.zeros_like(grads.heads.w_deep))
-        for sparse in grads.embeddings:
-            np.testing.assert_array_equal(sparse[1], np.zeros_like(sparse[1]))
+        _, g = grads.embeddings
+        np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_missing_trace_rejected(self):
         config, params, batch = setup(1, 1)
@@ -74,16 +74,16 @@ class TestBackwardBasics:
         dz_s = gs * res.y_shallow * (1.0 - res.y_shallow)
         dx1 = np.outer(dz_d, params.heads.w_deep) + np.outer(dz_s, params.heads.w_shallow)
         half = config.d // 2
-        for j in range(2):
+        rows, g = grads.embeddings
+        sparse = np.zeros_like(params.table)
+        sparse[rows] = g
+        for j, field_rows in enumerate(np.split(sparse, params.offsets[1:])):
             dense = np.zeros_like(params.embeddings[j])
             for r in range(batch.n):
                 row = batch.ids[r, j]
                 dense[row, :half] += dx1[r, j * half:(j + 1) * half]
                 dense[row, half:] += dx1[r, 4 + j * half:4 + (j + 1) * half]
-            uids, rows = grads.embeddings[j]
-            sparse = np.zeros_like(dense)
-            sparse[uids] = rows
-            np.testing.assert_allclose(sparse, dense, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(field_rows, dense, rtol=1e-12, atol=1e-15)
 
     @staticmethod
     def add_at_scatter(dx1, ids, d):
@@ -115,18 +115,24 @@ class TestBackwardBasics:
         grads = backward(res.trace, params, config, dy_deep, dy_shallow)
         dx1 = np.outer(dy_deep * res.y_deep * (1.0 - res.y_deep), params.heads.w_deep)
         dx1 += np.outer(dy_shallow * res.y_shallow * (1.0 - res.y_shallow), params.heads.w_shallow)
-        for (uids, rows), (ref_uids, ref_rows) in zip(grads.embeddings,
-                                                      self.add_at_scatter(dx1, ids, d)):
-            assert uids.tobytes() == ref_uids.tobytes()
-            assert rows.shape == ref_rows.shape
-            assert rows.tobytes() == ref_rows.tobytes()
+        # the reference's per-field rows, offset into the one table, in field order
+        ref = self.add_at_scatter(dx1, ids, d)
+        ref_rows = np.concatenate([uids + params.offsets[j] for j, (uids, _) in enumerate(ref)])
+        ref_grads = np.concatenate([g for _, g in ref])
+        rows, g = grads.embeddings
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert g.shape == ref_grads.shape
+        assert g.tobytes() == ref_grads.tobytes()
 
     def test_untouched_embedding_rows_absent(self):
         config, params, batch = setup(1, 1, vocab=9, n=3)
         _, grads = run_backward(config, params, batch)
-        for j in range(params.num_fields):
-            uids, _ = grads.embeddings[j]
-            assert set(uids) == set(np.unique(batch.ids[:, j]))
+        rows, _ = grads.embeddings
+        for j, size in enumerate(params.sizes):
+            lo = params.offsets[j]
+            in_field = rows[(rows >= lo) & (rows < lo + size)] - lo
+            assert set(in_field) == set(np.unique(batch.ids[:, j]))
+        assert rows.size == sum(len(np.unique(batch.ids[:, j])) for j in range(params.num_fields))
 
     def test_adding_zero_gradients_is_noop(self):
         config, params, batch = setup(1, 1)
@@ -162,7 +168,8 @@ class TestGradientExactness:
         _, g2 = run_backward(config, params, batch)
         for a, b in zip(g1.ecn_layers, g2.ecn_layers):
             np.testing.assert_array_equal(a.w, b.w)
-        np.testing.assert_array_equal(g1.embeddings[0][1], g2.embeddings[0][1])
+        for a, b in zip(g1.embeddings, g2.embeddings):
+            np.testing.assert_array_equal(a, b)
 
     def test_injected_sign_flip_is_caught(self, flip_bias_gradient):
         # the audit must detect a deliberately corrupted backward path
@@ -187,8 +194,7 @@ class TestBranchThreads:
         tensors = [res.y, res.y_deep, res.y_shallow]
         for layer in grads.lcn_layers + grads.ecn_layers:
             tensors += [layer.w, layer.b, layer.gain, layer.beta]
-        for uids, rows in grads.embeddings:
-            tensors += [uids, rows]
+        tensors += list(grads.embeddings)
         return b"".join(t.tobytes() for t in tensors)
 
     @pytest.mark.parametrize("mask", ["paper", "no_ln", "identity"])
@@ -305,9 +311,8 @@ class TestBackwardWorkspace:
         lcn_gates = [tr.gate_dropped.copy() for tr in res.trace.lcn]
         grads = backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
         np.testing.assert_array_equal(grads.dense, expected.dense)
-        for (ids, rows), (want_ids, want_rows) in zip(grads.embeddings, expected.embeddings):
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(rows, want_rows)
+        for got, want in zip(grads.embeddings, expected.embeddings):
+            np.testing.assert_array_equal(got, want)
         assert np.shares_memory(grads.dense, workspace[0].buffers["grads"])
         for tr, gate in zip(res.trace.lcn, lcn_gates):
             assert not np.array_equal(tr.gate_dropped, gate)

@@ -80,11 +80,17 @@ class TestEmbedReshape:
         assert x1.shape == expected.shape == (n, f * d)
         assert x1.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("bad", [-1, 5])
-    def test_out_of_range_names_field_and_range(self, bad):
+    @pytest.mark.parametrize("field, bad", [(1, -1), (1, 5), (0, 3)],
+                             ids=["-1", "5", "field0-3"])
+    def test_out_of_range_names_field_and_range(self, field, bad):
+        # in the one table, field 0's id 3 would be field 1's first row
         params = manual_params([np.zeros((3, 4)), np.zeros((5, 4))])
-        with pytest.raises(ValueError, match=r"^field 1: id out of range \[0, 5\) in batch$"):
-            embed_reshape(np.array([[0, 2], [1, bad]]), params, d=4)
+        ids = np.array([[0, 2], [1, 4]])
+        ids[1, field] = bad
+        size = len(params.embeddings[field])
+        with pytest.raises(ValueError,
+                           match=rf"^field {field}: id out of range \[0, {size}\) in batch$"):
+            embed_reshape(ids, params, d=4)
 
 
 class TestSelfMask:
@@ -284,7 +290,11 @@ class TestFlatStore:
         base = params.dense.__array_interface__["data"][0]
         pos = 0
         for (_, t), e in zip(named, params.embeddings):
-            assert t is e and not np.shares_memory(t, params.dense)
+            assert t is e and t.base is params.table and not np.shares_memory(t, params.dense)
+        # the per-field tables are consecutive row ranges of the one table
+        assert params.table.shape == (12, 4) and params.offsets.tolist() == [0, 3, 8]
+        params.table[3, 0] = 9.0
+        assert params.embeddings[1][0, 0] == 9.0
         for _, t in named[3:]:
             assert t.base is params.dense
             assert t.__array_interface__["data"][0] == base + 8 * pos
@@ -295,6 +305,12 @@ class TestFlatStore:
         assert params.heads.b_shallow.__array_interface__ == named[-1][1].__array_interface__
         params.dense[-1] = 7.0
         assert params.heads.b_shallow[0] == 7.0
+
+    def test_zero_fields(self):
+        # a checkpoint may hold no field (the loader accepts one): a constant predictor
+        params = manual_params([])
+        assert params.num_fields == 0 and params.table.size == 0
+        assert embed_reshape(np.zeros((2, 0), np.int64), params, d=4).shape == (2, 0)
 
     def test_copy_shares_no_memory(self):
         params = self.params()

@@ -37,3 +37,18 @@ def test_benchmark_patch_sites_are_module_attributes():
     assert targets
     for owner, attr in targets:
         assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"
+
+
+def test_golden_fixtures_regenerate_byte_identical(tmp_path):
+    # any change to the training, checkpoint or inference bits shows here
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", os.path.join(TOOLS, "make_golden.py"))
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.main(str(tmp_path))
+    golden = os.path.join(ROOT, "tests", "golden")
+    names = ("inputs.csv", "model.ckpt", "model.ckpt.sha256", "predictions.csv")
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden)) == list(names)
+    for name in names:
+        with open(tmp_path / name, "rb") as new, open(os.path.join(golden, name), "rb") as old:
+            assert new.read() == old.read(), name

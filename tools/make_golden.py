@@ -1,4 +1,7 @@
-"""Regenerate the golden checkpoint fixtures under tests/golden/.
+"""Regenerate the golden checkpoint fixtures under tests/golden/, or under
+the directory given as the one argument:
+
+    python tools/make_golden.py [OUT_DIR]
 
 The fixtures pin cross-platform byte stability of the checkpoint format and
 the numerical stability of inference: a short deterministic training run on
@@ -21,8 +24,8 @@ from fcn_ctr.training import TrainConfig, predict_scores, train
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
+def main(out=OUT):
+    os.makedirs(out, exist_ok=True)
     rng = Rng(derive_seed(2024, "synth"))
     records, _ = synth_interaction_data(3, 4, 2, 400, rng)
     specs = [FieldSpec(f"f{j}") for j in range(3)]
@@ -35,18 +38,18 @@ def main():
     tcfg = TrainConfig(learning_rate=0.003, batch_size=64, max_epochs=3, patience=3)
     params, _ = train(tr, va, config, tcfg, log=lambda s: None)
 
-    ckpt_path = os.path.join(OUT, "model.ckpt")
+    ckpt_path = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt_path, params, config, schema)
     # freeze predictions from the float32-stored params, i.e. what any
     # consumer of the checkpoint file will compute
     params, config, schema = load_checkpoint(ckpt_path)
 
     inputs = records[:16]
-    write_csv(os.path.join(OUT, "inputs.csv"),
+    write_csv(os.path.join(out, "inputs.csv"),
               [f"f{j}" for j in range(3)] + ["label"], inputs)
     pred_batch = encode(inputs, schema)
     y, yd, ys = predict_scores(pred_batch, params, config)
-    with open(os.path.join(OUT, "predictions.csv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8") as fh:
         fh.write("y_hat,y_hat_deep,y_hat_shallow\n")
         for a, b, c in zip(y, yd, ys):
             fh.write(f"{a:.17g},{b:.17g},{c:.17g}\n")
@@ -54,9 +57,9 @@ def main():
     digest = hashlib.sha256(open(ckpt_path, "rb").read()).hexdigest()
     with open(ckpt_path + ".sha256", "w") as fh:
         fh.write(digest + "\n")
-    print("golden fixtures written to", OUT)
+    print("golden fixtures written to", out)
     print("checkpoint sha256:", digest)
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])
