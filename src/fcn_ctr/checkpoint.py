@@ -21,8 +21,8 @@ Byte layout (all integers little-endian, documented in the README):
 Loading reproduces the float32-stored values exactly (widened to float64)
 and fails with a distinct error for a bad magic, an unsupported version, a
 truncated file, a checksum mismatch, or content no valid file holds (an
-invalid code, an undecodable string, a tensor whose shape is not the one d,
-the depths and the vocab sizes give it, a non-finite value).
+invalid code or config value, an undecodable string, a repeated vocab token,
+a tensor shaped other than d, the depths and the vocab sizes give, an inf or NaN).
 Saving refuses parameters whose float32 cast is not finite.
 """
 
@@ -43,6 +43,7 @@ MAGIC = b"FCNCKPT1"
 VERSION = 1
 
 _FIELD_KINDS = ("categorical", "numeric")
+_CONFIG = struct.Struct("<5I2dI")  # the config of the layout above, read and written whole
 
 
 class CheckpointError(Exception):
@@ -71,24 +72,19 @@ class FormatError(CheckpointError):
 
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
                      schema: FeatureSchema) -> bytes:
-    buf = bytearray()
-    buf += MAGIC
+    buf = bytearray(MAGIC)
     buf += struct.pack("<I", VERSION)
-    buf += struct.pack(
-        "<IIIII", schema.num_fields, config.d, config.lcn_depth,
-        config.ecn_depth, MASK_MODES.index(config.mask_mode),
-    )
-    buf += struct.pack("<dd", config.dropout_rate, config.ln_epsilon)
-    buf += struct.pack("<I", DISCRETIZE_MODES.index(schema.discretize))
+    buf += _CONFIG.pack(schema.num_fields, config.d, config.lcn_depth, config.ecn_depth,
+                        MASK_MODES.index(config.mask_mode), config.dropout_rate,
+                        config.ln_epsilon, DISCRETIZE_MODES.index(schema.discretize))
 
     for spec, vocab, size in zip(schema.fields, schema.vocabs, schema.sizes):
-        name = spec.name.encode("utf-8")
-        buf += struct.pack("<I", len(name)) + name
-        buf += struct.pack("<II", _FIELD_KINDS.index(spec.kind), spec.min_count)
         tokens = sorted(vocab, key=vocab.get)
         if len(tokens) != size:
             raise ValueError(f"field {spec.name!r}: vocab size {len(tokens)} != {size}")
-        buf += struct.pack("<I", size)
+        name = spec.name.encode("utf-8")
+        buf += struct.pack("<I", len(name)) + name
+        buf += struct.pack("<3I", _FIELD_KINDS.index(spec.kind), spec.min_count, size)
         for tok in tokens:
             tb = tok.encode("utf-8")
             buf += struct.pack("<I", len(tb)) + tb
@@ -98,11 +94,10 @@ def checkpoint_bytes(params: ModelParams, config: ModelConfig,
             stored = np.ascontiguousarray(tensor, dtype="<f4")
         if not np.isfinite(stored).all():
             raise ValueError(f"cannot save tensor {name}: a value is not finite as float32")
-        buf += struct.pack("<I", tensor.ndim)
-        buf += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
+        buf += struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape)
         buf += stored.tobytes()
 
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     return bytes(buf)
 
 
@@ -131,9 +126,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
     def string(self) -> str:
         raw = self.take(self.u32())
         try:
@@ -152,40 +144,32 @@ def parse_checkpoint(data: bytes):
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported checkpoint version {version}")
 
-    num_fields = r.u32()
-    d = r.u32()
-    lcn_depth = r.u32()
-    ecn_depth = r.u32()
-    mask_idx = r.u32()
+    (num_fields, d, lcn_depth, ecn_depth, mask_idx, dropout, ln_epsilon,
+     disc_idx) = _CONFIG.unpack(r.take(_CONFIG.size))
     if mask_idx >= len(MASK_MODES):
         raise FormatError(f"invalid mask mode code {mask_idx}")
-    dropout = r.f64()
-    ln_epsilon = r.f64()
-    disc_idx = r.u32()
     if disc_idx >= len(DISCRETIZE_MODES):
         raise FormatError(f"invalid discretize mode code {disc_idx}")
 
     fields = []
     vocabs = []
-    sizes = []
     for _ in range(num_fields):
         name = r.string()
-        kind_idx = r.u32()
+        kind_idx, min_count, size = struct.unpack("<3I", r.take(12))
         if kind_idx >= len(_FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
-        min_count = r.u32()
         if min_count < 1:
             raise FormatError(f"field {name!r}: invalid min_count {min_count}")
-        size = r.u32()
-        tokens = [r.string() for _ in range(size)]
+        vocab = {r.string(): i for i in range(size)}
+        if len(vocab) != size:
+            raise FormatError(f"field {name!r}: vocab repeats a token")
         fields.append(FieldSpec(name, _FIELD_KINDS[kind_idx], min_count))
-        vocabs.append({tok: i for i, tok in enumerate(tokens)})
-        sizes.append(size)
-    schema = FeatureSchema(fields, vocabs, sizes, DISCRETIZE_MODES[disc_idx])
+        vocabs.append(vocab)
+    schema = FeatureSchema(fields, vocabs, [len(v) for v in vocabs], DISCRETIZE_MODES[disc_idx])
 
     # every tensor's shape follows from d, the depths and the vocab sizes;
     # a tensor of any other shape is refused before its payload is read
-    expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(sizes)]
+    expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(schema.sizes)]
     payloads = []
     for name, shape in itertools.chain(expected,
                                        dense_layout(d * num_fields, lcn_depth, ecn_depth)):
@@ -207,20 +191,22 @@ def parse_checkpoint(data: bytes):
         )
 
     # the constructor widens the float32 views into the float64 table and vector
-    embeddings = [p.reshape(size, d) for p, size in zip(payloads, sizes)]
+    embeddings = [p.reshape(size, d) for p, size in zip(payloads, schema.sizes)]
     stored = np.concatenate(payloads[num_fields:])
     params = ModelParams(embeddings, *layer_views(stored, d * num_fields, lcn_depth, ecn_depth))
     for name, t in named_tensors(params):
         if not np.isfinite(t).all():
             raise FormatError(f"tensor {name} holds a non-finite value")
-    config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
-                         mask_mode=MASK_MODES[mask_idx], dropout_rate=dropout,
-                         ln_epsilon=ln_epsilon, seed=0)
+    try:
+        config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
+                             mask_mode=MASK_MODES[mask_idx], dropout_rate=dropout,
+                             ln_epsilon=ln_epsilon, seed=0)
+    except ValueError as exc:
+        raise FormatError(f"invalid model config: {exc}") from exc
     return params, config, schema
 
 
 def load_checkpoint(path):
     """Read and validate a checkpoint file. Returns (params, config, schema)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_checkpoint(data)
+        return parse_checkpoint(fh.read())

@@ -9,7 +9,10 @@ with id 0 reserved for out-of-vocabulary values in every field.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +108,23 @@ def discretize_numeric(raw, mode: str = "lnsq") -> str:
     return str(math.floor(math.log2(x)))
 
 
-def _token_of(record: dict, spec: FieldSpec, discretize: str) -> str:
-    raw = record[spec.name]
-    if spec.kind == "numeric":
-        return discretize_numeric(raw, discretize)
-    return raw if raw is not None else OOV_TOKEN
+def _columns(records: list[dict], specs: list[FieldSpec], discretize: str):
+    """Per chunk of records, in order, each field's tokens; a missing field is a DataError,
+    a categorical None stays None (OOV). A chunk's records are read once for all fields: a
+    pass per field missed the cache on shuffled records, one over all records held them all."""
+    if not specs:
+        return
+    # itemgetter of two or more keys returns a tuple: the first field is read twice
+    get = operator.itemgetter(*(spec.name for spec in specs), specs[0].name)
+    for lo in range(0, len(records), 1024):
+        try:
+            columns = list(zip(*map(get, records[lo:lo + 1024])))
+        except KeyError:
+            idx, name = next((lo + i, spec.name) for i, record in enumerate(records[lo:])
+                             for spec in specs if spec.name not in record)
+            raise DataError(f"record {idx}: missing field {name!r}") from None
+        yield [map(discretize_numeric, column, itertools.repeat(discretize))
+               if spec.kind == "numeric" else column for spec, column in zip(specs, columns)]
 
 
 def build_schema(records: list[dict], field_specs: list[FieldSpec],
@@ -128,34 +143,16 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
     if discretize not in DISCRETIZE_MODES:
         raise ValueError(f"unknown discretize mode {discretize!r}")
 
-    counts: list[dict[str, int]] = [{} for _ in field_specs]
-    first_seen: list[list[str]] = [[] for _ in field_specs]
-    for idx, record in enumerate(records):
-        for j, spec in enumerate(field_specs):
-            if spec.name not in record:
-                raise DataError(f"record {idx}: missing field {spec.name!r}")
-            tok = _token_of(record, spec, discretize)
-            c = counts[j]
-            if tok in c:
-                c[tok] += 1
-            else:
-                c[tok] = 1
-                first_seen[j].append(tok)
-
+    columns = [Counter() for _ in field_specs]  # a Counter keeps first-seen order
+    for chunk in _columns(records, field_specs, discretize):
+        for counts, tokens in zip(columns, chunk):
+            counts.update(tokens)
     vocabs: list[dict[str, int]] = []
-    sizes: list[int] = []
-    for j, spec in enumerate(field_specs):
-        vocab = {OOV_TOKEN: OOV_ID}
-        next_id = 1
-        for tok in first_seen[j]:
-            if tok == OOV_TOKEN:
-                continue
-            if counts[j][tok] >= spec.min_count:
-                vocab[tok] = next_id
-                next_id += 1
-        vocabs.append(vocab)
-        sizes.append(next_id)
-    return FeatureSchema(list(field_specs), vocabs, sizes, discretize)
+    for spec, counts in zip(field_specs, columns):
+        kept = [tok for tok, count in counts.items()
+                if count >= spec.min_count and tok not in (OOV_TOKEN, None)]
+        vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0
+    return FeatureSchema(list(field_specs), vocabs, [len(v) for v in vocabs], discretize)
 
 
 def parse_label(raw, row_number: int) -> int:
@@ -174,22 +171,18 @@ def encode(records: list[dict], schema: FeatureSchema,
     Unknown tokens encode to id 0. Row numbers in error messages are
     1-based data rows (the header is row 1).
     """
-    n = len(records)
-    f = schema.num_fields
-    ids = np.zeros((n, f), dtype=np.int64)
+    n, f = len(records), schema.num_fields
+    rows = itertools.chain.from_iterable(zip(*chunk) for chunk in
+                                         _columns(records, schema.fields, schema.discretize))
+    ids = np.fromiter(itertools.chain.from_iterable(map(
+        dict.get, schema.vocabs, row, itertools.repeat(OOV_ID)) for row in rows), np.int64, n * f)
     has_labels = require_labels or (n > 0 and LABEL_COLUMN in records[0])
     labels = np.zeros(n, dtype=np.int64) if has_labels else None
-    for idx, record in enumerate(records):
-        for j, spec in enumerate(schema.fields):
-            if spec.name not in record:
-                raise DataError(f"record {idx}: missing field {spec.name!r}")
-            tok = _token_of(record, spec, schema.discretize)
-            ids[idx, j] = schema.vocabs[j].get(tok, OOV_ID)
-        if labels is not None:
-            if LABEL_COLUMN not in record:
-                raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
-            labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
-    return EncodedBatch(ids, labels, list(schema.sizes))
+    for idx, record in enumerate(records if has_labels else []):
+        if LABEL_COLUMN not in record:
+            raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
+        labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
+    return EncodedBatch(ids.reshape(n, f), labels, list(schema.sizes))
 
 
 def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:

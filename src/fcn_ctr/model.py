@@ -84,49 +84,35 @@ class HeadParams:
     b_shallow: np.ndarray  # (1,)
 
 
-def _dense_slots(lcn_layers, ecn_layers, heads):
-    """(name, holder, field) of every non-embedding tensor in checkpoint order, the
-    one walk of it: each lcn layer's w, b, gain, beta, each ecn layer's, the heads'."""
-    for branch, layers in (("lcn_layers", lcn_layers), ("ecn_layers", ecn_layers)):
-        for i, layer in enumerate(layers):
-            for key in ("w", "b", "gain", "beta"):
-                yield f"{branch}[{i}].{key}", layer, key
-    for key in ("w_deep", "b_deep", "w_shallow", "b_shallow"):
-        yield f"heads.{key}", heads, key
-
-
-def _shape_tree(width: int, lcn_depth: int, ecn_depth: int):
-    """(lcn layers, ecn layers, heads) whose fields hold their tensors' shapes.
-    The layers come from generators: a checkpoint header may claim any depth."""
-    m = width // 2
-    layer = (m, width), (m,), (m,), (m,)
-    return ((CrossLayerParams(*layer) for _ in range(lcn_depth)),
-            (CrossLayerParams(*layer) for _ in range(ecn_depth)),
-            HeadParams((width,), (1,), (width,), (1,)))
-
-
 def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
-    """(name, shape) of every non-embedding tensor, in checkpoint order."""
-    for name, holder, key in _dense_slots(*_shape_tree(width, lcn_depth, ecn_depth)):
-        yield name, getattr(holder, key)
+    """(name, shape) of every non-embedding tensor in checkpoint order, the one walk
+    of it: each lcn layer's w, b, gain, beta, each ecn layer's, the heads'. A
+    generator, as a checkpoint header may claim any depth."""
+    m = width // 2
+    for branch, depth in (("lcn_layers", lcn_depth), ("ecn_layers", ecn_depth)):
+        for i in range(depth):
+            for key, shape in (("w", (m, width)), ("b", (m,)), ("gain", (m,)), ("beta", (m,))):
+                yield f"{branch}[{i}].{key}", shape
+    yield from (("heads.w_deep", (width,)), ("heads.b_deep", (1,)),
+                ("heads.w_shallow", (width,)), ("heads.b_shallow", (1,)))
 
 
 def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
     """(lcn layers, ecn layers, heads) whose tensors are views into vec."""
-    lcn, ecn, heads = _shape_tree(width, lcn_depth, ecn_depth)
-    tree = list(lcn), list(ecn), heads
-    pos = 0
-    for _, holder, key in _dense_slots(*tree):
-        shape = getattr(holder, key)
-        setattr(holder, key, vec[pos:pos + math.prod(shape)].reshape(shape))
+    views, pos = [], 0
+    for _, shape in dense_layout(width, lcn_depth, ecn_depth):
+        views.append(vec[pos:pos + math.prod(shape)].reshape(shape))
         pos += math.prod(shape)
-    return tree
+    layers = [CrossLayerParams(*views[i:i + 4]) for i in range(0, len(views) - 4, 4)]
+    return layers[:lcn_depth], layers[lcn_depth:], HeadParams(*views[-4:])
 
 
 def named_dense(tree) -> list:
     """[(name, tensor)] of a ModelParams' or Gradients' dense tensors, in checkpoint order."""
-    return [(name, getattr(holder, key)) for name, holder, key
-            in _dense_slots(tree.lcn_layers, tree.ecn_layers, tree.heads)]
+    tensors = [t for holder in (*tree.lcn_layers, *tree.ecn_layers, tree.heads)
+               for t in vars(holder).values()]
+    layout = dense_layout(len(tree.heads.w_deep), len(tree.lcn_layers), len(tree.ecn_layers))
+    return [(name, t) for (name, _), t in zip(layout, tensors)]
 
 
 @dataclass
@@ -162,15 +148,16 @@ class ModelParams:
     def stacked(self) -> list[CrossLayerParams]:
         """Layer i of both branches, lcn then ecn, for i below both depths, as read-only
         views of dense: w (2, D/2, D), b, gain, beta (2, 1, D/2). ecn[i] sits lcn_depth
-        layers after lcn[i] in dense, so one stride spans each pair: no tensor is copied.
-        Built on first use: made by every constructor, they added 5 MB to online's peak RSS."""
-        def pair(lo, hi):
-            lo2 = lo.reshape(-1, lo.shape[-1])
-            step = hi.__array_interface__["data"][0] - lo.__array_interface__["data"][0]
-            return np.lib.stride_tricks.as_strided(lo2, (2, *lo2.shape), (step, *lo2.strides),
-                                                   writeable=False)
-        return [CrossLayerParams(*map(pair, vars(lo).values(), vars(hi).values()))
-                for lo, hi in zip(self.lcn_layers, self.ecn_layers)]
+        layers after lcn[i] in dense, so one basic slice of the (layers, per layer) rows
+        holds each pair: no tensor is copied. Built on first use: made by every
+        constructor, they added 5 MB to online's peak RSS."""
+        lcn, ecn, width, m = len(self.lcn_layers), len(self.ecn_layers), self.width, self.width // 2
+        rows = self.dense[:(lcn + ecn) * m * (width + 3)].reshape(lcn + ecn, m * (width + 3))
+        rows.flags.writeable = False
+        pairs = [np.split(rows[i:i + lcn + 1:lcn], [m * width, m * (width + 1), m * (width + 2)],
+                          axis=1) for i in range(min(lcn, ecn))]
+        return [CrossLayerParams(w.reshape(2, m, width), *(t[:, None] for t in vectors))
+                for w, *vectors in pairs]
 
     @property
     def num_fields(self) -> int:
@@ -755,12 +742,16 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
 
     # scatter dx1 into the touched table rows: each entry gets the bin of its row
     # and column, and one bincount adds a bin's entries in batch order, from 0.0,
-    # as np.add.at does: the same bits. searchsorted finds the rows with fewer
-    # temporaries than np.unique's inverse, which page-faulted every 4096-row step
+    # as np.add.at does: the same bits. The touched rows are sorted in a buffer
+    # (np.unique's hash path took 4x the memory) and searchsorted finds the bins
     if trace.ids is not None:
         d, (n, f) = config.d, trace.ids.shape
         table_rows = trace.ids + params.offsets
-        rows = np.unique(table_rows)
+        rows = np.positive(table_rows, out=lcn_ws.take("rows", (n, f), np.int64)).ravel()
+        rows.sort()
+        first = np.ones(n * f, bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        rows = rows[first]
         # the ecn's dgate is spent: its buffer holds the bins, seen as x1 is
         bins = ecn_ws.take("dgate", (n, 2, f, d // 2)).view(np.int64)
         np.add((np.searchsorted(rows, table_rows) * d)[:, None, :, None],

@@ -110,6 +110,8 @@ def with_crc(data: bytearray) -> bytes:
 # five u32 config fields, two f64, the discretize code, then field 0's name,
 # its kind code and its min_count
 MASK_CODE_AT = 28
+DROPOUT_AT = 32
+LN_EPSILON_AT = 40
 NAME_AT = 56
 MIN_COUNT_AT = NAME_AT + len("color") + 4
 
@@ -119,6 +121,24 @@ class TestFormatErrors:
         data = bytearray(checkpoint_bytes(*sample_state()))
         data[MASK_CODE_AT:MASK_CODE_AT + 4] = struct.pack("<I", 7)
         with pytest.raises(FormatError, match="invalid mask mode code 7"):
+            parse_checkpoint(with_crc(data))
+
+    @pytest.mark.parametrize("at, stored, value, name", [
+        (DROPOUT_AT, 0.1, 1.5, "dropout_rate"), (LN_EPSILON_AT, 1e-5, -1.0, "ln_epsilon")])
+    def test_config_value_the_model_refuses(self, at, stored, value, name):
+        data = bytearray(checkpoint_bytes(*sample_state()))
+        assert struct.unpack("<d", data[at:at + 8]) == (stored,)
+        data[at:at + 8] = struct.pack("<d", value)
+        with pytest.raises(FormatError, match=rf"{name} must be .*, got {value}"):
+            parse_checkpoint(with_crc(data))
+
+    def test_repeated_vocab_token(self):
+        # field 0 of the golden file holds <OOV>, v0, v2, v1, v3: v2 becomes v0,
+        # which would load as 4 tokens for 5 rows, id 1 unreachable
+        data = bytearray((GOLDEN_DIR / "model.ckpt").read_bytes())
+        at = data.index(struct.pack("<I", 2) + b"v2") + 5
+        data[at] = ord("0")
+        with pytest.raises(FormatError, match="field 'f0': vocab repeats a token"):
             parse_checkpoint(with_crc(data))
 
     def test_zero_min_count(self):

@@ -72,6 +72,12 @@ class TestBuildSchema:
         with pytest.raises(DataError, match="record 1"):
             build_schema(rows, [FieldSpec("a")])
 
+    def test_none_value_is_oov(self):
+        rows = [{"a": None, "n": None}, {"a": "x", "n": "100"}, {"a": None, "n": "100"}]
+        schema = build_schema(rows, [FieldSpec("a"), FieldSpec("n", kind="numeric")])
+        assert schema.vocabs == [{OOV_TOKEN: 0, "x": 1}, {OOV_TOKEN: 0, "21": 1}]
+        assert encode(rows, schema, require_labels=False).ids.tolist() == [[0, 0], [1, 1], [0, 1]]
+
     def test_numeric_field_counts_buckets(self):
         rows = records_of(["n"], [["100"], ["101"], ["3"]])
         schema = build_schema(rows, [FieldSpec("n", kind="numeric", min_count=2)])
@@ -130,6 +136,13 @@ class TestEncode:
                        for i in encode(rows, schema).ids[:, 0]]
             reencoded = encode(rebuilt, schema)
             np.testing.assert_array_equal(reencoded.ids, encode(rows, schema).ids)
+
+    def test_zero_fields_and_zero_records(self):
+        rows, schema = self.schema()
+        none = build_schema(rows, [])
+        assert none.sizes == [] and encode(rows, none).ids.shape == (2, 0)
+        batch = encode([], schema, require_labels=False)
+        assert batch.ids.shape == (0, 2) and batch.ids.dtype == np.int64
 
     def test_optional_labels_for_prediction(self):
         rows, schema = self.schema()

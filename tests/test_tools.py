@@ -21,6 +21,12 @@ def test_step_faults_prints_per_step_quantiles():
     for line in lines[1:]:
         p10, p50 = (float(part.split("=")[1]) for part in line.split()[1:])
         assert 0.0 <= p10 <= p50
+    # a full README step runs in the reused workspace: it maps no fresh memory
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "step_faults.py"),
+                           "--rows", "4096", "--steps", "8"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    minflt = proc.stdout.splitlines()[1].split()
+    assert minflt[0] == "minflt" and minflt[2] == "p50=0.0", proc.stdout
 
 
 def test_benchmark_patch_sites_are_module_attributes():
