@@ -105,6 +105,15 @@ class TestSuites:
         assert hashlib.sha256(repr(errors).encode()).hexdigest() == (
             "add0867e4797bac3b0449305f3326d91fd76846a8faf67092e8293e2afdb9feb")
 
+    def test_audit_errors_pinned_three_fields(self):
+        # the three-field half, seed 1: the grid's largest probe stacks
+        errors = [audit_config(ModelConfig(d=d, lcn_depth=lcn, ecn_depth=ecn, mask_mode=mask,
+                                           dropout_rate=0.0, seed=0), f, 1)
+                  for f, d, lcn, ecn, mask in default_grad_grid() if f == 3]
+        assert len(errors) == 96
+        assert hashlib.sha256(repr(errors).encode()).hexdigest() == (
+            "d24da1cd60641b71b159173bd04563b0160569c7baf32ef14d990e52a23bc2f3")
+
     def test_grad_audit_catches_sign_flip(self, flip_bias_gradient):
         flip_bias_gradient()
         grid = [(2, 2, 1, 1, "paper")]
