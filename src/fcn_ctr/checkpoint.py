@@ -113,23 +113,24 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def advance(self, n: int) -> int:
+        """Move past the next n bytes and return their offset: every read unpacks
+        or views the bytes in place, and only a string is sliced out."""
         if self.pos + n > len(self.data):
             raise TruncatedCheckpointError(
                 f"checkpoint truncated: needed {n} bytes at offset {self.pos}, "
                 f"file has {len(self.data)}"
             )
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack_from("<I", self.data, self.advance(4))[0]
 
     def string(self) -> str:
-        raw = self.take(self.u32())
+        start = self.advance(self.u32())
         try:
-            return raw.decode("utf-8")
+            return self.data[start:self.pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8 string ending at offset {self.pos}") from exc
 
@@ -137,7 +138,7 @@ class _Reader:
 def parse_checkpoint(data: bytes):
     """Decode checkpoint bytes into (params, config, schema)."""
     r = _Reader(data)
-    magic = r.take(len(MAGIC))
+    magic = data[r.advance(len(MAGIC)):r.pos]
     if magic != MAGIC:
         raise BadMagicError(f"not a checkpoint: magic {magic!r}")
     version = r.u32()
@@ -145,7 +146,7 @@ def parse_checkpoint(data: bytes):
         raise UnsupportedVersionError(f"unsupported checkpoint version {version}")
 
     (num_fields, d, lcn_depth, ecn_depth, mask_idx, dropout, ln_epsilon,
-     disc_idx) = _CONFIG.unpack(r.take(_CONFIG.size))
+     disc_idx) = _CONFIG.unpack_from(data, r.advance(_CONFIG.size))
     if mask_idx >= len(MASK_MODES):
         raise FormatError(f"invalid mask mode code {mask_idx}")
     if disc_idx >= len(DISCRETIZE_MODES):
@@ -155,7 +156,7 @@ def parse_checkpoint(data: bytes):
     vocabs = []
     for _ in range(num_fields):
         name = r.string()
-        kind_idx, min_count, size = struct.unpack("<3I", r.take(12))
+        kind_idx, min_count, size = struct.unpack_from("<3I", data, r.advance(12))
         if kind_idx >= len(_FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
         if min_count < 1:
@@ -176,15 +177,15 @@ def parse_checkpoint(data: bytes):
         rank = r.u32()
         if rank != len(shape):
             raise FormatError(f"tensor {name}: expected rank {len(shape)}, found rank {rank}")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        dims = struct.unpack_from(f"<{rank}I", data, r.advance(4 * rank))
         if dims != shape:
             raise FormatError(f"tensor {name}: expected dims {shape}, found {dims}")
-        payloads.append(np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4"))
+        payloads.append(np.frombuffer(data, "<f4", math.prod(dims), r.advance(4 * math.prod(dims))))
 
     stored_crc = r.u32()
     if r.pos != len(data):
         raise ChecksumError(f"{len(data) - r.pos} trailing bytes after checksum")
-    actual_crc = zlib.crc32(data[:r.pos - 4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(data)[:r.pos - 4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"

@@ -98,12 +98,16 @@ def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
 
 
 def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
-    """(lcn layers, ecn layers, heads) whose tensors are views into vec."""
-    views, pos = [], 0
+    """(lcn layers, ecn layers, heads) whose tensors are views into vec. Views
+    of a (K, P) stack of vectors lead with K: weights (K, D/2, D), the layers'
+    vectors (K, 1, D/2), as ``ModelParams.stacked`` lays them out, the heads'
+    (K, D) and (K, 1)."""
+    views, pos, lead = [], 0, vec.shape[:-1]
     for _, shape in dense_layout(width, lcn_depth, ecn_depth):
-        views.append(vec[pos:pos + math.prod(shape)].reshape(shape))
+        views.append(vec[..., pos:pos + math.prod(shape)].reshape(*lead, *shape))
         pos += math.prod(shape)
-    layers = [CrossLayerParams(*views[i:i + 4]) for i in range(0, len(views) - 4, 4)]
+    layers = [CrossLayerParams(w, *(t[..., None, :] if lead else t for t in vectors))
+              for w, *vectors in (views[i:i + 4] for i in range(0, len(views) - 4, 4))]
     return layers[:lcn_depth], layers[lcn_depth:], HeadParams(*views[-4:])
 
 
@@ -165,7 +169,7 @@ class ModelParams:
 
     @property
     def width(self) -> int:
-        return int(self.heads.w_deep.shape[0])
+        return int(self.heads.w_deep.shape[-1])
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.embeddings, self.lcn_layers, self.ecn_layers, self.heads)
@@ -261,11 +265,13 @@ class BranchWorkspace:
 
     def backward_views(self, n: int, width: int) -> dict:
         """The views ``_branch_backward`` fills; nrm takes the forward's masked
-        scratch, spent by then."""
+        scratch, spent by then, and dw each layer's W-gradient product."""
         m = width // 2
-        return {role: self.take(buffer, (n, cols)) for role, buffer, cols in (
+        views = {role: self.take(buffer, (n, cols)) for role, buffer, cols in (
             ("dx", "dx", width), ("dgate", "dgate", width), ("dc", "dc", m),
-            ("dnrm", "dnrm", m), ("nrm", "masked", m))}
+            ("dnrm", "dnrm", m), ("nrm", "masked", m), ("mean", "mean", 1))}
+        views["dw"] = self.take("dw", (m, width))
+        return views
 
     def spend(self, array: np.ndarray) -> np.ndarray | None:
         """Where a result may go that overwrites ``array``, a trace array the
@@ -292,7 +298,7 @@ class FreshArrays(BranchWorkspace):
 
 
 _NO_VIEWS = dict.fromkeys(("x_out", "gate", "c", "relu", "act", "mu", "delta", "unclamped",
-                           "masked", "dx", "dgate", "dc", "dnrm", "nrm"))
+                           "masked", "dx", "dgate", "dc", "dnrm", "nrm", "mean", "dw"))
 FRESH = FreshArrays()
 
 
@@ -337,10 +343,10 @@ def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Grad
 def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Look up field embeddings and lay them out as [a_1..a_f, b_1..b_f]:
-    ids (n, f) give x1 (n, D), written into ``out`` when given.
+    ids (n, f) give x1 (n, D), or (K, n, D) from a (K, rows, d) stack of
+    tables, written into ``out`` when given.
     """
-    half = d // 2
-    f = params.num_fields
+    half, f, lead = d // 2, params.num_fields, params.table.shape[:-2]
     n, fields = ids.shape
     if fields != f:
         raise ValueError(f"expected {f} fields, got {fields}")
@@ -350,12 +356,12 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
         if bad.any():
             j = int(bad.argmax())
             raise ValueError(f"field {j}: id out of range [0, {params.sizes[j]}) in batch")
-    x1 = np.empty((n, f * d)) if out is None else out
+    x1 = np.empty((*lead, n, f * d)) if out is None else out
     # the table seen as (2 * rows, d/2) halves, x1 as (row, view, field, d/2): one
     # take fills x1 in place (mode "clip", as the ids are checked: "raise" copies)
     halves = 2 * (ids + params.offsets)[:, None, :] + np.arange(2)[:, None]
-    np.take(params.table.reshape(-1, half), halves, axis=0, out=x1.reshape(n, 2, f, half),
-            mode="clip")
+    np.take(params.table.reshape(*lead, -1, half), halves, axis=-2,
+            out=x1.reshape(*lead, n, 2, f, half), mode="clip")
     return x1
 
 
@@ -528,7 +534,7 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
     the ecn does. Returns (branch output, layer traces)."""
     x = x1
     traces = []
-    views = ws.forward_views(len(layers), *x1.shape)
+    views = ws.forward_views(len(layers), *x1.shape[-2:])
     for i, layer in enumerate(layers):
         drop_mask = None
         if uniforms is not None:
@@ -566,7 +572,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
 
     A trace is captured by default only in training mode; pass
     ``want_trace=True`` to capture one for inspection without dropout.
-    Small batches without dropout or trace stack both branches
+    Small (n, D) batches without dropout or trace stack both branches
     (``_stacked_forward``), large ones run on two threads (``_both_branches``),
     all with the serial bits. Each branch draws its own dropout uniforms: the ecn
     from a split of ``rng`` that covers its words, the lcn from ``rng`` after
@@ -581,7 +587,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     shape = x1.shape
     ecn_depth = len(params.ecn_layers)
     ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
-    if not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
+    if x1.ndim == 2 and not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
         ecn_rng = rng.split(ecn_depth * x1.size) if rate and rng is not None else rng
@@ -596,8 +602,8 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
             _parallel(x1.size))
 
     heads = params.heads
-    z_deep = x_ecn @ heads.w_deep + heads.b_deep[0]
-    z_shallow = x_lcn @ heads.w_shallow + heads.b_shallow[0]
+    z_deep = np.matmul(x_ecn, heads.w_deep[..., None])[..., 0] + heads.b_deep
+    z_shallow = np.matmul(x_lcn, heads.w_shallow[..., None])[..., 0] + heads.b_shallow
     y_deep = sigmoid(z_deep)
     y_shallow = sigmoid(z_shallow)
     y = 0.5 * (y_deep + y_shallow)
@@ -613,9 +619,13 @@ def forward(batch, params: ModelParams, config: ModelConfig,
             training: bool = False, rng: Rng | None = None,
             want_trace: bool | None = None,
             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> ForwardResult:
-    """Embed an encoded batch and run the network. See forward_from_x1."""
+    """Embed an encoded batch and run the network. See forward_from_x1. A params
+    whose ``table`` is a (K, rows, d) stack and whose layers and heads are
+    ``layer_views`` of a (K, P) stack of dense vectors runs K parameter sets at
+    once: (K, n) outputs, slice k bitwise set k's own forward."""
+    shape = (*params.table.shape[:-2], len(batch.ids), params.width)
     x1 = embed_reshape(batch.ids, params, config.d,
-                       (workspace or (FRESH, FRESH))[1].take("x1", (len(batch.ids), params.width)))
+                       (workspace or (FRESH, FRESH))[1].take("x1", shape))
     result = forward_from_x1(x1, params, config, training, rng, want_trace, workspace)
     if result.trace is not None:
         result.trace.ids = batch.ids
@@ -628,7 +638,7 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     c half passes straight through, the masked half goes back through the
     self-mask, accumulating the layernorm gain/bias gradients on the way.
     Returns dc (n, D/2); the masked half of ``dgate`` is overwritten. ``out``
-    maps roles to the views of the (n, D/2) arrays
+    maps roles to the views of the (n, D/2) arrays and the (n, 1) row means
     (``BranchWorkspace.backward_views``), as in ``self_mask``."""
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
@@ -651,12 +661,11 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
         grads_layer.beta += dnrm.sum(axis=0)
         dnrm *= layer.gain
         # layernorm backward; the std term only flows where the clamp was inactive
-        mean_dnrm = _row_mean(dnrm)
         np.multiply(dnrm, nrm, out=tmp)
-        std_term = np.multiply(nrm, _row_mean(tmp), out=nrm)
+        std_term = np.multiply(nrm, _row_mean(tmp, out["mean"]), out=nrm)
         if not tr.unclamped.all():
             std_term = np.where(tr.unclamped, std_term, 0.0)
-        dnrm -= mean_dnrm
+        dnrm -= _row_mean(dnrm, out["mean"])
         dnrm -= std_term
         dnrm /= tr.delta
         dc += dnrm
@@ -682,7 +691,7 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
         if tr.drop_mask is not None:
             dgate *= tr.drop_mask
         dc = _mask_backward(dgate, tr, layer, mode, gl, out)
-        gl.w += dc.T @ tr.x_in
+        gl.w += np.matmul(dc.T, tr.x_in, out=out["dw"])
         gl.b += dc.sum(axis=0)
         # dgate is spent: its buffer takes the anchor gradient, then dc @ W
         if anchor is None:
@@ -807,28 +816,11 @@ def field_importance(params: ModelParams, config: ModelConfig, trace_or_batch,
                         want_trace=True).trace
     tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer_index]
 
-    f = params.num_fields
-    half = config.d // 2
-    m = f * half
-    c = tr.c
-    masked = tr.gate_dropped[:, m:]
-
-    cross_strengths = np.empty(f)
-    mask_sparsity = np.empty(f)
-    for i in range(f):
-        seg = slice(i * half, (i + 1) * half)
-        cross_strengths[i] = np.sqrt((c[:, seg] ** 2).sum(axis=1)).mean()
-        mask_sparsity[i] = float((masked[:, seg] == 0.0).mean())
-
-    w = layers[layer_index].w
-    pair = np.empty((f, f))
-    for i in range(f):
-        rows = w[i * half:(i + 1) * half]
-        for j in range(f):
-            block = np.concatenate(
-                [rows[:, j * half:(j + 1) * half],
-                 rows[:, m + j * half:m + (j + 1) * half]],
-                axis=1,
-            )
-            pair[i, j] = np.sqrt((block ** 2).sum())
+    f, half, n = params.num_fields, config.d // 2, len(tr.c)
+    # each field's n norms made contiguous, so each mean sums as the one field's would
+    cross_strengths = np.sqrt((tr.c.reshape(n, f, half) ** 2).sum(axis=2)).T.copy().mean(axis=1)
+    mask_sparsity = (tr.gate_dropped[:, f * half:].reshape(n, f, half) == 0.0).mean(axis=(0, 2))
+    # w's (D/2, D) as (field i, row, view, field j, col): block (i, j) is rows i, columns j
+    w = layers[layer_index].w.reshape(f, half, 2, f, half).transpose(0, 3, 1, 2, 4)
+    pair = np.sqrt((w.reshape(f, f, -1) ** 2).sum(axis=-1))
     return cross_strengths, mask_sparsity, pair

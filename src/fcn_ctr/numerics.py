@@ -1,12 +1,13 @@
 """Deterministic random streams, parameter initialization, finite differences.
 
 Conventions used across the package: vectors are 1-D float64 numpy arrays,
-matrices are 2-D row-major float64 arrays. All training arithmetic runs in
-float64; float32 appears only inside checkpoint files. Every function here is
-pure over caller-owned buffers and safe to call concurrently; ``Rng``
-instances are single-owner and must not be shared between threads. A thread
-gets its own ``Rng`` from ``Rng.split``, which hands it a stretch of the
-stream exactly where the owner would have drawn it.
+matrices are 2-D row-major float64 arrays, and a stack of K of either leads
+with a K axis. All training arithmetic runs in float64; float32 appears only
+inside checkpoint files. Every function here is pure over caller-owned
+buffers and safe to call concurrently; ``Rng`` instances are single-owner and
+must not be shared between threads. A thread gets its own ``Rng`` from
+``Rng.split``, which hands it a stretch of the stream exactly where the owner
+would have drawn it.
 """
 
 from __future__ import annotations
@@ -118,28 +119,25 @@ def init_params(shape: tuple, rng: Rng, fan_in: int | None = None) -> np.ndarray
     return rng.uniform(-bound, bound, shape)
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
+def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                      h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
 
-    The workhorse oracle for auditing hand-derived gradients. Raises on any
+    The workhorse oracle for auditing hand-derived gradients. ``f`` maps a
+    (K, P) stack of points to their K values, and is called once, on the 2P
+    probes: the rows x + h e_i, then the rows x - h e_i. Raises on any
     non-finite evaluation of ``f``.
     """
     if h <= 0:
         raise ValueError(f"finite_diff_grad: step must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    probe = x.copy()
-    for i in range(x.shape[0]):
-        orig = probe[i]
-        probe[i] = orig + h
-        fp = float(f(probe))
-        probe[i] = orig - h
-        fm = float(f(probe))
-        probe[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(
-                f"finite_diff_grad: non-finite evaluation at coordinate {i}"
-            )
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
+    p, i = x.shape[0], np.arange(x.shape[0])
+    probes = np.tile(x, (2 * p, 1))
+    probes[i, i] += h
+    probes[p + i, i] -= h
+    fp, fm = np.asarray(f(probes), dtype=np.float64).reshape(2, p)
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        raise ValueError(f"finite_diff_grad: non-finite evaluation at coordinate "
+                         f"{int(bad.argmax())}")
+    return (fp - fm) / (2.0 * h)

@@ -46,15 +46,17 @@ def _as_prob(preds: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, CLIP_EPSILON), 1.0 - CLIP_EPSILON)
 
 
-def bce(preds: np.ndarray, labels: np.ndarray) -> float:
+def bce(preds: np.ndarray, labels: np.ndarray):
     """Batch-mean binary cross-entropy with predictions clipped to
-    [CLIP_EPSILON, 1 - CLIP_EPSILON] inside the logs."""
+    [CLIP_EPSILON, 1 - CLIP_EPSILON] inside the logs: a float for (n,)
+    predictions, K losses for a (K, n) stack of them against the same labels."""
     p = _as_prob(preds)
     y = np.asarray(labels, dtype=np.float64)
-    if y.shape != p.shape:
+    if y.shape != p.shape[-1:]:
         raise ValueError(f"bce shape mismatch: preds {p.shape} vs labels {y.shape}")
     v = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
-    return float(-(np.add.reduce(v, axis=None) / v.size))  # np.mean, bit for bit
+    loss = -(np.add.reduce(v, axis=-1) / v.shape[-1])  # np.mean, bit for bit
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def tri_bce(y_hat: np.ndarray, y_deep: np.ndarray, y_shallow: np.ndarray,

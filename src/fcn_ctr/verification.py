@@ -4,7 +4,8 @@ Four audits, each implemented without reusing the logic it checks:
 
   grad    central finite differences of the composite loss (auxiliary weights
           frozen, matching the training-time stop-gradient) against the
-          hand-derived backward pass, over a grid of small configs;
+          hand-derived backward pass, over a grid of small configs; every
+          probe of a config runs in one forward over a stack of parameter sets;
   degree  black-box polynomial degree measurement of each branch's head
           preactivation along a ray t * x1, via vanishing forward
           differences: after L layers the exponential branch must be degree
@@ -20,6 +21,7 @@ failure to exit code 3.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ import numpy as np
 from fcn_ctr.features import EncodedBatch
 from fcn_ctr.metrics import auc as rank_auc
 from fcn_ctr.model import (ModelConfig, backward, forward, forward_from_x1,
-                           init_model_params, self_mask)
+                           init_model_params, layer_views, self_mask)
 from fcn_ctr.numerics import Rng, derive_seed, finite_diff_grad
 from fcn_ctr.objective import bce, tri_bce, tri_bce_grads
 
@@ -79,16 +81,18 @@ def audit_config(config: ModelConfig, num_fields: int, seed: int):
     analytic = np.concatenate([g_rows.ravel(), grads.dense])
     theta0 = np.concatenate([params.table[touched].ravel(), params.dense])
 
-    work = params.copy()
-    y = labels.astype(np.float64)
     split = touched.size * config.d
 
-    def loss(theta: np.ndarray) -> float:
-        work.table[touched] = theta[:split].reshape(touched.size, config.d)
-        work.dense[:] = theta[split:]
-        res = forward(batch, work, config, training=False)
-        return (bce(res.y, y) + w_deep * bce(res.y_deep, y)
-                + w_shallow * bce(res.y_shallow, y))
+    def loss(thetas: np.ndarray) -> np.ndarray:
+        # params with a leading stack axis, one set per row of thetas
+        probes = copy.copy(params)
+        probes.table = np.repeat(params.table[None], len(thetas), axis=0)
+        probes.table[:, touched] = thetas[:, :split].reshape(len(thetas), touched.size, config.d)
+        probes.lcn_layers, probes.ecn_layers, probes.heads = layer_views(
+            thetas[:, split:], params.width, config.lcn_depth, config.ecn_depth)
+        res = forward(batch, probes, config)
+        return (bce(res.y, labels) + w_deep * bce(res.y_deep, labels)
+                + w_shallow * bce(res.y_shallow, labels))
 
     numeric = finite_diff_grad(loss, theta0)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-2)

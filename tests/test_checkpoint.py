@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -66,10 +67,31 @@ class TestRoundTrip:
         params, config, schema = sample_state()
         assert checkpoint_bytes(params, config, schema)[:8] == MAGIC
 
+    def test_parse_holds_no_copy_of_the_file(self):
+        # the payloads and the checksummed span are read through views of the
+        # bytes: what parsing allocates beyond the params and schema it returns
+        # stays well under the file's size (a copy of the payloads or of the
+        # checksummed span costs about the file's size each)
+        rows, d = 20_000, 64
+        config = ModelConfig(d=d, lcn_depth=1, ecn_depth=1)
+        params = init_model_params(config, [rows] * 2, 1)
+        vocab = {OOV_TOKEN: 0, **{str(i): i for i in range(1, rows)}}
+        schema = FeatureSchema([FieldSpec("a"), FieldSpec("b")], [vocab] * 2, [rows] * 2, "lnsq")
+        data = checkpoint_bytes(params, config, schema)
+        del params
+        tracemalloc.start()
+        try:
+            loaded = parse_checkpoint(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded[0].table.nbytes == 2 * rows * d * 8
+        assert peak - kept < 0.5 * len(data), (peak - kept, len(data))
+
 
 class TestErrorTaxonomy:
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BadMagicError, match=r"^not a checkpoint: magic b'NOTACKPT'$"):
             parse_checkpoint(b"NOTACKPT" + b"\x00" * 64)
 
     def test_unsupported_version(self):

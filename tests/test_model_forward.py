@@ -1,6 +1,7 @@
 """Forward-pass behavior: reshape layout, self-mask, cross layers, heads,
 parameter accounting, and the field-wise importance views."""
 
+import copy
 import sys
 
 import numpy as np
@@ -12,8 +13,8 @@ from fcn_ctr.features import OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec
 from fcn_ctr.model import (CrossLayerParams, HeadParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
                            field_importance, forward, forward_from_x1,
-                           init_model_params, named_tensors, param_count,
-                           self_mask, sigmoid)
+                           init_model_params, layer_views, named_tensors,
+                           param_count, self_mask, sigmoid)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.training import TrainConfig, init_adam_state, train_step
 
@@ -371,6 +372,37 @@ class TestFieldImportance:
         with pytest.raises(ValueError, match="out of range"):
             field_importance(params, config, batch, 1, "lcn")
 
+    @staticmethod
+    def per_field_loops(c, masked, w, f, half):
+        """The three views one field and one block at a time: the reference."""
+        m = f * half
+        cross_strengths, mask_sparsity, pair = np.empty(f), np.empty(f), np.empty((f, f))
+        for i in range(f):
+            seg = slice(i * half, (i + 1) * half)
+            cross_strengths[i] = np.sqrt((c[:, seg] ** 2).sum(axis=1)).mean()
+            mask_sparsity[i] = float((masked[:, seg] == 0.0).mean())
+            rows = w[seg]
+            for j in range(f):
+                block = np.concatenate([rows[:, j * half:(j + 1) * half],
+                                        rows[:, m + j * half:m + (j + 1) * half]], axis=1)
+                pair[i, j] = np.sqrt((block ** 2).sum())
+        return cross_strengths, mask_sparsity, pair
+
+    @pytest.mark.parametrize("f, d, n, mask, branch, layer", [
+        (1, 2, 1, "paper", "ecn", 0), (2, 4, 7, "no_ln", "lcn", 1),
+        (3, 4, 64, "identity", "ecn", 1), (3, 8, 300, "paper", "lcn", 0),
+        (5, 6, 1000, "paper", "ecn", 1), (8, 16, 4096, "paper", "lcn", 1),
+        (8, 16, 4096, "no_ln", "ecn", 0), (4, 2, 4096, "paper", "ecn", 0)])
+    def test_matches_per_field_loops(self, f, d, n, mask, branch, layer):
+        config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n, dropout=0.1)
+        trace = forward(batch, params, config, training=True, rng=Rng(3)).trace
+        tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer]
+        w = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer].w
+        got = field_importance(params, config, trace, layer, branch)
+        expected = self.per_field_loops(tr.c, tr.gate_dropped[:, f * d // 2:], w, f, d // 2)
+        for name, a, b in zip(("cross_strengths", "mask_sparsity", "pair"), got, expected):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
 
 def trace_arrays(trace):
     """Every array a ForwardTrace holds, its layer traces' included."""
@@ -506,3 +538,64 @@ class TestStackedBranches:
             assert np.array_equal(layer.w[0], twin.lcn_layers[i].w)
             assert np.array_equal(layer.w[1], twin.ecn_layers[i].w)
             assert np.array_equal(layer.beta[1, 0], twin.ecn_layers[i].beta)
+
+
+class TestParameterStacks:
+    """A forward over params whose table and tensors lead with a stack axis of
+    K parameter sets, as the gradient audit runs its probes: each slice holds
+    bitwise the outputs of a forward of that set alone."""
+
+    @staticmethod
+    def stack_of(params, k, seed=9):
+        # K perturbed sets, the dense vectors a column slice of one wider array
+        # as the audit's probes are
+        rng = Rng(seed)
+        tables = params.table + rng.uniform(-0.1, 0.1, (k, *params.table.shape))
+        thetas = rng.uniform(-0.1, 0.1, (k, 3 + params.dense.size))
+        thetas[:, 3:] += params.dense
+        stack = copy.copy(params)
+        stack.table = tables
+        stack.lcn_layers, stack.ecn_layers, stack.heads = layer_views(
+            thetas[:, 3:], params.width, len(params.lcn_layers), len(params.ecn_layers))
+        return stack, tables, thetas[:, 3:]
+
+    @pytest.mark.parametrize("mask", ["paper", "no_ln", "identity"])
+    def test_slices_match_separate_forwards(self, mask, monkeypatch):
+        config, params, batch = small_setup(2, 3, mask=mask)
+        activations = batch.ids.shape[0] * params.width
+        assert activations <= model_mod.STACKED_MAX_ACTIVATIONS
+        # the threaded path runs wherever the activations allow it, whatever the CPU count
+        paths = []
+        monkeypatch.setattr(model_mod, "_parallel", lambda a: paths.append(a) or (
+            a >= model_mod.PARALLEL_MIN_ACTIVATIONS))
+        threaded = model_mod.PARALLEL_MIN_ACTIVATIONS // activations + 1
+        for k in (1, 5, threaded):
+            stack, tables, dense = self.stack_of(params, k)
+            del paths[:]
+            res = forward(batch, stack, config)
+            assert paths == [k * activations]
+            assert res.y.shape == res.y_deep.shape == res.y_shallow.shape == (k, len(batch.ids))
+            twin = params.copy()
+            for i in range(k):
+                twin.table[...] = tables[i]
+                twin.dense[...] = dense[i]
+                alone = forward(batch, twin, config)
+                for name in ("y", "y_deep", "y_shallow"):
+                    assert getattr(res, name)[i].tobytes() == getattr(alone, name).tobytes(), (
+                        k, i, name)
+        assert threaded * activations >= model_mod.PARALLEL_MIN_ACTIVATIONS
+
+    def test_layer_views_of_a_stack(self):
+        config, params, _ = small_setup(2, 3)
+        _, _, dense = self.stack_of(params, 4)
+        lcn, ecn, heads = layer_views(dense, params.width, 2, 3)
+        m, width = params.width // 2, params.width
+        assert [layer.w.shape for layer in lcn + ecn] == [(4, m, width)] * 5
+        assert [layer.gain.shape for layer in lcn + ecn] == [(4, 1, m)] * 5
+        assert (heads.w_deep.shape, heads.b_shallow.shape) == ((4, width), (4, 1))
+        for layer in lcn + ecn:
+            assert np.shares_memory(layer.w, dense) and np.shares_memory(layer.beta, dense)
+        for i in range(4):
+            one = layer_views(np.ascontiguousarray(dense[i]), width, 2, 3)
+            assert np.array_equal(ecn[2].b[i, 0], one[1][2].b)
+            assert np.array_equal(heads.w_shallow[i], one[2].w_shallow)

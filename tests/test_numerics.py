@@ -1,7 +1,5 @@
 """Array helpers, RNG determinism, and the finite-difference oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -100,18 +98,20 @@ class TestInitParams:
 
 
 class TestFiniteDiff:
+    # f maps a (K, P) stack of points to their K values
     def test_quadratic_norm(self):
-        g = finite_diff_grad(lambda x: float(x @ x), np.array([1.0, -2.0]), h=1e-5)
+        g = finite_diff_grad(lambda xs: np.einsum("ki,ki->k", xs, xs), np.array([1.0, -2.0]),
+                             h=1e-5)
         np.testing.assert_allclose(g, [2.0, -4.0], atol=1e-8)
 
     def test_constant_function(self):
-        g = finite_diff_grad(lambda x: 3.5, np.array([0.3, 0.7, -1.0]))
+        g = finite_diff_grad(lambda xs: np.full(len(xs), 3.5), np.array([0.3, 0.7, -1.0]))
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_bce_of_sigmoid(self):
         # d/dx of -log(sigmoid(x)) at 0 is sigmoid(0) - 1 = -0.5
-        def f(x):
-            return float(-math.log(1.0 / (1.0 + math.exp(-x[0]))))
+        def f(xs):
+            return -np.log(1.0 / (1.0 + np.exp(-xs[:, 0])))
 
         g = finite_diff_grad(f, np.array([0.0]), h=1e-5)
         np.testing.assert_allclose(g, [-0.5], atol=1e-9)
@@ -124,13 +124,31 @@ class TestFiniteDiff:
             b = rng.uniform(-1, 1, 4)
             x = rng.uniform(-1, 1, 4)
             analytic = (a + a.T) @ x + b
-            numeric = finite_diff_grad(lambda v: float(v @ a @ v + b @ v), x, h=1e-5)
+            numeric = finite_diff_grad(lambda vs: np.einsum("ki,ij,kj->k", vs, a, vs) + vs @ b,
+                                       x, h=1e-5)
             np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-9)
 
     def test_non_finite_evaluation_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            finite_diff_grad(lambda x: float("nan"), np.array([1.0]))
+            finite_diff_grad(lambda xs: np.full(len(xs), np.nan), np.array([1.0]))
+
+    def test_non_finite_minus_probe_names_its_coordinate(self):
+        # only x - h e_1 evaluates to inf: rows P.. hold the minus probes
+        def f(xs):
+            return np.where(xs[:, 1] < 2.0, np.inf, xs.sum(axis=1))
+
+        with pytest.raises(ValueError, match="non-finite evaluation at coordinate 1$"):
+            finite_diff_grad(f, np.array([0.5, 2.0, -1.0]), h=1e-3)
+
+    def test_probe_stack_layout(self):
+        # one call: the rows x + h e_i, then the rows x - h e_i
+        seen = []
+        x = np.array([0.5, -1.5, 3.0])
+        finite_diff_grad(lambda xs: seen.append(xs.copy()) or xs.sum(axis=1), x, h=0.25)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(
+            seen[0], np.concatenate([x + 0.25 * np.eye(3), x - 0.25 * np.eye(3)]))
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda x: 0.0, np.array([1.0]), h=0.0)
+            finite_diff_grad(lambda xs: np.zeros(len(xs)), np.array([1.0]), h=0.0)

@@ -58,6 +58,24 @@ class TestBce:
         with pytest.raises(ValueError, match="empty"):
             bce(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_stack_matches_each_row(self, n):
+        # a (K, n) stack of predictions against one label vector: row k's loss
+        # is bitwise bce of row k alone, clipped entries included
+        rng = Rng(8)
+        preds = rng.uniform(0.0, 1.0, (6, n))
+        preds[0, 0], preds[-1, -1] = 0.0, 1.0
+        labels = (rng.random(n) < 0.5).astype(np.int64)
+        losses = bce(preds, labels)
+        assert isinstance(bce(preds[0], labels), float)
+        assert losses.shape == (6,)
+        for k in range(6):
+            assert losses[k] == bce(preds[k], labels)
+
+    def test_stack_refuses_other_label_shapes(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bce(np.full((3, 4), 0.5), np.zeros(3))
+
 
 class TestTriBce:
     def test_worked_example(self):
