@@ -35,14 +35,13 @@ import zlib
 
 import numpy as np
 
-from fcn_ctr.features import DISCRETIZE_MODES, FeatureSchema, FieldSpec
+from fcn_ctr.features import DISCRETIZE_MODES, FIELD_KINDS, FeatureSchema, FieldSpec
 from fcn_ctr.model import (MASK_MODES, ModelConfig, ModelParams, dense_layout,
                            layer_views, named_tensors)
 
 MAGIC = b"FCNCKPT1"
 VERSION = 1
 
-_FIELD_KINDS = ("categorical", "numeric")
 _CONFIG = struct.Struct("<5I2dI")  # the config of the layout above, read and written whole
 
 
@@ -78,14 +77,11 @@ def checkpoint_bytes(params: ModelParams, config: ModelConfig,
                         MASK_MODES.index(config.mask_mode), config.dropout_rate,
                         config.ln_epsilon, DISCRETIZE_MODES.index(schema.discretize))
 
-    for spec, vocab, size in zip(schema.fields, schema.vocabs, schema.sizes):
-        tokens = sorted(vocab, key=vocab.get)
-        if len(tokens) != size:
-            raise ValueError(f"field {spec.name!r}: vocab size {len(tokens)} != {size}")
+    for spec, vocab in zip(schema.fields, schema.vocabs):
         name = spec.name.encode("utf-8")
         buf += struct.pack("<I", len(name)) + name
-        buf += struct.pack("<3I", _FIELD_KINDS.index(spec.kind), spec.min_count, size)
-        for tok in tokens:
+        buf += struct.pack("<3I", FIELD_KINDS.index(spec.kind), spec.min_count, len(vocab))
+        for tok in sorted(vocab, key=vocab.get):
             tb = tok.encode("utf-8")
             buf += struct.pack("<I", len(tb)) + tb
 
@@ -157,16 +153,16 @@ def parse_checkpoint(data: bytes):
     for _ in range(num_fields):
         name = r.string()
         kind_idx, min_count, size = struct.unpack_from("<3I", data, r.advance(12))
-        if kind_idx >= len(_FIELD_KINDS):
+        if kind_idx >= len(FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
         if min_count < 1:
             raise FormatError(f"field {name!r}: invalid min_count {min_count}")
         vocab = {r.string(): i for i in range(size)}
         if len(vocab) != size:
             raise FormatError(f"field {name!r}: vocab repeats a token")
-        fields.append(FieldSpec(name, _FIELD_KINDS[kind_idx], min_count))
+        fields.append(FieldSpec(name, FIELD_KINDS[kind_idx], min_count))
         vocabs.append(vocab)
-    schema = FeatureSchema(fields, vocabs, [len(v) for v in vocabs], DISCRETIZE_MODES[disc_idx])
+    schema = FeatureSchema(fields, vocabs, DISCRETIZE_MODES[disc_idx])
 
     # every tensor's shape follows from d, the depths and the vocab sizes;
     # a tensor of any other shape is refused before its payload is read

@@ -47,7 +47,7 @@ def _detect_field_specs(columns, records, min_count):
             if not np.isfinite(v):
                 numeric = False
                 break
-        specs.append(FieldSpec(name, "numeric" if numeric else "categorical", min_count))
+        specs.append(FieldSpec(name, features.FIELD_KINDS[numeric], min_count))
     if not specs:
         raise DataError("no feature columns found (only the label column present)")
     return specs
@@ -142,6 +142,8 @@ def cmd_predict(args) -> int:
 def cmd_inspect(args) -> int:
     params, config, schema = ckpt.load_checkpoint(args.checkpoint)
     batch = _load_labeled_csv(args.data, schema, require_labels=False)
+    if batch.n == 0:
+        raise DataError(f"{args.data}: no data rows; field importance needs at least one")
     strengths, sparsity, pair = model.field_importance(
         params, config, batch, args.layer, args.branch)
     names = schema.field_names

@@ -25,6 +25,7 @@ LABEL_COLUMN = "label"
 SYNTH_NOISE = 0.05  # share of synthetic labels flipped
 
 DISCRETIZE_MODES = ("lnsq", "log2")
+FIELD_KINDS = ("categorical", "numeric")  # in checkpoint code order
 
 
 class DataError(Exception):
@@ -37,11 +38,11 @@ class FieldSpec:
     occurrence count below which tokens fall back to the OOV id."""
 
     name: str
-    kind: str = "categorical"  # "categorical" | "numeric"
+    kind: str = FIELD_KINDS[0]
     min_count: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("categorical", "numeric"):
+        if self.kind not in FIELD_KINDS:
             raise ValueError(f"field {self.name!r}: unknown kind {self.kind!r}")
         if self.min_count < 1:
             raise ValueError(f"field {self.name!r}: min_count must be >= 1")
@@ -49,16 +50,17 @@ class FieldSpec:
 
 @dataclass
 class FeatureSchema:
-    """Ordered field specs plus per-field token-to-id vocabularies.
-
-    ``sizes[i]`` is the vocabulary size of field i including the OOV slot,
-    so every encoded id satisfies ``0 <= id < sizes[i]``.
-    """
+    """Ordered field specs plus per-field token-to-id vocabularies."""
 
     fields: list[FieldSpec]
     vocabs: list[dict[str, int]]
-    sizes: list[int]
-    discretize: str = "lnsq"
+    discretize: str = DISCRETIZE_MODES[0]
+
+    @property
+    def sizes(self) -> list[int]:
+        """Each field's vocabulary size including the OOV slot, so every
+        encoded id satisfies ``0 <= id < sizes[i]``."""
+        return [len(v) for v in self.vocabs]
 
     @property
     def field_names(self) -> list[str]:
@@ -128,7 +130,7 @@ def _columns(records: list[dict], specs: list[FieldSpec], discretize: str):
 
 
 def build_schema(records: list[dict], field_specs: list[FieldSpec],
-                 discretize: str = "lnsq") -> FeatureSchema:
+                 discretize: str = FeatureSchema.discretize) -> FeatureSchema:
     """Count tokens and assign ids per field.
 
     Tokens occurring at least ``min_count`` times get ids in first-seen order
@@ -152,7 +154,7 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
         kept = [tok for tok, count in counts.items()
                 if count >= spec.min_count and tok not in (OOV_TOKEN, None)]
         vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0
-    return FeatureSchema(list(field_specs), vocabs, [len(v) for v in vocabs], discretize)
+    return FeatureSchema(list(field_specs), vocabs, discretize)
 
 
 def parse_label(raw, row_number: int) -> int:
@@ -182,7 +184,7 @@ def encode(records: list[dict], schema: FeatureSchema,
         if LABEL_COLUMN not in record:
             raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
         labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
-    return EncodedBatch(ids.reshape(n, f), labels, list(schema.sizes))
+    return EncodedBatch(ids.reshape(n, f), labels, schema.sizes)
 
 
 def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:

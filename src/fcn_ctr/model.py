@@ -100,8 +100,8 @@ def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
 def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
     """(lcn layers, ecn layers, heads) whose tensors are views into vec. Views
     of a (K, P) stack of vectors lead with K: weights (K, D/2, D), the layers'
-    vectors (K, 1, D/2), as ``ModelParams.stacked`` lays them out, the heads'
-    (K, D) and (K, 1)."""
+    vectors (K, 1, D/2), the heads' (K, D) and (K, 1); ``ModelParams.stacked``
+    is the layers of a stack of two windows of dense."""
     views, pos, lead = [], 0, vec.shape[:-1]
     for _, shape in dense_layout(width, lcn_depth, ecn_depth):
         views.append(vec[..., pos:pos + math.prod(shape)].reshape(*lead, *shape))
@@ -151,17 +151,16 @@ class ModelParams:
     @functools.cached_property
     def stacked(self) -> list[CrossLayerParams]:
         """Layer i of both branches, lcn then ecn, for i below both depths, as read-only
-        views of dense: w (2, D/2, D), b, gain, beta (2, 1, D/2). ecn[i] sits lcn_depth
-        layers after lcn[i] in dense, so one basic slice of the (layers, per layer) rows
-        holds each pair: no tensor is copied. Built on first use: made by every
+        views of dense: w (2, D/2, D), b, gain, beta (2, 1, D/2). They are the
+        ``layer_views`` of two windows of dense, one from its start, one from ecn[0],
+        lcn_depth layers on: no tensor is copied. Built on first use: made by every
         constructor, they added 5 MB to online's peak RSS."""
-        lcn, ecn, width, m = len(self.lcn_layers), len(self.ecn_layers), self.width, self.width // 2
-        rows = self.dense[:(lcn + ecn) * m * (width + 3)].reshape(lcn + ecn, m * (width + 3))
-        rows.flags.writeable = False
-        pairs = [np.split(rows[i:i + lcn + 1:lcn], [m * width, m * (width + 1), m * (width + 2)],
-                          axis=1) for i in range(min(lcn, ecn))]
-        return [CrossLayerParams(w.reshape(2, m, width), *(t[:, None] for t in vectors))
-                for w, *vectors in pairs]
+        if not (self.lcn_layers and self.ecn_layers):
+            return []
+        step = sum(t.size for layer in self.lcn_layers for t in vars(layer).values())
+        windows = np.lib.stride_tricks.sliding_window_view(self.dense, self.dense.size - step)
+        depth = min(len(self.lcn_layers), len(self.ecn_layers))
+        return layer_views(windows[::step], self.width, depth, 0)[0]
 
     @property
     def num_fields(self) -> int:
@@ -183,17 +182,16 @@ def named_tensors(params: ModelParams):
 @dataclass
 class LayerTrace:
     """Per-layer forward cache consumed by the backward pass. The mask
-    fields stay None where the mask mode does not use them."""
+    fields stay None where the mask mode does not use them; the backward
+    derives the relu gate and the clamp from them."""
 
     x_in: np.ndarray           # (n, D)
     c: np.ndarray              # (n, D/2)
     gate_dropped: np.ndarray   # (n, D) gate after dropout
     drop_mask: np.ndarray | None = None  # (n, D) scaled dropout mask, None when off
     relu: np.ndarray | None = None       # (n, D/2) relu(layernorm(c)), or relu(c) for no_ln
-    act: np.ndarray | None = None        # (n, D/2) bool, relu gate open
     mu: np.ndarray | None = None         # (n, 1) layernorm mean
-    delta: np.ndarray | None = None      # (n, 1) epsilon-clamped layernorm std
-    unclamped: np.ndarray | None = None  # (n, 1) bool, std exceeded epsilon
+    delta: np.ndarray | None = None      # (n, 1) layernorm std, clamped to at least epsilon
 
 
 @dataclass
@@ -256,21 +254,21 @@ class BranchWorkspace:
         the arrays its trace keeps (each role holds every layer's), and the
         masked half, scratch that the layers share."""
         m = width // 2
-        layered = {role: self.take(role, (depth, n, cols), dtype) for role, cols, dtype in (
-            ("x_out", width, float), ("gate", width, float), ("c", m, float), ("relu", m, float),
-            ("act", m, bool), ("mu", 1, float), ("delta", 1, float), ("unclamped", 1, bool))}
+        layered = {role: self.take(role, (depth, n, cols)) for role, cols in (
+            ("x_out", width), ("gate", width), ("c", m), ("relu", m), ("mu", 1), ("delta", 1))}
         masked = self.take("masked", (n, m))
         return [dict(masked=masked, **{role: a[i] for role, a in layered.items()})
                 for i in range(depth)]
 
     def backward_views(self, n: int, width: int) -> dict:
         """The views ``_branch_backward`` fills; nrm takes the forward's masked
-        scratch, spent by then, and dw each layer's W-gradient product."""
+        scratch, spent by then, act the relu gate, and dw each layer's
+        W-gradient product."""
         m = width // 2
-        views = {role: self.take(buffer, (n, cols)) for role, buffer, cols in (
-            ("dx", "dx", width), ("dgate", "dgate", width), ("dc", "dc", m),
-            ("dnrm", "dnrm", m), ("nrm", "masked", m), ("mean", "mean", 1))}
-        views["dw"] = self.take("dw", (m, width))
+        views = {role: self.take(role, (n, cols)) for role, cols in (
+            ("dx", width), ("dgate", width), ("dc", m), ("dnrm", m), ("mean", 1))}
+        views.update(nrm=self.take("masked", (n, m)), act=self.take("act", (n, m), bool),
+                     dw=self.take("dw", (m, width)))
         return views
 
     def spend(self, array: np.ndarray) -> np.ndarray | None:
@@ -279,10 +277,20 @@ class BranchWorkspace:
         return array
 
 
+class _NoViews(dict):
+    """Views that are None for every role, so each numpy call makes its own result."""
+
+    def __missing__(self, role: str) -> None:
+        return None
+
+
+_NO_VIEWS = _NoViews()
+
+
 class FreshArrays(BranchWorkspace):
     """The workspace of every caller but a training run, which reuses
     nothing, so no result aliases another call's: ``take`` allocates, and
-    every view and ``spend`` are None, so each numpy call makes its own result."""
+    every view and ``spend`` are None."""
 
     def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         return np.empty(shape, dtype)
@@ -297,8 +305,6 @@ class FreshArrays(BranchWorkspace):
         return None
 
 
-_NO_VIEWS = dict.fromkeys(("x_out", "gate", "c", "relu", "act", "mu", "delta", "unclamped",
-                           "masked", "dx", "dgate", "dc", "dnrm", "nrm", "mean", "dw"))
 FRESH = FreshArrays()
 
 
@@ -382,8 +388,7 @@ def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
-              mode: str = "paper", ln_epsilon: float = 1e-5, want_stats: bool = True,
-              out: dict = _NO_VIEWS):
+              mode: str = "paper", ln_epsilon: float = 1e-5, out: dict = _NO_VIEWS):
     """Gate a cross vector against its own normalized sign.
 
     paper:    c * relu(gain * (c - mean) / max(std, eps) + beta), with mean and
@@ -394,7 +399,7 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
     Works over the last axis of a vector, an (n, D/2) batch or a (2, n, D/2)
     stack of both branches'. Returns (masked, stats) where stats maps
-    LayerTrace fields to what the backward pass needs, or None. ``out`` maps
+    LayerTrace fields to what the backward pass needs. ``out`` maps
     roles to the views the arrays go into (``BranchWorkspace.forward_views``),
     or to None, by default, for new arrays.
     """
@@ -410,22 +415,16 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
         nrm = np.subtract(c, mu, out=out["relu"])
         raw_std = _row_mean(np.multiply(nrm, nrm, out=out["masked"]), out["delta"])
         np.sqrt(raw_std, out=raw_std)
-        if want_stats:
-            unclamped = np.greater(raw_std, ln_epsilon, out=out["unclamped"])
         delta = np.maximum(raw_std, ln_epsilon, out=raw_std)
         nrm /= delta
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
-        if want_stats:
-            masked = np.multiply(c, relu, out=out["masked"])
-            act = np.greater(relu, 0.0, out=out["act"])
-            stats = {"relu": relu, "act": act, "mu": mu, "delta": delta, "unclamped": unclamped}
-        else:
-            masked = np.multiply(c, relu, out=relu)
+        masked = np.multiply(c, relu, out=out["masked"])
+        stats = {"relu": relu, "mu": mu, "delta": delta}
     else:
         raise ValueError(f"unknown mask mode {mode!r}")
-    return masked, (stats if want_stats else None)
+    return masked, stats
 
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
@@ -446,7 +445,7 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
         )
     c = np.matmul(x_in, layer.w.swapaxes(-1, -2), out=out["c"])
     c += layer.b
-    masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, want_trace, out)
+    masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, out)
     gate = np.concatenate([c, masked], axis=-1, out=out["gate"])
     if drop_mask is not None:
         gate *= drop_mask
@@ -564,14 +563,13 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
 
 
 def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
-                    training: bool = False, rng: Rng | None = None,
-                    want_trace: bool | None = None,
+                    training: bool = False, rng: Rng | None = None, want_trace: bool = False,
                     workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None
                     ) -> ForwardResult:
     """Run both cross branches and the fused heads from a prepared x1 batch.
 
-    A trace is captured by default only in training mode; pass
-    ``want_trace=True`` to capture one for inspection without dropout.
+    A trace is captured in training mode, and without dropout when
+    ``want_trace``.
     Small (n, D) batches without dropout or trace stack both branches
     (``_stacked_forward``), large ones run on two threads (``_both_branches``),
     all with the serial bits. Each branch draws its own dropout uniforms: the ecn
@@ -581,8 +579,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     branches' arrays, and the trace then views it until the workspace's next
     use; by default every array is new.
     """
-    if want_trace is None:
-        want_trace = training
+    want_trace = want_trace or training
     rate = config.dropout_rate if training else 0.0
     shape = x1.shape
     ecn_depth = len(params.ecn_layers)
@@ -616,8 +613,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
 
 
 def forward(batch, params: ModelParams, config: ModelConfig,
-            training: bool = False, rng: Rng | None = None,
-            want_trace: bool | None = None,
+            training: bool = False, rng: Rng | None = None, want_trace: bool = False,
             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> ForwardResult:
     """Embed an encoded batch and run the network. See forward_from_x1. A params
     whose ``table`` is a (K, rows, d) stack and whose layers and heads are
@@ -633,7 +629,7 @@ def forward(batch, params: ModelParams, config: ModelConfig,
 
 
 def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
-                   mode: str, grads_layer: CrossLayerParams, out: dict) -> np.ndarray:
+                   config: ModelConfig, grads_layer: CrossLayerParams, out: dict) -> np.ndarray:
     """Gradient with respect to c from the gradient at the whole gate: the
     c half passes straight through, the masked half goes back through the
     self-mask, accumulating the layernorm gain/bias gradients on the way.
@@ -642,9 +638,9 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     (``BranchWorkspace.backward_views``), as in ``self_mask``."""
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
-    if mode == "identity":
+    if config.mask_mode == "identity":
         return np.add(dg_c, dg_hi, out=out["dc"])
-    if mode == "no_ln":
+    if config.mask_mode == "no_ln":
         # masked = c * relu(c): derivative 2 relu(c)
         dc = np.multiply(tr.relu, 2.0, out=out["dc"])
         dc *= dg_hi
@@ -652,19 +648,21 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
         # paper mode: masked = c * relu(gain * nrm + beta)
         dc = np.multiply(dg_hi, tr.relu, out=out["dc"])
         dnrm = np.multiply(dg_hi, tr.c, out=out["dnrm"])
-        # the forward's normalized c, recomputed bit for bit
+        # the forward's normalized c and relu gate, recomputed bit for bit
         nrm = np.subtract(tr.c, tr.mu, out=out["nrm"])
-        dnrm *= tr.act           # the gradient at the layernorm output
+        dnrm *= np.greater(tr.relu, 0.0, out=out["act"])  # the gradient at the layernorm output
         nrm /= tr.delta
         tmp = np.multiply(dnrm, nrm, out=dg_hi)
         grads_layer.gain += tmp.sum(axis=0)
         grads_layer.beta += dnrm.sum(axis=0)
         dnrm *= layer.gain
-        # layernorm backward; the std term only flows where the clamp was inactive
+        # layernorm backward; the std term only flows where the std exceeded
+        # epsilon, which is where delta = max(std, epsilon) does (NaN included)
         np.multiply(dnrm, nrm, out=tmp)
         std_term = np.multiply(nrm, _row_mean(tmp, out["mean"]), out=nrm)
-        if not tr.unclamped.all():
-            std_term = np.where(tr.unclamped, std_term, 0.0)
+        unclamped = tr.delta > config.ln_epsilon
+        if not unclamped.all():
+            std_term = np.where(unclamped, std_term, 0.0)
         dnrm -= _row_mean(dnrm, out["mean"])
         dnrm -= std_term
         dnrm /= tr.delta
@@ -675,7 +673,7 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
 
 def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | None,
                      layers: list[CrossLayerParams], grads_layers: list[CrossLayerParams],
-                     traces: list[LayerTrace], mode: str, ws: BranchWorkspace):
+                     traces: list[LayerTrace], config: ModelConfig, ws: BranchWorkspace):
     """Reverse one branch from its head's ``dz`` and weight, into ``ws``.
     ``anchor`` is as in ``_branch_forward``. Accumulates the layers'
     parameter gradients and returns (gradient at x1 through the first
@@ -690,7 +688,7 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
         dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out["dgate"])
         if tr.drop_mask is not None:
             dgate *= tr.drop_mask
-        dc = _mask_backward(dgate, tr, layer, mode, gl, out)
+        dc = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out["dw"])
         gl.b += dc.sum(axis=0)
         # dgate is spent: its buffer takes the anchor gradient, then dc @ W
@@ -736,12 +734,11 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     grads.heads.w_shallow += trace.x_lcn.T @ dz_shallow
     grads.heads.b_shallow += dz_shallow.sum()
 
-    mode = config.mask_mode
     (dx_ecn, _), (dx_lcn, lcn_anchor_terms) = _both_branches(
         lambda: _branch_backward(dz_deep, heads.w_deep, None, params.ecn_layers,
-                                 grads.ecn_layers, trace.ecn, mode, ecn_ws),
+                                 grads.ecn_layers, trace.ecn, config, ecn_ws),
         lambda: _branch_backward(dz_shallow, heads.w_shallow, trace.x1, params.lcn_layers,
-                                 grads.lcn_layers, trace.lcn, mode, lcn_ws),
+                                 grads.lcn_layers, trace.lcn, config, lcn_ws),
         _parallel(trace.x1.size))
     # left to right: the ecn input gradient, each lcn anchor term, the lcn input gradient
     dx1 = dx_ecn
@@ -792,9 +789,10 @@ def param_count(config: ModelConfig, sizes: list[int]) -> dict:
     }
 
 
-def field_importance(params: ModelParams, config: ModelConfig, trace_or_batch,
+def field_importance(params: ModelParams, config: ModelConfig, batch,
                      layer_index: int, branch: str):
-    """Field-wise interpretability views of one cross layer.
+    """Field-wise interpretability views of one cross layer, from an
+    inference forward of an encoded batch.
 
     Returns (cross_strengths, mask_sparsity, pair_matrix):
       cross_strengths[i]  batch-mean euclidean norm of field i's segment of c;
@@ -810,10 +808,7 @@ def field_importance(params: ModelParams, config: ModelConfig, trace_or_batch,
             f"layer index {layer_index} out of range for branch {branch!r} "
             f"with depth {len(layers)}"
         )
-    trace = trace_or_batch
-    if not isinstance(trace, ForwardTrace):
-        trace = forward(trace_or_batch, params, config, training=False,
-                        want_trace=True).trace
+    trace = forward(batch, params, config, want_trace=True).trace
     tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer_index]
 
     f, half, n = params.num_fields, config.d // 2, len(tr.c)

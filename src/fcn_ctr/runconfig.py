@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from fcn_ctr.features import DISCRETIZE_MODES
+from fcn_ctr.features import DISCRETIZE_MODES, FeatureSchema, FieldSpec
 from fcn_ctr.model import MASK_MODES, ModelConfig
 from fcn_ctr.training import LOSS_MODES, TrainConfig
 
@@ -21,20 +21,22 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    d: int = 16
-    lcn_depth: int = 3
-    ecn_depth: int = 3
-    mask: str = "paper"
-    dropout: float = 0.1
-    ln_epsilon: float = 1e-5
-    loss: str = "tri"
-    lr: float = 0.001
-    batch_size: int = 4096
-    max_epochs: int = 20
-    patience: int = 2
-    seed: int = 1
-    discretize: str = "lnsq"
-    min_count: int = 1
+    """Every key with its owner's default."""
+
+    d: int = ModelConfig.d
+    lcn_depth: int = ModelConfig.lcn_depth
+    ecn_depth: int = ModelConfig.ecn_depth
+    mask: str = ModelConfig.mask_mode
+    dropout: float = ModelConfig.dropout_rate
+    ln_epsilon: float = ModelConfig.ln_epsilon
+    loss: str = TrainConfig.loss
+    lr: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    seed: int = ModelConfig.seed
+    discretize: str = FeatureSchema.discretize
+    min_count: int = FieldSpec.min_count
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d=self.d, lcn_depth=self.lcn_depth,

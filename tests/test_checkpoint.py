@@ -27,7 +27,7 @@ def sample_schema():
               FieldSpec("count", "numeric", 1)]
     vocabs = [{OOV_TOKEN: 0, "red": 1, "blue": 2},
               {OOV_TOKEN: 0, "1": 1, "21": 2}]
-    return FeatureSchema(fields, vocabs, [3, 3], "lnsq")
+    return FeatureSchema(fields, vocabs, "lnsq")
 
 
 def sample_state(seed=3):
@@ -76,7 +76,7 @@ class TestRoundTrip:
         config = ModelConfig(d=d, lcn_depth=1, ecn_depth=1)
         params = init_model_params(config, [rows] * 2, 1)
         vocab = {OOV_TOKEN: 0, **{str(i): i for i in range(1, rows)}}
-        schema = FeatureSchema([FieldSpec("a"), FieldSpec("b")], [vocab] * 2, [rows] * 2, "lnsq")
+        schema = FeatureSchema([FieldSpec("a"), FieldSpec("b")], [vocab] * 2, "lnsq")
         data = checkpoint_bytes(params, config, schema)
         del params
         tracemalloc.start()

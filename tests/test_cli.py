@@ -203,6 +203,17 @@ class TestPredict:
         assert run("predict", "--checkpoint", str(workspace["ckpt"]),
                    "--input", str(unlabeled), "--output", str(out)) == 0
 
+    def test_header_only_file_writes_the_header_alone(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("f0,f1,f2,label\n")
+        out = tmp_path / "preds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("predict", "--checkpoint", str(GOLDEN_DIR / "model.ckpt"),
+                       "--input", str(data), "--output", str(out)) == 0
+        assert out.read_text() == "y_hat,y_hat_deep,y_hat_shallow\n"
+        assert capsys.readouterr().out == f"wrote 0 predictions to {out}\n"
+
 
 class TestNonFiniteParameters:
     def test_float32_overflow_in_training_is_data_error(self, tmp_path, capsys):
@@ -297,6 +308,21 @@ class TestInspect:
                    "--layer", "7", "--branch", "lcn", "--out", str(tmp_path / "v"))
         assert code == 2
 
+    def test_header_only_file_is_data_error(self, tmp_path, capsys):
+        # no row gives no mean: exit 2, no file, no nan and no numpy warning
+        data = tmp_path / "empty.csv"
+        data.write_text("f0,f1,f2,label\n")
+        out = tmp_path / "views"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("inspect", "--checkpoint", str(GOLDEN_DIR / "model.ckpt"),
+                       "--data", str(data), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {data}: no data rows; "
+                                "field importance needs at least one\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_zero_block_fixture_zeroes_pair_entry(self, tmp_path):
         # craft a checkpoint whose first ecn layer ignores field 1 when
         # producing field 0 cross rows
@@ -305,8 +331,7 @@ class TestInspect:
         from fcn_ctr.numerics import derive_seed
         schema = FeatureSchema(
             [FieldSpec("f0"), FieldSpec("f1")],
-            [{OOV_TOKEN: 0, "a": 1}, {OOV_TOKEN: 0, "b": 1}],
-            [2, 2], "lnsq")
+            [{OOV_TOKEN: 0, "a": 1}, {OOV_TOKEN: 0, "b": 1}], "lnsq")
         config = ModelConfig(d=2, lcn_depth=0, ecn_depth=1, dropout_rate=0.0, seed=1)
         params = init_model_params(config, schema.sizes, derive_seed(1, "init"))
         w = params.ecn_layers[0].w  # (2, 4): field 1 input columns are 1, 3

@@ -162,6 +162,25 @@ class TestGradientExactness:
         err = audit_config(config, num_fields=2, seed=1)
         assert err < 1e-8
 
+    @pytest.mark.parametrize("ln_epsilon, clamped", [(0.15, 2), (0.3, 4)])
+    def test_clamped_layernorm_rows(self, ln_epsilon, clamped):
+        # a row whose cross vector's std is at most epsilon divides by epsilon,
+        # and no gradient flows through its std; the audit's two rows have
+        # stds 0.21 and 0.10 in the ecn layer, 0.21 and 0.05 in the lcn layer,
+        # so 0.15 clamps one row of each and 0.3 every row. Far above the stds
+        # the std term is too small to see: letting it flow errs by 7e-7 at 10
+        config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1, mask_mode="paper",
+                             dropout_rate=0.0, ln_epsilon=ln_epsilon, seed=0)
+        ids = Rng(derive_seed(2, "audit-data")).integers(3, size=(2, 2))
+        params = init_model_params(config, [3, 3], derive_seed(2, "init"))
+        trace = forward(EncodedBatch(ids, np.arange(2) % 2, [3, 3]), params, config,
+                        training=True).trace
+        layers = trace.ecn + trace.lcn
+        stds = np.concatenate([tr.c.std(axis=1) for tr in layers])
+        assert np.abs(np.log(stds / ln_epsilon)).min() > 0.3  # far from the kink
+        assert sum(int((tr.delta == ln_epsilon).sum()) for tr in layers) == clamped
+        assert audit_config(config, num_fields=2, seed=2) < 1e-4
+
     def test_determinism_bitwise(self):
         config, params, batch = setup(2, 2)
         _, g1 = run_backward(config, params, batch)

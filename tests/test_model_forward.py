@@ -395,10 +395,10 @@ class TestFieldImportance:
         (8, 16, 4096, "no_ln", "ecn", 0), (4, 2, 4096, "paper", "ecn", 0)])
     def test_matches_per_field_loops(self, f, d, n, mask, branch, layer):
         config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n, dropout=0.1)
-        trace = forward(batch, params, config, training=True, rng=Rng(3)).trace
+        trace = forward(batch, params, config, want_trace=True).trace
         tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer]
         w = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer].w
-        got = field_importance(params, config, trace, layer, branch)
+        got = field_importance(params, config, batch, layer, branch)
         expected = self.per_field_loops(tr.c, tr.gate_dropped[:, f * d // 2:], w, f, d // 2)
         for name, a, b in zip(("cross_strengths", "mask_sparsity", "pair"), got, expected):
             assert a.shape == b.shape and np.array_equal(a, b), name
@@ -520,7 +520,7 @@ class TestStackedBranches:
 
         vocab = {OOV_TOKEN: 0, **{str(t): t for t in range(1, 5)}}
         schema = FeatureSchema([FieldSpec(f"f{j}") for j in range(params.num_fields)],
-                               [vocab] * params.num_fields, [5] * params.num_fields, "lnsq")
+                               [vocab] * params.num_fields, "lnsq")
         loaded, _, _ = parse_checkpoint(checkpoint_bytes(params, config, schema))
         self.assert_paths_equal(x1, loaded, config, monkeypatch, paths=("serial",))
 

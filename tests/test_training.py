@@ -251,6 +251,28 @@ class TestTrainLoop:
         _, reports = train(tr, va, config, tcfg, log=lambda s: None)
         assert len(reports) == 3
 
+    def test_auc_tie_keeps_the_lower_logloss_and_counts_as_stale(self, monkeypatch):
+        # epoch 2 ties epoch 1's AUC at a lower logloss and becomes the best
+        # snapshot, epoch 3 ties at a higher one and does not; neither improves
+        # the AUC, so patience 2 stops the loop after epoch 3
+        tr, va, _ = self.sets()
+        scripted = iter([(0.8, 0.5), (0.8, 0.4), (0.8, 0.45), (0.9, 0.1)])
+        seen = []
+
+        def fake_evaluate(batch, params, config, batch_size=4096, workspace=None):
+            seen.append(params.copy())
+            return EvalResult(*next(scripted), batch.n, 1)
+
+        monkeypatch.setattr(training_mod, "evaluate", fake_evaluate)
+        config = ModelConfig(d=4, lcn_depth=0, ecn_depth=0, seed=1)
+        tcfg = TrainConfig(max_epochs=10, patience=2, batch_size=256)
+        best, reports = train(tr, va, config, tcfg, log=lambda s: None)
+        assert [r.valid.logloss for r in reports] == [0.5, 0.4, 0.45]
+        assert best.dense.tobytes() == seen[1].dense.tobytes()
+        assert best.table.tobytes() == seen[1].table.tobytes()
+        for other in (seen[0], seen[2]):
+            assert best.dense.tobytes() != other.dense.tobytes()
+
     def test_best_snapshot_matches_best_reported_auc(self):
         tr, va, _ = self.sets()
         config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1, dropout_rate=0.1, seed=4)
