@@ -277,20 +277,13 @@ class BranchWorkspace:
         return array
 
 
-class _NoViews(dict):
-    """Views that are None for every role, so each numpy call makes its own result."""
-
-    def __missing__(self, role: str) -> None:
-        return None
-
-
-_NO_VIEWS = _NoViews()
+_NO_VIEWS: dict = {}  # a role without a view gets a new array
 
 
 class FreshArrays(BranchWorkspace):
     """The workspace of every caller but a training run, which reuses
-    nothing, so no result aliases another call's: ``take`` allocates, and
-    every view and ``spend`` are None."""
+    nothing, so no result aliases another call's: ``take`` allocates, there
+    are no views and ``spend`` is None, so each numpy call makes its own result."""
 
     def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         return np.empty(shape, dtype)
@@ -400,27 +393,27 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
     Works over the last axis of a vector, an (n, D/2) batch or a (2, n, D/2)
     stack of both branches'. Returns (masked, stats) where stats maps
     LayerTrace fields to what the backward pass needs. ``out`` maps
-    roles to the views the arrays go into (``BranchWorkspace.forward_views``),
-    or to None, by default, for new arrays.
+    roles to the views the arrays go into (``BranchWorkspace.forward_views``);
+    a role it lacks, by default every one, gets a new array.
     """
     stats = {}
     if mode == "identity":
-        masked = np.positive(c, out=out["masked"])
+        masked = np.positive(c, out=out.get("masked"))
     elif mode == "no_ln":
-        relu = _relu(c, out["relu"])
-        masked = np.multiply(relu, relu, out=out["masked"])
+        relu = _relu(c, out.get("relu"))
+        masked = np.multiply(relu, relu, out=out.get("masked"))
         stats = {"relu": relu}
     elif mode == "paper":
-        mu = _row_mean(c, out["mu"])
-        nrm = np.subtract(c, mu, out=out["relu"])
-        raw_std = _row_mean(np.multiply(nrm, nrm, out=out["masked"]), out["delta"])
+        mu = _row_mean(c, out.get("mu"))
+        nrm = np.subtract(c, mu, out=out.get("relu"))
+        raw_std = _row_mean(np.multiply(nrm, nrm, out=out.get("masked")), out.get("delta"))
         np.sqrt(raw_std, out=raw_std)
         delta = np.maximum(raw_std, ln_epsilon, out=raw_std)
         nrm /= delta
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
-        masked = np.multiply(c, relu, out=out["masked"])
+        masked = np.multiply(c, relu, out=out.get("masked"))
         stats = {"relu": relu, "mu": mu, "delta": delta}
     else:
         raise ValueError(f"unknown mask mode {mode!r}")
@@ -443,13 +436,13 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
         raise ValueError(
             f"cross layer shape mismatch: input width {x_in.shape[-1]}, weight is {layer.w.shape}"
         )
-    c = np.matmul(x_in, layer.w.swapaxes(-1, -2), out=out["c"])
+    c = np.matmul(x_in, layer.w.swapaxes(-1, -2), out=out.get("c"))
     c += layer.b
     masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, out)
-    gate = np.concatenate([c, masked], axis=-1, out=out["gate"])
+    gate = np.concatenate([c, masked], axis=-1, out=out.get("gate"))
     if drop_mask is not None:
         gate *= drop_mask
-    x_out = np.multiply(anchor, gate, out=out["x_out"])
+    x_out = np.multiply(anchor, gate, out=out.get("x_out"))
     x_out += x_in
     if not want_trace:
         return x_out, None
@@ -639,18 +632,19 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
     if config.mask_mode == "identity":
-        return np.add(dg_c, dg_hi, out=out["dc"])
+        return np.add(dg_c, dg_hi, out=out.get("dc"))
     if config.mask_mode == "no_ln":
         # masked = c * relu(c): derivative 2 relu(c)
-        dc = np.multiply(tr.relu, 2.0, out=out["dc"])
+        dc = np.multiply(tr.relu, 2.0, out=out.get("dc"))
         dc *= dg_hi
     else:
         # paper mode: masked = c * relu(gain * nrm + beta)
-        dc = np.multiply(dg_hi, tr.relu, out=out["dc"])
-        dnrm = np.multiply(dg_hi, tr.c, out=out["dnrm"])
-        # the forward's normalized c and relu gate, recomputed bit for bit
-        nrm = np.subtract(tr.c, tr.mu, out=out["nrm"])
-        dnrm *= np.greater(tr.relu, 0.0, out=out["act"])  # the gradient at the layernorm output
+        dc = np.multiply(dg_hi, tr.relu, out=out.get("dc"))
+        dnrm = np.multiply(dg_hi, tr.c, out=out.get("dnrm"))
+        # the forward's normalized c and relu gate, recomputed bit for bit;
+        # through the gate, dnrm becomes the gradient at the layernorm output
+        nrm = np.subtract(tr.c, tr.mu, out=out.get("nrm"))
+        dnrm *= np.greater(tr.relu, 0.0, out=out.get("act"))
         nrm /= tr.delta
         tmp = np.multiply(dnrm, nrm, out=dg_hi)
         grads_layer.gain += tmp.sum(axis=0)
@@ -659,11 +653,11 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
         # layernorm backward; the std term only flows where the std exceeded
         # epsilon, which is where delta = max(std, epsilon) does (NaN included)
         np.multiply(dnrm, nrm, out=tmp)
-        std_term = np.multiply(nrm, _row_mean(tmp, out["mean"]), out=nrm)
+        std_term = np.multiply(nrm, _row_mean(tmp, out.get("mean")), out=nrm)
         unclamped = tr.delta > config.ln_epsilon
         if not unclamped.all():
             std_term = np.where(unclamped, std_term, 0.0)
-        dnrm -= _row_mean(dnrm, out["mean"])
+        dnrm -= _row_mean(dnrm, out.get("mean"))
         dnrm -= std_term
         dnrm /= tr.delta
         dc += dnrm
@@ -682,14 +676,14 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     anchor gradient goes where ``ws.spend`` puts it: in a training run's
     workspace, over its layer's gate."""
     out = ws.backward_views(len(dz), len(w_head))
-    dx = np.outer(dz, w_head, out=out["dx"])
+    dx = np.outer(dz, w_head, out=out.get("dx"))
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out["dgate"])
+        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out.get("dgate"))
         if tr.drop_mask is not None:
             dgate *= tr.drop_mask
         dc = _mask_backward(dgate, tr, layer, config, gl, out)
-        gl.w += np.matmul(dc.T, tr.x_in, out=out["dw"])
+        gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)
         # dgate is spent: its buffer takes the anchor gradient, then dc @ W
         if anchor is None:
