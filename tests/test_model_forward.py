@@ -394,7 +394,7 @@ class TestFieldImportance:
         (5, 6, 1000, "paper", "ecn", 1), (8, 16, 4096, "paper", "lcn", 1),
         (8, 16, 4096, "no_ln", "ecn", 0), (4, 2, 4096, "paper", "ecn", 0)])
     def test_matches_per_field_loops(self, f, d, n, mask, branch, layer):
-        config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n, dropout=0.1)
+        config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n)
         trace = forward(batch, params, config, want_trace=True).trace
         tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer]
         w = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer].w
