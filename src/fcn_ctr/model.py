@@ -181,14 +181,15 @@ def named_tensors(params: ModelParams):
 
 @dataclass
 class LayerTrace:
-    """Per-layer forward cache consumed by the backward pass. The mask
-    fields stay None where the mask mode does not use them; the backward
-    derives the relu gate and the clamp from them."""
+    """Per-layer forward cache consumed by the backward pass. ``keep`` is
+    None without dropout, and the backward scales by 1/(1 - dropout rate)
+    where it keeps. The mask fields stay None where the mask mode does not
+    use them; the backward derives the relu gate and the clamp from them."""
 
     x_in: np.ndarray           # (n, D)
     c: np.ndarray              # (n, D/2)
     gate_dropped: np.ndarray   # (n, D) gate after dropout
-    drop_mask: np.ndarray | None = None  # (n, D) scaled dropout mask, None when off
+    keep: np.ndarray | None = None       # (n, D) bool dropout keep mask, None when off
     relu: np.ndarray | None = None       # (n, D/2) relu(layernorm(c)), or relu(c) for no_ln
     mu: np.ndarray | None = None         # (n, 1) layernorm mean
     delta: np.ndarray | None = None      # (n, 1) layernorm std, clamped to at least epsilon
@@ -421,15 +422,16 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
-                        mode: str, ln_epsilon: float, drop_mask: np.ndarray | None = None,
-                        want_trace: bool = True, out: dict = _NO_VIEWS):
+                        mode: str, ln_epsilon: float, keep: np.ndarray | None = None,
+                        rate: float = 0.0, want_trace: bool = True, out: dict = _NO_VIEWS):
     """One cross layer: c = W x_in + b, gate = [c || mask(c)],
-    out = anchor * gate + x_in. ``drop_mask``, when given, is the (n, D)
-    dropout mask the gate is multiplied by: 0 where an entry is dropped,
-    1/(1 - dropout rate) where it is kept. A layer of ``ModelParams.stacked``
-    runs on (2, n, D) stacks of both branches' x_in and anchor. ``out`` is
-    as in ``self_mask``. Returns (x_out, LayerTrace), the trace None unless
-    ``want_trace``."""
+    out = anchor * gate + x_in. ``keep``, when given, is the (n, D) bool
+    dropout keep mask at dropout ``rate``: the gate is multiplied by it and
+    then by 1/(1 - rate), which has the bits of one product with a float mask
+    of 0 and 1/(1 - rate) for every float, ±0, inf and NaN included. A layer
+    of ``ModelParams.stacked`` runs on (2, n, D) stacks of both branches' x_in
+    and anchor. ``out`` is as in ``self_mask``. Returns (x_out, LayerTrace),
+    the trace None unless ``want_trace``."""
     if x_in.shape != anchor.shape:
         raise ValueError(f"cross layer shape mismatch: x_in {x_in.shape} vs anchor {anchor.shape}")
     if x_in.shape[-1] != layer.w.shape[-1]:
@@ -440,13 +442,14 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
     c += layer.b
     masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, out)
     gate = np.concatenate([c, masked], axis=-1, out=out.get("gate"))
-    if drop_mask is not None:
-        gate *= drop_mask
+    if keep is not None:
+        gate *= keep
+        gate *= 1.0 / (1.0 - rate)
     x_out = np.multiply(anchor, gate, out=out.get("x_out"))
     x_out += x_in
     if not want_trace:
         return x_out, None
-    return x_out, LayerTrace(x_in, c, gate, drop_mask, **stats)
+    return x_out, LayerTrace(x_in, c, gate, keep, **stats)
 
 
 # Batches of at least this many activations (rows x D) run the two branches
@@ -504,38 +507,27 @@ def _both_branches(ecn_job, lcn_job, parallel: bool):
     return ecn, lcn
 
 
-def _dropout_uniforms(rng: Rng | None, depth: int, shape: tuple, rate: float,
-                      ws: BranchWorkspace):
-    """All of one branch's dropout draws in one call, layer-major, into ``ws``;
-    None when nothing drops. One (depth, n, D) draw is the same stream as
-    depth consecutive (n, D) draws."""
-    if rate == 0.0 or depth == 0:
-        return None
-    if rng is None:
-        raise ValueError("training-mode dropout requires an rng")
-    shape = (depth, *shape)
-    return rng.random(shape, out=ws.take("uniforms", shape))
-
-
 def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
-                    layers: list[CrossLayerParams], config: ModelConfig,
-                    uniforms: np.ndarray | None, want_trace: bool,
-                    ws: BranchWorkspace = FRESH):
+                    layers: list[CrossLayerParams], config: ModelConfig, rate: float,
+                    rng: Rng | None, want_trace: bool, ws: BranchWorkspace = FRESH):
     """Run one branch's cross layers from x1, into ``ws``. The lcn passes
     ``anchor=x1``; ``anchor=None`` anchors each layer on its own input, as
-    the ecn does. Returns (branch output, layer traces)."""
+    the ecn does. At a dropout ``rate`` above 0 each layer draws x1's shape
+    of uniforms from ``rng``, layer by layer. Returns (branch output, layer
+    traces)."""
+    if rate and layers and rng is None:
+        raise ValueError("training-mode dropout requires an rng")
     x = x1
     traces = []
     views = ws.forward_views(len(layers), *x1.shape[-2:])
+    keep = ws.take("keep", (len(layers), *x1.shape), bool) if rate else [None] * len(layers)
     for i, layer in enumerate(layers):
-        drop_mask = None
-        if uniforms is not None:
-            # this layer's uniforms become its mask in place: an entry is kept
-            # where its draw is >= rate, and survivors are scaled by 1/(1 - rate)
-            drop_mask = np.greater_equal(uniforms[i], config.dropout_rate, out=uniforms[i])
-            drop_mask /= 1.0 - config.dropout_rate
+        if rate:
+            # the draws go into the buffer of the gate the layer is about to
+            # write; an entry is kept where its draw is >= rate
+            np.greater_equal(rng.random(x1.shape, out=views[i].get("gate")), rate, out=keep[i])
         x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer, config.mask_mode,
-                                    config.ln_epsilon, drop_mask, want_trace, views[i])
+                                    config.ln_epsilon, keep[i], rate, want_trace, views[i])
         traces.append(tr)
     return x, traces
 
@@ -550,8 +542,8 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
                                    want_trace=False)
         anchor[1] = x[1]
     shared = len(params.stacked)
-    x_ecn, _ = _branch_forward(x[1], None, params.ecn_layers[shared:], config, None, False)
-    x_lcn, _ = _branch_forward(x[0], x1, params.lcn_layers[shared:], config, None, False)
+    x_ecn, _ = _branch_forward(x[1], None, params.ecn_layers[shared:], config, 0.0, None, False)
+    x_lcn, _ = _branch_forward(x[0], x1, params.lcn_layers[shared:], config, 0.0, None, False)
     return x_ecn, x_lcn
 
 
@@ -565,29 +557,26 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     ``want_trace``.
     Small (n, D) batches without dropout or trace stack both branches
     (``_stacked_forward``), large ones run on two threads (``_both_branches``),
-    all with the serial bits. Each branch draws its own dropout uniforms: the ecn
-    from a split of ``rng`` that covers its words, the lcn from ``rng`` after
-    them, so the stream is the one a single thread would draw, ecn first.
+    all with the serial bits. Each branch draws its own dropout uniforms, one
+    (n, D) draw a layer into that layer's gate buffer, and keeps only a bool
+    keep mask: the ecn from a split of ``rng`` that covers its words, the lcn
+    from ``rng`` after them, so the stream is the one a single thread would
+    draw, ecn first.
     ``workspace``, the (ecn, lcn) pair a training run reuses, takes the
     branches' arrays, and the trace then views it until the workspace's next
     use; by default every array is new.
     """
     want_trace = want_trace or training
     rate = config.dropout_rate if training else 0.0
-    shape = x1.shape
-    ecn_depth = len(params.ecn_layers)
     ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
     if x1.ndim == 2 and not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
-        ecn_rng = rng.split(ecn_depth * x1.size) if rate and rng is not None else rng
+        ecn_rng = rng.split(len(params.ecn_layers) * x1.size) if rate and rng is not None else rng
         (x_ecn, ecn_traces), (x_lcn, lcn_traces) = _both_branches(
-            lambda: _branch_forward(x1, None, params.ecn_layers, config,
-                                    _dropout_uniforms(ecn_rng, ecn_depth, shape, rate, ecn_ws),
+            lambda: _branch_forward(x1, None, params.ecn_layers, config, rate, ecn_rng,
                                     want_trace, ecn_ws),
-            lambda: _branch_forward(x1, x1, params.lcn_layers, config,
-                                    _dropout_uniforms(rng, len(params.lcn_layers), shape, rate,
-                                                      lcn_ws),
+            lambda: _branch_forward(x1, x1, params.lcn_layers, config, rate, rng,
                                     want_trace, lcn_ws),
             _parallel(x1.size))
 
@@ -676,12 +665,14 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     anchor gradient goes where ``ws.spend`` puts it: in a training run's
     workspace, over its layer's gate."""
     out = ws.backward_views(len(dz), len(w_head))
+    scale = 1.0 / (1.0 - config.dropout_rate)
     dx = np.outer(dz, w_head, out=out.get("dx"))
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
         dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out.get("dgate"))
-        if tr.drop_mask is not None:
-            dgate *= tr.drop_mask
+        if tr.keep is not None:
+            dgate *= tr.keep
+            dgate *= scale
         dc = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)
@@ -802,6 +793,8 @@ def field_importance(params: ModelParams, config: ModelConfig, batch,
             f"layer index {layer_index} out of range for branch {branch!r} "
             f"with depth {len(layers)}"
         )
+    if len(batch.ids) == 0:
+        raise ValueError("field importance needs at least one row; the batch has none")
     trace = forward(batch, params, config, want_trace=True).trace
     tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer_index]
 

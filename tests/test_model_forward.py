@@ -3,6 +3,8 @@ parameter accounting, and the field-wise importance views."""
 
 import copy
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import fcn_ctr.model as model_mod
 from fcn_ctr.checkpoint import checkpoint_bytes, parse_checkpoint
 from fcn_ctr.features import OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec
-from fcn_ctr.model import (CrossLayerParams, HeadParams, ModelConfig,
+from fcn_ctr.model import (BRANCHES, CrossLayerParams, HeadParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
                            field_importance, forward, forward_from_x1,
                            init_model_params, layer_views, named_tensors,
@@ -217,17 +219,69 @@ class TestForward:
         config, params, batch = small_setup(1, 1, dropout=0.5, n=64)
         rng = Rng(99)
         res = forward(batch, params, config, training=True, rng=rng)
-        tr = res.trace.ecn[0]
-        assert tr.drop_mask is not None
-        values = np.unique(tr.drop_mask)
-        np.testing.assert_allclose(values, [0.0, 2.0])  # zero or 1/(1-rate)
-        dropped = (tr.drop_mask == 0.0).mean()
-        assert 0.4 <= dropped <= 0.6
+        free = forward(batch, params, config, want_trace=True)
+        for tr, tr_free in ((res.trace.ecn[0], free.trace.ecn[0]),
+                            (res.trace.lcn[0], free.trace.lcn[0])):
+            keep = tr.keep
+            assert keep.dtype == bool and keep.shape == tr.gate_dropped.shape
+            assert 0.4 <= 1.0 - keep.mean() <= 0.6
+            # the first layer's gate without dropout is the same gate: a kept
+            # entry is it times 1/(1 - rate) bit for bit, a dropped one is ±0
+            assert tr.gate_dropped[keep].tobytes() == (tr_free.gate_dropped[keep] * 2.0).tobytes()
+            assert (tr.gate_dropped[~keep] == 0.0).all()
 
     def test_inference_has_no_dropout(self):
         config, params, batch = small_setup(1, 1, dropout=0.5)
         res = forward(batch, params, config, training=False, want_trace=True)
-        assert res.trace.ecn[0].drop_mask is None
+        assert res.trace.ecn[0].keep is None
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_keep_mask_then_scale_is_the_float_mask_product(self, rate):
+        # the gate and dgate are multiplied by the bool keep mask and then by
+        # s = 1/(1 - rate); a float mask (u >= rate) / (1 - rate) gives the same
+        # bits for every float64, and NaN in the same places
+        rng = Rng(7)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf,
+                            -np.inf, np.nan, -np.nan, 1.7976931348623157e308, -1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            # every binary exponent, subnormals included
+            spread = np.ldexp(rng.standard_normal(100_000), rng.integers(2098, 100_000) - 1074)
+            g = np.concatenate([np.tile(special, 1000), spread])
+            u = rng.random(g.shape)
+            expected = g * ((u >= rate) / (1.0 - rate))
+            got = g * (u >= rate)
+            got *= 1.0 / (1.0 - rate)
+        nan = np.isnan(expected)
+        assert nan.any() and (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    def test_dropout_without_rng_is_an_error(self):
+        config, params, batch = small_setup(1, 1, dropout=0.1)
+        with pytest.raises(ValueError, match="training-mode dropout requires an rng"):
+            forward(batch, params, config, training=True)
+
+    def test_dropout_without_rng_is_an_error_from_the_ecn_worker(self, monkeypatch):
+        config, params, batch = small_setup(2, 2, dropout=0.1, f=8, d=16, n=256)
+        assert batch.n * params.width >= model_mod.PARALLEL_MIN_ACTIVATIONS
+        monkeypatch.setattr(model_mod, "_parallel",
+                            lambda a: a >= model_mod.PARALLEL_MIN_ACTIVATIONS)
+        raised, real = {}, model_mod._branch_forward
+
+        def spy(*args):
+            try:
+                return real(*args)
+            except ValueError as exc:
+                raised[threading.get_ident()] = exc
+                raise
+
+        monkeypatch.setattr(model_mod, "_branch_forward", spy)
+        with pytest.raises(ValueError, match="training-mode dropout requires an rng") as excinfo:
+            forward(batch, params, config, training=True)
+        # both branches raise, and the ecn worker's error comes out through its future
+        caller = threading.get_ident()
+        assert caller in raised and len(raised) == 2
+        worker = next(ident for ident in raised if ident != caller)
+        assert excinfo.value is raised[worker]
 
     def test_trace_only_in_training_by_default(self):
         config, params, batch = small_setup(1, 1)
@@ -371,6 +425,15 @@ class TestFieldImportance:
         config, params, batch = small_setup(1, 1)
         with pytest.raises(ValueError, match="out of range"):
             field_importance(params, config, batch, 1, "lcn")
+
+    def test_empty_batch_is_an_error(self):
+        # no row gives no mean: an error, not nan views and numpy warnings
+        config, params, batch = small_setup(1, 1, n=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for branch in BRANCHES:
+                with pytest.raises(ValueError, match="at least one row"):
+                    field_importance(params, config, batch, 0, branch)
 
     @staticmethod
     def per_field_loops(c, masked, w, f, half):

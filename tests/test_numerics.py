@@ -46,9 +46,10 @@ class TestRng:
         assert len(seeds) == 4
 
     def test_stacked_draw_is_consecutive_draws(self):
-        # the forward pass draws all of a branch's dropout uniforms in one
-        # (depth, n, D) call; that must be the stream of depth (n, D) calls,
-        # and leave the generator where they leave it
+        # each cross layer draws its (n, D) dropout uniforms into its own gate
+        # buffer, one call a layer, and the ecn's split is sized as one
+        # (depth, n, D) draw: the two must give the same stream and leave the
+        # generator in the same place
         k, n, d = 3, 5, 7
         stacked_rng, layered_rng = Rng(21), Rng(21)
         stacked = stacked_rng.random((k, n, d))

@@ -17,16 +17,24 @@ def test_step_faults_prints_per_step_quantiles():
                           capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == "rows=64 depth=3+3 steps=2 (first is warm-up)"
-    assert [line.split()[0] for line in lines[1:]] == ["minflt", "stime_ms", "step_ms"]
-    for line in lines[1:]:
+    assert [line.split()[0] for line in lines[1:]] == ["minflt", "stime_ms", "step_ms",
+                                                        "workspace_mib"]
+    for line in lines[1:4]:
         p10, p50 = (float(part.split("=")[1]) for part in line.split()[1:])
         assert 0.0 <= p10 <= p50
     # a full README step runs in the reused workspace: it maps no fresh memory
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "step_faults.py"),
                            "--rows", "4096", "--steps", "8"],
                           capture_output=True, text=True, timeout=120, check=True)
-    minflt = proc.stdout.splitlines()[1].split()
+    lines = proc.stdout.splitlines()
+    minflt = lines[1].split()
     assert minflt[0] == "minflt" and minflt[2] == "p50=0.0", proc.stdout
+    # dropout keeps one bool per gate entry, drawn through the gate's own
+    # buffer: no float64 mask role, and 108.7 MiB at this shape (129.7 with one)
+    mib = {role: float(v) for role, v in (part.split("=") for part in lines[4].split()[1:])}
+    total = mib.pop("total")
+    assert "uniforms" not in mib and "keep" in mib, proc.stdout
+    assert total <= 109.0, proc.stdout
 
 
 def test_benchmark_patch_sites_are_module_attributes():

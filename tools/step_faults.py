@@ -3,7 +3,8 @@
 Runs N ``train_step`` calls on the README workload's data (8 fields,
 cardinality 10, order 4; default model, dropout 0.1, lr 0.01) at a given
 row count and branch depth, reading getrusage around each step, and prints
-p10/p50 of each over the steps after the first (warm-up) one.
+p10/p50 of each over the steps after the first (warm-up) one, then the MiB
+the two branch workspaces hold after the steps, in total and per role.
 
     python tools/step_faults.py --rows 4096 --depth 3 --steps 40
 """
@@ -51,6 +52,13 @@ def main(argv=None):
         rest = values[1:] or values
         p10 = statistics.quantiles(rest, n=10, method="inclusive")[0] if rest[1:] else rest[0]
         print(f"{name:9s} p10={p10:.1f} p50={statistics.median(rest):.1f}")
+    roles = {}
+    for ws in state.workspace:
+        for role, flat in ws.buffers.items():
+            roles[role] = roles.get(role, 0) + flat.nbytes / 2**20
+    sizes = sorted(roles.items(), key=lambda item: (-item[1], item[0]))
+    print("workspace_mib", f"total={sum(roles.values()):.1f}",
+          *(f"{role}={mib:.1f}" for role, mib in sizes))
 
 
 if __name__ == "__main__":
