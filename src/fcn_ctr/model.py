@@ -184,11 +184,10 @@ class LayerTrace:
     """Per-layer forward cache consumed by the backward pass. ``keep`` is
     None without dropout, and the backward scales by 1/(1 - dropout rate)
     where it keeps. The mask fields stay None where the mask mode does not
-    use them; the backward derives the relu gate and the clamp from them."""
+    use them; the backward derives the relu gate, the clamp and the gate from them."""
 
     x_in: np.ndarray           # (n, D)
     c: np.ndarray              # (n, D/2)
-    gate_dropped: np.ndarray   # (n, D) gate after dropout
     keep: np.ndarray | None = None       # (n, D) bool dropout keep mask, None when off
     relu: np.ndarray | None = None       # (n, D/2) relu(layernorm(c)), or relu(c) for no_ln
     mu: np.ndarray | None = None         # (n, 1) layernorm mean
@@ -207,6 +206,7 @@ class ForwardTrace:
     y_deep: np.ndarray
     y_shallow: np.ndarray
     ids: np.ndarray | None = None
+    spent: bool = False  # a workspace backward overwrote its arrays
 
 
 @dataclass
@@ -251,12 +251,12 @@ class BranchWorkspace:
         return flat[:size].reshape(shape)
 
     def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
-        """Per layer, the views ``cross_layer_forward`` fills: its output and
-        the arrays its trace keeps (each role holds every layer's), and the
-        masked half, scratch that the layers share."""
+        """Per layer, the views ``cross_layer_forward`` fills: its output, the
+        gate's first, and the arrays its trace keeps (each role holds every
+        layer's), and the masked half, scratch that the layers share."""
         m = width // 2
         layered = {role: self.take(role, (depth, n, cols)) for role, cols in (
-            ("x_out", width), ("gate", width), ("c", m), ("relu", m), ("mu", 1), ("delta", 1))}
+            ("x_out", width), ("c", m), ("relu", m), ("mu", 1), ("delta", 1))}
         masked = self.take("masked", (n, m))
         return [dict(masked=masked, **{role: a[i] for role, a in layered.items()})
                 for i in range(depth)]
@@ -274,7 +274,7 @@ class BranchWorkspace:
 
     def spend(self, array: np.ndarray) -> np.ndarray | None:
         """Where a result may go that overwrites ``array``, a trace array the
-        step no longer reads."""
+        step no longer reads, such as an lcn layer's output."""
         return array
 
 
@@ -398,12 +398,8 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
     a role it lacks, by default every one, gets a new array.
     """
     stats = {}
-    if mode == "identity":
-        masked = np.positive(c, out=out.get("masked"))
-    elif mode == "no_ln":
-        relu = _relu(c, out.get("relu"))
-        masked = np.multiply(relu, relu, out=out.get("masked"))
-        stats = {"relu": relu}
+    if mode == "no_ln":
+        stats = {"relu": _relu(c, out.get("relu"))}
     elif mode == "paper":
         mu = _row_mean(c, out.get("mu"))
         nrm = np.subtract(c, mu, out=out.get("relu"))
@@ -414,24 +410,41 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
-        masked = np.multiply(c, relu, out=out.get("masked"))
         stats = {"relu": relu, "mu": mu, "delta": delta}
-    else:
+    elif mode != "identity":
         raise ValueError(f"unknown mask mode {mode!r}")
-    return masked, stats
+    return _masked(c, stats.get("relu"), mode, out.get("masked")), stats
+
+
+def _masked(c: np.ndarray, relu, mode: str, out=None) -> np.ndarray:
+    """mask(c) from c and the relu gate ``self_mask`` derived (None in
+    identity mode): c * relu, relu * relu for no_ln, c itself for identity."""
+    if mode == "identity":
+        return np.positive(c, out=out)
+    return np.multiply(relu if mode == "no_ln" else c, relu, out=out)
+
+
+def _gate(c: np.ndarray, masked: np.ndarray, keep, rate: float, out=None) -> np.ndarray:
+    """The gate [c || masked] after dropout, into ``out``: times ``keep``, the bool
+    keep mask at dropout ``rate``, then 1/(1 - rate), which has the bits of one
+    product with a float mask of 0 and 1/(1 - rate) for every float, ±0, inf and
+    NaN included. The backward rebuilds the forward's gate with it, bit for bit."""
+    gate = np.concatenate([c, masked], axis=-1, out=out)
+    if keep is not None:
+        gate *= keep
+        gate *= 1.0 / (1.0 - rate)
+    return gate
 
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
                         mode: str, ln_epsilon: float, keep: np.ndarray | None = None,
                         rate: float = 0.0, want_trace: bool = True, out: dict = _NO_VIEWS):
-    """One cross layer: c = W x_in + b, gate = [c || mask(c)],
-    out = anchor * gate + x_in. ``keep``, when given, is the (n, D) bool
-    dropout keep mask at dropout ``rate``: the gate is multiplied by it and
-    then by 1/(1 - rate), which has the bits of one product with a float mask
-    of 0 and 1/(1 - rate) for every float, ±0, inf and NaN included. A layer
-    of ``ModelParams.stacked`` runs on (2, n, D) stacks of both branches' x_in
-    and anchor. ``out`` is as in ``self_mask``. Returns (x_out, LayerTrace),
-    the trace None unless ``want_trace``."""
+    """One cross layer: c = W x_in + b, gate = [c || mask(c)] after dropout
+    (``_gate``, with ``keep`` and ``rate``), out = anchor * gate + x_in. The
+    gate is built in the output's buffer and multiplied there, so no layer
+    keeps it. A layer of ``ModelParams.stacked`` runs on (2, n, D) stacks of
+    both branches' x_in and anchor. ``out`` is as in ``self_mask``. Returns
+    (x_out, LayerTrace), the trace None unless ``want_trace``."""
     if x_in.shape != anchor.shape:
         raise ValueError(f"cross layer shape mismatch: x_in {x_in.shape} vs anchor {anchor.shape}")
     if x_in.shape[-1] != layer.w.shape[-1]:
@@ -441,15 +454,12 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
     c = np.matmul(x_in, layer.w.swapaxes(-1, -2), out=out.get("c"))
     c += layer.b
     masked, stats = self_mask(c, layer.gain, layer.beta, mode, ln_epsilon, out)
-    gate = np.concatenate([c, masked], axis=-1, out=out.get("gate"))
-    if keep is not None:
-        gate *= keep
-        gate *= 1.0 / (1.0 - rate)
-    x_out = np.multiply(anchor, gate, out=out.get("x_out"))
+    gate = _gate(c, masked, keep, rate, out.get("x_out"))
+    x_out = np.multiply(anchor, gate, out=gate)
     x_out += x_in
     if not want_trace:
         return x_out, None
-    return x_out, LayerTrace(x_in, c, gate, keep, **stats)
+    return x_out, LayerTrace(x_in, c, keep, **stats)
 
 
 # Batches of at least this many activations (rows x D) run the two branches
@@ -523,9 +533,9 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
     keep = ws.take("keep", (len(layers), *x1.shape), bool) if rate else [None] * len(layers)
     for i, layer in enumerate(layers):
         if rate:
-            # the draws go into the buffer of the gate the layer is about to
-            # write; an entry is kept where its draw is >= rate
-            np.greater_equal(rng.random(x1.shape, out=views[i].get("gate")), rate, out=keep[i])
+            # the draws go into the buffer of the output, whose gate the layer
+            # writes next; an entry is kept where its draw is >= rate
+            np.greater_equal(rng.random(x1.shape, out=views[i].get("x_out")), rate, out=keep[i])
         x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer, config.mask_mode,
                                     config.ln_epsilon, keep[i], rate, want_trace, views[i])
         traces.append(tr)
@@ -558,7 +568,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     Small (n, D) batches without dropout or trace stack both branches
     (``_stacked_forward``), large ones run on two threads (``_both_branches``),
     all with the serial bits. Each branch draws its own dropout uniforms, one
-    (n, D) draw a layer into that layer's gate buffer, and keeps only a bool
+    (n, D) draw a layer into that layer's output buffer, and keeps only a bool
     keep mask: the ecn from a split of ``rng`` that covers its words, the lcn
     from ``rng`` after them, so the stream is the one a single thread would
     draw, ecn first.
@@ -655,33 +665,35 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
 
 
 def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | None,
-                     layers: list[CrossLayerParams], grads_layers: list[CrossLayerParams],
-                     traces: list[LayerTrace], config: ModelConfig, ws: BranchWorkspace):
+                     x_out: np.ndarray, layers: list[CrossLayerParams],
+                     grads_layers: list[CrossLayerParams], traces: list[LayerTrace],
+                     config: ModelConfig, ws: BranchWorkspace):
     """Reverse one branch from its head's ``dz`` and weight, into ``ws``.
-    ``anchor`` is as in ``_branch_forward``. Accumulates the layers'
-    parameter gradients and returns (gradient at x1 through the first
-    layer's input, the anchor gradient of each lcn layer, last layer first).
-    The ecn anchor is the layer input, so its gradient joins dx. Each lcn
-    anchor gradient goes where ``ws.spend`` puts it: in a training run's
-    workspace, over its layer's gate."""
+    ``anchor`` is as in ``_branch_forward``, ``x_out`` the branch output.
+    Accumulates the layers' parameter gradients and returns (gradient at x1
+    through the first layer's input, the anchor gradient of each lcn layer,
+    last layer first). The ecn anchor is the layer input, so its gradient
+    joins dx. Each lcn anchor gradient goes where ``ws.spend`` puts it: in a
+    training run's workspace, over its layer's output."""
     out = ws.backward_views(len(dz), len(w_head))
-    scale = 1.0 / (1.0 - config.dropout_rate)
     dx = np.outer(dz, w_head, out=out.get("dx"))
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
         dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out.get("dgate"))
         if tr.keep is not None:
             dgate *= tr.keep
-            dgate *= scale
+            dgate *= 1.0 / (1.0 - config.dropout_rate)
         dc = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)
-        # dgate is spent: its buffer takes the anchor gradient, then dc @ W
+        # dgate is spent: its buffer takes the gate, rebuilt via nrm's, then dc @ W
+        gate = _gate(tr.c, _masked(tr.c, tr.relu, config.mask_mode, out.get("nrm")),
+                     tr.keep, config.dropout_rate, dgate)
         if anchor is None:
-            dx += np.multiply(dx, tr.gate_dropped, out=dgate)
+            dx += np.multiply(dx, gate, out=gate)
         else:
-            anchor_terms.append(np.multiply(dx, tr.gate_dropped,
-                                            out=ws.spend(tr.gate_dropped)))
+            anchor_terms.append(np.multiply(dx, gate, out=ws.spend(x_out)))
+        x_out = tr.x_in
         dx += np.matmul(dc, layer.w, out=dgate)
     return dx, anchor_terms
 
@@ -701,12 +713,13 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     branch finishes first. dx1 goes to the touched ``table`` rows of the
     trace's ids as one sparse gradient. With a ``workspace`` (as in ``forward_from_x1``)
     the gradients and the branches' temporaries live in it, and the trace is
-    spent: each lcn layer's ``gate_dropped`` is overwritten, and the
-    gradients hold until the workspace's next backward. By default the
-    trace is left as it was and the gradients are new.
+    spent: each lcn layer's output takes its anchor gradient, a second backward
+    raises ``ValueError``, and the gradients hold until the workspace's next
+    backward. By default the trace is left as it was and the gradients are new.
     """
-    if trace is None:
-        raise ValueError("backward requires a training-mode forward trace")
+    if trace is None or trace.spent:
+        raise ValueError("backward requires a training-mode forward trace, not a spent one")
+    trace.spent = workspace is not None
     ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
     grads = zero_gradients(params, ecn_ws.take("grads", params.dense.shape))
     heads = params.heads
@@ -720,10 +733,10 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     grads.heads.b_shallow += dz_shallow.sum()
 
     (dx_ecn, _), (dx_lcn, lcn_anchor_terms) = _both_branches(
-        lambda: _branch_backward(dz_deep, heads.w_deep, None, params.ecn_layers,
+        lambda: _branch_backward(dz_deep, heads.w_deep, None, trace.x_ecn, params.ecn_layers,
                                  grads.ecn_layers, trace.ecn, config, ecn_ws),
-        lambda: _branch_backward(dz_shallow, heads.w_shallow, trace.x1, params.lcn_layers,
-                                 grads.lcn_layers, trace.lcn, config, lcn_ws),
+        lambda: _branch_backward(dz_shallow, heads.w_shallow, trace.x1, trace.x_lcn,
+                                 params.lcn_layers, grads.lcn_layers, trace.lcn, config, lcn_ws),
         _parallel(trace.x1.size))
     # left to right: the ecn input gradient, each lcn anchor term, the lcn input gradient
     dx1 = dx_ecn
@@ -801,7 +814,8 @@ def field_importance(params: ModelParams, config: ModelConfig, batch,
     f, half, n = params.num_fields, config.d // 2, len(tr.c)
     # each field's n norms made contiguous, so each mean sums as the one field's would
     cross_strengths = np.sqrt((tr.c.reshape(n, f, half) ** 2).sum(axis=2)).T.copy().mean(axis=1)
-    mask_sparsity = (tr.gate_dropped[:, f * half:].reshape(n, f, half) == 0.0).mean(axis=(0, 2))
+    masked = _masked(tr.c, tr.relu, config.mask_mode)
+    mask_sparsity = (masked.reshape(n, f, half) == 0.0).mean(axis=(0, 2))
     # w's (D/2, D) as (field i, row, view, field j, col): block (i, j) is rows i, columns j
     w = layers[layer_index].w.reshape(f, half, 2, f, half).transpose(0, 3, 1, 2, 4)
     pair = np.sqrt((w.reshape(f, f, -1) ** 2).sum(axis=-1))

@@ -11,8 +11,8 @@ import pytest
 
 import fcn_ctr.model as model_mod
 from fcn_ctr.features import EncodedBatch
-from fcn_ctr.model import (ModelConfig, backward, embed_reshape, forward,
-                           init_model_params, zero_gradients)
+from fcn_ctr.model import (BRANCHES, MASK_MODES, BranchWorkspace, ModelConfig, backward,
+                           embed_reshape, forward, init_model_params, zero_gradients)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import tri_bce, tri_bce_grads
 from fcn_ctr.verification import audit_config
@@ -308,30 +308,143 @@ class TestBackwardWorkspace:
         report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
         return tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report)
 
+    @staticmethod
+    def trace_arrays(trace):
+        """{name: array} of every array a ForwardTrace holds, its layers' included."""
+        arrays = {k: a for k, a in vars(trace).items() if isinstance(a, np.ndarray)}
+        for branch in BRANCHES:
+            for i, tr in enumerate(getattr(trace, branch)):
+                arrays.update({f"{branch}[{i}].{k}": a for k, a in vars(tr).items()
+                               if isinstance(a, np.ndarray)})
+        return arrays
+
     def test_default_keeps_the_trace_and_the_gradients(self):
         config, params, batch = setup(2, 2)
-        res = forward(batch, params, config, training=True)
-        gates = [tr.gate_dropped.copy() for tr in res.trace.ecn + res.trace.lcn]
+        config.dropout_rate = 0.3
+        res = forward(batch, params, config, training=True, rng=Rng(4))
+        before = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()}
+        assert {"x_ecn", "x_lcn", "lcn[1].keep", "ecn[1].relu"} <= set(before)
         first = backward(res.trace, params, config, *self.loss_grads(res, batch))
         kept = first.dense.copy()
         second = backward(res.trace, params, config, *self.loss_grads(res, batch))
-        for tr, gate in zip(res.trace.ecn + res.trace.lcn, gates):
-            np.testing.assert_array_equal(tr.gate_dropped, gate)
+        after = self.trace_arrays(res.trace)
+        assert after.keys() == before.keys()
+        for name, array in after.items():
+            assert array.tobytes() == before[name].tobytes(), name
         np.testing.assert_array_equal(first.dense, kept)
         np.testing.assert_array_equal(second.dense, kept)
         assert not np.shares_memory(first.dense, second.dense)
 
-    def test_workspace_spends_the_lcn_gates_for_the_same_gradients(self):
+    def test_workspace_spends_the_lcn_outputs_same_grads(self):
         config, params, batch = setup(2, 2)
         res = forward(batch, params, config, training=True)
         expected = backward(res.trace, params, config, *self.loss_grads(res, batch))
-        workspace = (model_mod.BranchWorkspace(), model_mod.BranchWorkspace())
+        workspace = (BranchWorkspace(), BranchWorkspace())
         res = forward(batch, params, config, training=True, workspace=workspace)
-        lcn_gates = [tr.gate_dropped.copy() for tr in res.trace.lcn]
+        # each lcn layer's output: the next layer's input, the last one's the branch's
+        outputs = [res.trace.lcn[1].x_in, res.trace.x_lcn]
+        before = [a.copy() for a in outputs]
+        ecn = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()
+               if not k.startswith("lcn") and k != "x_lcn"}
         grads = backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
         np.testing.assert_array_equal(grads.dense, expected.dense)
         for got, want in zip(grads.embeddings, expected.embeddings):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(grads.dense, workspace[0].buffers["grads"])
-        for tr, gate in zip(res.trace.lcn, lcn_gates):
-            assert not np.array_equal(tr.gate_dropped, gate)
+        for output, old in zip(outputs, before):
+            assert np.shares_memory(output, workspace[1].buffers["x_out"])
+            assert not np.array_equal(output, old)
+        for name, array in ecn.items():
+            np.testing.assert_array_equal(self.trace_arrays(res.trace)[name], array)
+
+    def test_a_spent_trace_is_refused(self):
+        # the spent lcn outputs hold anchor terms: a second backward would scatter
+        # wrong embedding gradients beside dense ones that look right
+        config, params, batch = setup(2, 2, f=4, d=4, n=64)
+        workspace = (BranchWorkspace(), BranchWorkspace())
+        res = forward(batch, params, config, training=True, workspace=workspace)
+        backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
+        for again in (workspace, None):
+            with pytest.raises(ValueError, match="spent"):
+                backward(res.trace, params, config, *self.loss_grads(res, batch), again)
+
+
+class TestRebuiltGate:
+    """The backward rebuilds each layer's gate from its trace (``model._gate``
+    over ``model._masked``): bitwise the gate the forward multiplied into the
+    layer's output, on every path, with and without dropout."""
+
+    @staticmethod
+    def record_gates(monkeypatch):
+        """Patch ``_gate`` to record (c, a copy of the gate) of every call."""
+        calls, real = [], model_mod._gate
+
+        def spy(c, *args):
+            gate = real(c, *args)
+            calls.append((c, gate.copy()))
+            return gate
+
+        monkeypatch.setattr(model_mod, "_gate", spy)
+        return calls
+
+    @staticmethod
+    def gate_of(tr, calls):
+        (gate,) = [g for c, g in calls if c is tr.c]
+        return gate
+
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("path", ["serial", "threaded"])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_backward_gate_is_the_forward_gate(self, mask, rate, path, reuse, monkeypatch):
+        rows = model_mod.PARALLEL_MIN_ACTIVATIONS // 12 + 1
+        config, params, batch = setup(3, 2, mask=mask, n=rows)
+        config.dropout_rate = rate
+        activations = []
+        monkeypatch.setattr(model_mod, "_parallel", lambda a: activations.append(a) or (
+            path == "threaded"))
+        calls = self.record_gates(monkeypatch)
+        workspace = (BranchWorkspace(), BranchWorkspace()) if reuse else None
+        res = forward(batch, params, config, training=True, rng=Rng(8), workspace=workspace)
+        trace, forward_calls = res.trace, calls[:]
+        del calls[:]
+        assert activations[0] >= model_mod.PARALLEL_MIN_ACTIVATIONS
+        for branch in BRANCHES:
+            layers = getattr(trace, branch)
+            outputs = [tr.x_in for tr in layers[1:]] + [getattr(trace, "x_" + branch)]
+            for tr, output in zip(layers, outputs):
+                gate = self.gate_of(tr, forward_calls)
+                # the recorded gate is the one the output was made from
+                expected = np.multiply(tr.x_in if branch == "ecn" else trace.x1, gate)
+                expected += tr.x_in
+                assert expected.tobytes() == output.tobytes()
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        backward(trace, params, config,
+                 *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report),
+                 workspace)
+        layers = trace.ecn + trace.lcn
+        assert len(forward_calls) == len(calls) == len(layers) == 5
+        for tr in layers:
+            assert self.gate_of(tr, calls).tobytes() == self.gate_of(tr, forward_calls).tobytes()
+
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    @pytest.mark.parametrize("depths", [(3, 2), (2, 3)])
+    def test_stacked_forward_gate_is_the_rebuilt_gate(self, mask, depths, monkeypatch):
+        config, params, batch = setup(*depths, mask=mask, n=40)
+        calls = self.record_gates(monkeypatch)
+        forward(batch, params, config)
+        stacked = [g for _, g in calls]
+        res = forward(batch, params, config, training=True)
+        del calls[:]
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        backward(res.trace, params, config,
+                 *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report))
+        ecn = [self.gate_of(tr, calls) for tr in res.trace.ecn]
+        lcn = [self.gate_of(tr, calls) for tr in res.trace.lcn]
+        shared = min(depths)
+        # the shared layers ran as (2, n, D) stacks of [lcn, ecn], then the deeper branch
+        assert [g.shape for g in stacked[:shared]] == [(2, 40, 12)] * shared
+        want = [np.stack(pair) for pair in zip(lcn, ecn)] + ecn[shared:] + lcn[shared:]
+        assert len(stacked) == len(want) == max(depths)
+        for got, gate in zip(stacked, want):
+            assert got.tobytes() == gate.tobytes()

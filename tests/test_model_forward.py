@@ -165,6 +165,12 @@ class TestCrossLayer:
             cross_layer_forward(np.zeros((1, 6)), np.zeros((1, 6)), layer, "paper", 1e-5)
 
 
+def trace_gate(tr, config, rate=0.0):
+    """A layer's gate after dropout, rebuilt from its trace as the backward does."""
+    masked = model_mod._masked(tr.c, tr.relu, config.mask_mode)
+    return model_mod._gate(tr.c, masked, tr.keep, rate)
+
+
 def small_setup(lcn_depth, ecn_depth, mask="paper", dropout=0.0, seed=5,
                 f=3, d=4, vocab=4, n=8):
     config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
@@ -223,12 +229,14 @@ class TestForward:
         for tr, tr_free in ((res.trace.ecn[0], free.trace.ecn[0]),
                             (res.trace.lcn[0], free.trace.lcn[0])):
             keep = tr.keep
-            assert keep.dtype == bool and keep.shape == tr.gate_dropped.shape
+            gate, gate_free = trace_gate(tr, config, 0.5), trace_gate(tr_free, config)
+            assert tr_free.keep is None
+            assert keep.dtype == bool and keep.shape == gate.shape == (64, tr.x_in.shape[1])
             assert 0.4 <= 1.0 - keep.mean() <= 0.6
             # the first layer's gate without dropout is the same gate: a kept
             # entry is it times 1/(1 - rate) bit for bit, a dropped one is ±0
-            assert tr.gate_dropped[keep].tobytes() == (tr_free.gate_dropped[keep] * 2.0).tobytes()
-            assert (tr.gate_dropped[~keep] == 0.0).all()
+            assert gate[keep].tobytes() == (gate_free[keep] * 2.0).tobytes()
+            assert (gate[~keep] == 0.0).all()
 
     def test_inference_has_no_dropout(self):
         config, params, batch = small_setup(1, 1, dropout=0.5)
@@ -460,9 +468,11 @@ class TestFieldImportance:
         config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n)
         trace = forward(batch, params, config, want_trace=True).trace
         tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer]
-        w = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer].w
+        lp = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer]
         got = field_importance(params, config, batch, layer, branch)
-        expected = self.per_field_loops(tr.c, tr.gate_dropped[:, f * d // 2:], w, f, d // 2)
+        # the masked view: the forward's self-mask of the trace's c, recomputed from c
+        masked, _ = self_mask(tr.c, lp.gain, lp.beta, mask, config.ln_epsilon)
+        expected = self.per_field_loops(tr.c, masked, lp.w, f, d // 2)
         for name, a, b in zip(("cross_strengths", "mask_sparsity", "pair"), got, expected):
             assert a.shape == b.shape and np.array_equal(a, b), name
 
