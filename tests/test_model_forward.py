@@ -165,10 +165,10 @@ class TestCrossLayer:
             cross_layer_forward(np.zeros((1, 6)), np.zeros((1, 6)), layer, "paper", 1e-5)
 
 
-def trace_gate(tr, config, rate=0.0):
+def trace_gate(tr, config):
     """A layer's gate after dropout, rebuilt from its trace as the backward does."""
     masked = model_mod._masked(tr.c, tr.relu, config.mask_mode)
-    return model_mod._gate(tr.c, masked, tr.keep, rate)
+    return model_mod._gate(tr.c, masked, tr.keep, config.dropout_rate)
 
 
 def small_setup(lcn_depth, ecn_depth, mask="paper", dropout=0.0, seed=5,
@@ -229,7 +229,7 @@ class TestForward:
         for tr, tr_free in ((res.trace.ecn[0], free.trace.ecn[0]),
                             (res.trace.lcn[0], free.trace.lcn[0])):
             keep = tr.keep
-            gate, gate_free = trace_gate(tr, config, 0.5), trace_gate(tr_free, config)
+            gate, gate_free = trace_gate(tr, config), trace_gate(tr_free, config)
             assert tr_free.keep is None
             assert keep.dtype == bool and keep.shape == gate.shape == (64, tr.x_in.shape[1])
             assert 0.4 <= 1.0 - keep.mean() <= 0.6
