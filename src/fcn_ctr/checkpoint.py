@@ -43,6 +43,7 @@ MAGIC = b"FCNCKPT1"
 VERSION = 1
 
 _CONFIG = struct.Struct("<5I2dI")  # the config of the layout above, read and written whole
+_U32 = struct.Struct("<I")
 
 
 class CheckpointError(Exception):
@@ -69,32 +70,44 @@ class FormatError(CheckpointError):
     """Bytes that decode to something no valid checkpoint holds."""
 
 
+def _vocab_bytes(vocab: dict[str, int]) -> np.ndarray:
+    """The tokens in id order, each as its u32 byte length and then its UTF-8
+    bytes: the lengths and the joined tokens are interleaved in one array."""
+    tokens = list(map(str.encode, sorted(vocab, key=vocab.get)))
+    lengths = np.fromiter(map(len, tokens), "<u4", len(tokens))
+    runs = np.column_stack([np.full(len(tokens), 4), lengths]).ravel()
+    is_token = np.repeat(np.tile([False, True], len(tokens)), runs)
+    out = np.empty(is_token.size, np.uint8)
+    out[is_token] = np.frombuffer(b"".join(tokens), np.uint8)
+    out[~is_token] = lengths.view(np.uint8)
+    return out
+
+
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
                      schema: FeatureSchema) -> bytes:
-    buf = bytearray(MAGIC)
-    buf += struct.pack("<I", VERSION)
-    buf += _CONFIG.pack(schema.num_fields, config.d, config.lcn_depth, config.ecn_depth,
-                        MASK_MODES.index(config.mask_mode), config.dropout_rate,
-                        config.ln_epsilon, DISCRETIZE_MODES.index(schema.discretize))
+    parts = [MAGIC, _U32.pack(VERSION),
+             _CONFIG.pack(schema.num_fields, config.d, config.lcn_depth, config.ecn_depth,
+                          MASK_MODES.index(config.mask_mode), config.dropout_rate,
+                          config.ln_epsilon, DISCRETIZE_MODES.index(schema.discretize))]
 
     for spec, vocab in zip(schema.fields, schema.vocabs):
         name = spec.name.encode("utf-8")
-        buf += struct.pack("<I", len(name)) + name
-        buf += struct.pack("<3I", FIELD_KINDS.index(spec.kind), spec.min_count, len(vocab))
-        for tok in sorted(vocab, key=vocab.get):
-            tb = tok.encode("utf-8")
-            buf += struct.pack("<I", len(tb)) + tb
+        parts += [_U32.pack(len(name)), name,
+                  struct.pack("<3I", FIELD_KINDS.index(spec.kind), spec.min_count, len(vocab)),
+                  _vocab_bytes(vocab)]
 
     for name, tensor in named_tensors(params):
         with np.errstate(over="ignore"):
             stored = np.ascontiguousarray(tensor, dtype="<f4")
         if not np.isfinite(stored).all():
             raise ValueError(f"cannot save tensor {name}: a value is not finite as float32")
-        buf += struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape)
-        buf += stored.tobytes()
+        parts += [struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape), stored]
 
-    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
-    return bytes(buf)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_U32.pack(crc))
+    return b"".join(parts)
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
@@ -109,19 +122,20 @@ class _Reader:
         self.data = data
         self.pos = 0
 
+    def truncated(self, n: int, at: int) -> TruncatedCheckpointError:
+        return TruncatedCheckpointError(
+            f"checkpoint truncated: needed {n} bytes at offset {at}, file has {len(self.data)}")
+
     def advance(self, n: int) -> int:
         """Move past the next n bytes and return their offset: every read unpacks
         or views the bytes in place, and only a string is sliced out."""
         if self.pos + n > len(self.data):
-            raise TruncatedCheckpointError(
-                f"checkpoint truncated: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.data)}"
-            )
+            raise self.truncated(n, self.pos)
         self.pos += n
         return self.pos - n
 
     def u32(self) -> int:
-        return struct.unpack_from("<I", self.data, self.advance(4))[0]
+        return _U32.unpack_from(self.data, self.advance(4))[0]
 
     def string(self) -> str:
         start = self.advance(self.u32())
@@ -129,6 +143,30 @@ class _Reader:
             return self.data[start:self.pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8 string ending at offset {self.pos}") from exc
+
+    def vocab(self, size: int) -> dict[str, int]:
+        """``size`` strings as token -> id, read as ``string`` reads them but in
+        one loop, with each token's bound checked before it is decoded."""
+        data, pos, end = self.data, self.pos, len(self.data)
+        if size > (end - pos) // 4:  # every token takes at least its u32 length
+            raise TruncatedCheckpointError(
+                f"checkpoint truncated: {size} vocab tokens need at least {4 * size} bytes "
+                f"at offset {pos}, file has {end}")
+        unpack = _U32.unpack_from
+        vocab = {}
+        try:
+            for i in range(size):
+                start = pos + 4
+                pos = start + unpack(data, pos)[0]
+                if pos > end:
+                    raise self.truncated(pos - start, start)
+                vocab[data[start:pos].decode()] = i
+        except struct.error:  # fewer than 4 bytes left for the length at pos
+            raise self.truncated(4, pos) from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8 string ending at offset {pos}") from exc
+        self.pos = pos
+        return vocab
 
 
 def parse_checkpoint(data: bytes):
@@ -157,7 +195,7 @@ def parse_checkpoint(data: bytes):
             raise FormatError(f"invalid field kind code {kind_idx}")
         if min_count < 1:
             raise FormatError(f"field {name!r}: invalid min_count {min_count}")
-        vocab = {r.string(): i for i in range(size)}
+        vocab = r.vocab(size)
         if len(vocab) != size:
             raise FormatError(f"field {name!r}: vocab repeats a token")
         fields.append(FieldSpec(name, FIELD_KINDS[kind_idx], min_count))

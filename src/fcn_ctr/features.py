@@ -110,10 +110,11 @@ def discretize_numeric(raw, mode: str = "lnsq") -> str:
     return str(math.floor(math.log2(x)))
 
 
-def _columns(records: list[dict], specs: list[FieldSpec], discretize: str):
+def _columns(records: list[dict], specs: list[FieldSpec], discretize: str | None):
     """Per chunk of records, in order, each field's tokens; a missing field is a DataError,
-    a categorical None stays None (OOV). A chunk's records are read once for all fields: a
-    pass per field missed the cache on shuffled records, one over all records held them all."""
+    a categorical None stays None (OOV). With ``discretize`` None a numeric field yields
+    its raw values. A chunk's records are read once for all fields: a pass per field
+    missed the cache on shuffled records, one over all records held them all."""
     if not specs:
         return
     # itemgetter of two or more keys returns a tuple: the first field is read twice
@@ -126,7 +127,8 @@ def _columns(records: list[dict], specs: list[FieldSpec], discretize: str):
                              for spec in specs if spec.name not in record)
             raise DataError(f"record {idx}: missing field {name!r}") from None
         yield [map(discretize_numeric, column, itertools.repeat(discretize))
-               if spec.kind == "numeric" else column for spec, column in zip(specs, columns)]
+               if discretize and spec.kind == "numeric" else column
+               for spec, column in zip(specs, columns)]
 
 
 def build_schema(records: list[dict], field_specs: list[FieldSpec],
@@ -146,11 +148,16 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
         raise ValueError(f"unknown discretize mode {discretize!r}")
 
     columns = [Counter() for _ in field_specs]  # a Counter keeps first-seen order
-    for chunk in _columns(records, field_specs, discretize):
-        for counts, tokens in zip(columns, chunk):
-            counts.update(tokens)
+    for chunk in _columns(records, field_specs, None):
+        for counts, values in zip(columns, chunk):
+            counts.update(values)
     vocabs: list[dict[str, int]] = []
     for spec, counts in zip(field_specs, columns):
+        if spec.kind == "numeric":  # each distinct raw value is discretized once
+            tokens = Counter()
+            for raw, count in counts.items():
+                tokens[discretize_numeric(raw, discretize)] += count
+            counts = tokens
         kept = [tok for tok, count in counts.items()
                 if count >= spec.min_count and tok not in (OOV_TOKEN, None)]
         vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0

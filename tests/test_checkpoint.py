@@ -15,7 +15,7 @@ from fcn_ctr.checkpoint import (BadMagicError, CheckpointError, ChecksumError,
                                 load_checkpoint, parse_checkpoint,
                                 save_checkpoint)
 from fcn_ctr.features import FeatureSchema, FieldSpec, OOV_TOKEN, read_csv, encode
-from fcn_ctr.model import ModelConfig, init_model_params
+from fcn_ctr.model import ModelConfig, init_model_params, named_tensors
 from fcn_ctr.numerics import derive_seed
 from fcn_ctr.training import predict_scores
 
@@ -89,6 +89,61 @@ class TestRoundTrip:
         assert peak - kept < 0.5 * len(data), (peak - kept, len(data))
 
 
+def reference_bytes(params, config, schema) -> bytes:
+    """The README's layout written one value and one token at a time."""
+    out = bytearray(MAGIC) + struct.pack("<I", 1)
+    out += struct.pack("<5I2dI", schema.num_fields, config.d, config.lcn_depth,
+                       config.ecn_depth, ("paper", "no_ln", "identity").index(config.mask_mode),
+                       config.dropout_rate, config.ln_epsilon,
+                       ("lnsq", "log2").index(schema.discretize))
+    for spec, vocab in zip(schema.fields, schema.vocabs):
+        name = spec.name.encode("utf-8")
+        out += struct.pack("<I", len(name)) + name
+        out += struct.pack("<3I", ("categorical", "numeric").index(spec.kind),
+                           spec.min_count, len(vocab))
+        for i in range(len(vocab)):
+            (tok,) = [t for t, j in vocab.items() if j == i]
+            raw = tok.encode("utf-8")
+            out += struct.pack("<I", len(raw)) + raw
+    for _, tensor in named_tensors(params):
+        out += struct.pack("<I", tensor.ndim)
+        for dim in tensor.shape:
+            out += struct.pack("<I", dim)
+        for value in tensor.ravel():
+            out += struct.pack("<f", value)
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+class TestVocabCodec:
+    def schema(self):
+        long = "x" * 150 + "é" * 75  # 300 bytes: its length has a nonzero second byte
+        fields = [FieldSpec("tokens"), FieldSpec("order", "numeric", 3), FieldSpec("oov")]
+        vocabs = [{OOV_TOKEN: 0, "": 1, "é": 2, "日本": 3, "\U0001F600": 4, long: 5},
+                  {"9": 2, OOV_TOKEN: 0, "12": 3, "1": 1},  # dict order is not id order
+                  {OOV_TOKEN: 0}]
+        return FeatureSchema(fields, vocabs, "log2")
+
+    def state(self):
+        schema = self.schema()
+        config = ModelConfig(d=2, lcn_depth=1, ecn_depth=1, seed=5)
+        return init_model_params(config, schema.sizes, 5), config, schema
+
+    def test_bytes_match_a_per_token_encoder(self):
+        params, config, schema = self.state()
+        data = checkpoint_bytes(params, config, schema)
+        assert data == reference_bytes(params, config, schema)
+        assert struct.pack("<I", 300) + b"x" in data
+
+    def test_round_trip_keeps_every_token_and_id(self):
+        params, config, schema = self.state()
+        data = checkpoint_bytes(params, config, schema)
+        _, _, loaded = parse_checkpoint(data)
+        assert loaded.vocabs == schema.vocabs
+        for vocab in loaded.vocabs:  # read in id order
+            assert list(vocab.values()) == list(range(len(vocab)))
+        assert checkpoint_bytes(*parse_checkpoint(data)) == data
+
+
 class TestErrorTaxonomy:
     def test_bad_magic(self):
         with pytest.raises(BadMagicError, match=r"^not a checkpoint: magic b'NOTACKPT'$"):
@@ -107,6 +162,42 @@ class TestErrorTaxonomy:
         for cut in (9, 20, 40, len(data) // 2, len(data) - 5):
             with pytest.raises(TruncatedCheckpointError):
                 parse_checkpoint(data[:cut])
+
+    def test_truncation_at_every_cut_in_the_vocab_region(self):
+        data = checkpoint_bytes(*sample_state())
+        params, _, _ = parse_checkpoint(data)
+        # the schema section runs from field 0's name to the first tensor's rank
+        end = len(data) - 4 - sum(4 * (1 + t.ndim) + 4 * t.size for _, t in named_tensors(params))
+        assert struct.unpack_from("<II", data, end) == (2, 3)  # embeddings[0], 3 x 4
+        for cut in range(NAME_AT, end + 1):
+            with pytest.raises(TruncatedCheckpointError, match="^checkpoint truncated: "):
+                parse_checkpoint(data[:cut])
+
+    def test_corrupt_vocab_size_is_refused_before_decoding(self):
+        # field 0 claims 2**32 - 1 tokens: more than the bytes left could hold
+        # at 4 bytes each, so nothing is decoded (parsing this file used to
+        # decode every token of the file before it met bytes that were not UTF-8)
+        rows = 20_000
+        config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1)
+        params = init_model_params(config, [rows], 1)
+        vocab = {OOV_TOKEN: 0, **{str(i): i for i in range(1, rows)}}
+        data = bytearray(checkpoint_bytes(params, config,
+                                          FeatureSchema([FieldSpec("a")], [vocab], "lnsq")))
+        size_at = NAME_AT + len("a") + 8
+        assert struct.unpack_from("<I", data, size_at) == (rows,)
+        data[size_at:size_at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        data = with_crc(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedCheckpointError,
+                               match=rf"^checkpoint truncated: 4294967295 vocab tokens need "
+                                     rf"at least 17179869180 bytes at offset {size_at + 4}, "
+                                     rf"file has {len(data)}$"):
+                parse_checkpoint(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_corrupted_payload_fails_checksum(self):
         params, config, schema = sample_state()
@@ -161,6 +252,14 @@ class TestFormatErrors:
         at = data.index(struct.pack("<I", 2) + b"v2") + 5
         data[at] = ord("0")
         with pytest.raises(FormatError, match="field 'f0': vocab repeats a token"):
+            parse_checkpoint(with_crc(data))
+
+    def test_undecodable_token_in_the_middle_of_a_vocab(self):
+        # field 0 of the golden file holds <OOV>, v0, v2, v1, v3: v2 is the third
+        data = bytearray((GOLDEN_DIR / "model.ckpt").read_bytes())
+        at = data.index(struct.pack("<I", 2) + b"v2") + 4
+        data[at] = 0xFF
+        with pytest.raises(FormatError, match=rf"^invalid UTF-8 string ending at offset {at + 2}$"):
             parse_checkpoint(with_crc(data))
 
     def test_zero_min_count(self):
@@ -243,7 +342,11 @@ class TestFormatErrors:
                 else:
                     pytest.fail(f"byte {pos} ^ {bits:#04x} loaded without an error")
         assert sum(kinds.values()) == 3 * len(golden)
-        assert kinds.get(FormatError, 0) > 0
+        # every class as it stands: a change to the order of the checks (such as
+        # comparing the CRC before decoding) moves these counts on purpose
+        assert {cls.__name__: n for cls, n in kinds.items()} == {
+            "BadMagicError": 24, "ChecksumError": 4403, "FormatError": 799,
+            "TruncatedCheckpointError": 189, "UnsupportedVersionError": 12}
 
 
 class TestGoldenFile:

@@ -84,6 +84,36 @@ class TestBuildSchema:
         # 100 and 101 share bucket "21", which meets min_count 2; "1" does not
         assert schema.vocabs[0]["21"] == 1
         assert "1" not in schema.vocabs[0]
+        # "1" reaches min_count 3 only as the sum of three raw values; "", "nan"
+        # and None, however often seen, are never tokens
+        rows = records_of(["n"], [["100"], ["2"], [""], ["3.0"], ["nan"], ["4"], [None],
+                                  ["101"], ["102"], [""], ["nan"], [None]])
+        for min_count in (1, 2, 3):
+            schema = build_schema(rows, [FieldSpec("n", kind="numeric", min_count=min_count)])
+            assert schema.vocabs[0] == {OOV_TOKEN: 0, "21": 1, "1": 2}, min_count
+        schema = build_schema(rows, [FieldSpec("n", kind="numeric", min_count=4)])
+        assert schema.vocabs[0] == {OOV_TOKEN: 0}
+
+    @pytest.mark.parametrize("mode", ["lnsq", "log2"])
+    def test_numeric_vocab_equals_a_per_value_reference(self, mode):
+        # Criteo-shaped counts: heavy-tailed integers, 10% missing, and a few
+        # floats and non-numbers; the reference discretizes every cell
+        g = np.random.default_rng(11)
+        cells = np.floor(g.lognormal(1.5, 2.0, 2000)).astype(np.int64).astype(str).astype(object)
+        cells[g.random(2000) < 0.1] = ""
+        cells[g.random(2000) < 0.02] = "2.5e3"
+        cells[g.random(2000) < 0.01] = "inf"
+        rows = [{"n": cell} for cell in cells]
+        for min_count in (1, 5):
+            counts = {}
+            for cell in cells:
+                tok = discretize_numeric(cell, mode)
+                counts[tok] = counts.get(tok, 0) + 1
+            kept = [tok for tok, n in counts.items() if n >= min_count and tok != OOV_TOKEN]
+            schema = build_schema(rows, [FieldSpec("n", "numeric", min_count)], mode)
+            assert list(schema.vocabs[0].items()) == list(
+                {tok: i for i, tok in enumerate([OOV_TOKEN, *kept])}.items())
+            assert len(schema.vocabs[0]) > 10
 
 
 class TestEncode:

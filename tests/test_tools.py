@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -67,3 +68,27 @@ def test_golden_fixtures_regenerate_byte_identical(tmp_path):
     for name in names:
         with open(tmp_path / name, "rb") as new, open(os.path.join(golden, name), "rb") as old:
             assert new.read() == old.read(), name
+
+
+def test_bench_pairs_appends_an_entry(tmp_path):
+    # one A/A pair of the cheapest workload: HEAD, built from git archive, on both sides
+    record = tmp_path / "BENCH_verify.json"
+    record.write_text('[{"earlier": "entry"}]\n')
+    subprocess.run([sys.executable, os.path.join(TOOLS, "bench_pairs.py"),
+                    "--workload", "verify", "--pairs", "1", "--first-seed", "1000",
+                    "--seconds", "0.5", "--base", "HEAD", "--change", "HEAD",
+                    "--out", str(tmp_path)],
+                   capture_output=True, text=True, timeout=300, check=True)
+    earlier, entry = json.loads(record.read_text())
+    assert earlier == {"earlier": "entry"}
+    assert entry["base"]["sha"] == entry["change"]["sha"]
+    assert entry["seeds"] == [1000] and entry["blas_threads"] == [1]
+    assert entry["nproc"] >= 1
+    assert set(entry["metrics"]) == {"setup_s", "peak_rss_mb", "round_ms_p10"}
+    for name, m in entry["metrics"].items():
+        assert m["pairs"] == 1 and m["change_lower"] in (0, 1), name
+        for side in ("base", "change"):
+            assert 0 < m[side]["q1"] <= m[side]["median"] <= m[side]["q3"], name
+    for side in ("base", "change"):
+        (run,) = entry["runs"][side]
+        assert run["correct"] and run["failed"] == 0 and run["seed"] == 1000
