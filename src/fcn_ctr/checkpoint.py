@@ -137,36 +137,25 @@ class _Reader:
     def u32(self) -> int:
         return _U32.unpack_from(self.data, self.advance(4))[0]
 
-    def string(self) -> str:
-        start = self.advance(self.u32())
-        try:
-            return self.data[start:self.pos].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 string ending at offset {self.pos}") from exc
-
-    def vocab(self, size: int) -> dict[str, int]:
-        """``size`` strings as token -> id, read as ``string`` reads them but in
-        one loop, with each token's bound checked before it is decoded."""
+    def strings(self, count: int) -> dict[str, int]:
+        """The next ``count`` strings, each a u32 length and UTF-8 bytes, as string ->
+        index: one loop that checks each string's bound before decoding it."""
         data, pos, end = self.data, self.pos, len(self.data)
-        if size > (end - pos) // 4:  # every token takes at least its u32 length
-            raise TruncatedCheckpointError(
-                f"checkpoint truncated: {size} vocab tokens need at least {4 * size} bytes "
-                f"at offset {pos}, file has {end}")
         unpack = _U32.unpack_from
-        vocab = {}
+        out = {}
         try:
-            for i in range(size):
+            for i in range(count):
                 start = pos + 4
                 pos = start + unpack(data, pos)[0]
                 if pos > end:
                     raise self.truncated(pos - start, start)
-                vocab[data[start:pos].decode()] = i
+                out[data[start:pos].decode()] = i
         except struct.error:  # fewer than 4 bytes left for the length at pos
             raise self.truncated(4, pos) from None
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8 string ending at offset {pos}") from exc
         self.pos = pos
-        return vocab
+        return out
 
 
 def parse_checkpoint(data: bytes):
@@ -189,13 +178,17 @@ def parse_checkpoint(data: bytes):
     fields = []
     vocabs = []
     for _ in range(num_fields):
-        name = r.string()
+        (name,) = r.strings(1)
         kind_idx, min_count, size = struct.unpack_from("<3I", data, r.advance(12))
         if kind_idx >= len(FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
         if min_count < 1:
             raise FormatError(f"field {name!r}: invalid min_count {min_count}")
-        vocab = r.vocab(size)
+        if size > (len(data) - r.pos) // 4:  # every token takes at least its u32 length
+            raise TruncatedCheckpointError(
+                f"checkpoint truncated: {size} vocab tokens need at least {4 * size} bytes "
+                f"at offset {r.pos}, file has {len(data)}")
+        vocab = r.strings(size)
         if len(vocab) != size:
             raise FormatError(f"field {name!r}: vocab repeats a token")
         fields.append(FieldSpec(name, FIELD_KINDS[kind_idx], min_count))

@@ -164,14 +164,20 @@ class TestErrorTaxonomy:
                 parse_checkpoint(data[:cut])
 
     def test_truncation_at_every_cut_in_the_vocab_region(self):
-        data = checkpoint_bytes(*sample_state())
-        params, _, _ = parse_checkpoint(data)
+        # multi-byte tokens: a token cut short must not be decoded at all
+        params, config, schema = TestVocabCodec().state()
+        data = checkpoint_bytes(params, config, schema)
         # the schema section runs from field 0's name to the first tensor's rank
         end = len(data) - 4 - sum(4 * (1 + t.ndim) + 4 * t.size for _, t in named_tensors(params))
-        assert struct.unpack_from("<II", data, end) == (2, 3)  # embeddings[0], 3 x 4
+        assert struct.unpack_from("<III", data, end) == (2, 6, 2)  # embeddings[0], 6 x 2
         for cut in range(NAME_AT, end + 1):
             with pytest.raises(TruncatedCheckpointError, match="^checkpoint truncated: "):
                 parse_checkpoint(data[:cut])
+        long_at = data.index(struct.pack("<I", 300)) + 4
+        with pytest.raises(TruncatedCheckpointError, match=rf"^checkpoint truncated: needed 300 "
+                                                           rf"bytes at offset {long_at}, file "
+                                                           rf"has {long_at + 151}$"):
+            parse_checkpoint(data[:long_at + 151])  # inside the second byte of an "é"
 
     def test_corrupt_vocab_size_is_refused_before_decoding(self):
         # field 0 claims 2**32 - 1 tokens: more than the bytes left could hold
