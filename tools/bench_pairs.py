@@ -12,7 +12,7 @@ median and quartiles of each side and the number of pairs in which the
 change is lower.
 
     python tools/bench_pairs.py --workload online --pairs 10 --first-seed 5001 \\
-        --base 2f5c653
+        --base HEAD~1
 """
 
 import argparse
@@ -34,7 +34,7 @@ def git(*args) -> str:
 
 
 def build(rev: str) -> tuple[str, str]:
-    """A tree of ``rev`` from git archive, byte-compiled; returns (sha, path)."""
+    """A tree of ``rev`` from git archive, made once per sha; returns (sha, path)."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     path = os.path.join(BUILD_DIR, sha[:12])
     if not os.path.isdir(path):
@@ -115,7 +115,9 @@ def main(argv=None) -> int:
     entry = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
              "workload": args.workload, "seconds": args.seconds, "trace": 0,
              "base": {"rev": args.base, "sha": base_sha}, "change": change,
-             "nproc": os.cpu_count(), "cpus_allowed": len(os.sched_getaffinity(0)),
+             "nproc": os.cpu_count(),
+             "cpus_allowed": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count(),
              "blas_threads": sorted({r["blas_threads"] for v in runs.values() for r in v},
                                     key=str),
              "seeds": seeds, "metrics": summary(runs["base"], runs["change"]), "runs": runs}
