@@ -137,11 +137,11 @@ class TestVocabCodec:
     def test_round_trip_keeps_every_token_and_id(self):
         params, config, schema = self.state()
         data = checkpoint_bytes(params, config, schema)
-        _, _, loaded = parse_checkpoint(data)
-        assert loaded.vocabs == schema.vocabs
-        for vocab in loaded.vocabs:  # read in id order
+        loaded = parse_checkpoint(data)
+        assert loaded[2].vocabs == schema.vocabs
+        for vocab in loaded[2].vocabs:  # read in id order
             assert list(vocab.values()) == list(range(len(vocab)))
-        assert checkpoint_bytes(*parse_checkpoint(data)) == data
+        assert checkpoint_bytes(*loaded) == data
 
 
 class TestErrorTaxonomy:
