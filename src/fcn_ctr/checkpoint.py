@@ -70,19 +70,6 @@ class FormatError(CheckpointError):
     """Bytes that decode to something no valid checkpoint holds."""
 
 
-def _vocab_bytes(vocab: dict[str, int]) -> np.ndarray:
-    """The tokens in id order, each as its u32 byte length and then its UTF-8
-    bytes: the lengths and the joined tokens are interleaved in one array."""
-    tokens = list(map(str.encode, sorted(vocab, key=vocab.get)))
-    lengths = np.fromiter(map(len, tokens), "<u4", len(tokens))
-    runs = np.column_stack([np.full(len(tokens), 4), lengths]).ravel()
-    is_token = np.repeat(np.tile([False, True], len(tokens)), runs)
-    out = np.empty(is_token.size, np.uint8)
-    out[is_token] = np.frombuffer(b"".join(tokens), np.uint8)
-    out[~is_token] = lengths.view(np.uint8)
-    return out
-
-
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
                      schema: FeatureSchema) -> bytes:
     parts = [MAGIC, _U32.pack(VERSION),
@@ -94,7 +81,8 @@ def checkpoint_bytes(params: ModelParams, config: ModelConfig,
         name = spec.name.encode("utf-8")
         parts += [_U32.pack(len(name)), name,
                   struct.pack("<3I", FIELD_KINDS.index(spec.kind), spec.min_count, len(vocab)),
-                  _vocab_bytes(vocab)]
+                  b"".join(_U32.pack(len(tok)) + tok
+                           for tok in map(str.encode, sorted(vocab, key=vocab.get)))]
 
     for name, tensor in named_tensors(params):
         with np.errstate(over="ignore"):

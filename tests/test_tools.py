@@ -8,6 +8,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TOOLS = os.path.join(ROOT, "tools")
 
@@ -72,6 +74,10 @@ def test_golden_fixtures_regenerate_byte_identical(tmp_path):
 
 def test_bench_pairs_appends_an_entry(tmp_path):
     # one A/A pair of the cheapest workload: HEAD, built from git archive, on both sides
+    head = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    if head.returncode != 0:
+        pytest.skip("bench_pairs builds both sides from git history; this tree has none")
     record = tmp_path / "BENCH_verify.json"
     record.write_text('[{"earlier": "entry"}]\n')
     subprocess.run([sys.executable, os.path.join(TOOLS, "bench_pairs.py"),
@@ -81,7 +87,9 @@ def test_bench_pairs_appends_an_entry(tmp_path):
                    capture_output=True, text=True, timeout=300, check=True)
     earlier, entry = json.loads(record.read_text())
     assert earlier == {"earlier": "entry"}
-    assert entry["base"]["sha"] == entry["change"]["sha"]
+    assert entry["base"] == entry["change"] == {"rev": "HEAD", "sha": head.stdout.strip()}
+    # both trees are built beside the record, not in the checkout
+    assert os.listdir(tmp_path / ".bench_build") == [head.stdout[:12]]
     assert entry["seeds"] == [1000] and entry["blas_threads"] == [1]
     assert entry["nproc"] >= 1
     assert set(entry["metrics"]) == {"setup_s", "peak_rss_mb", "round_ms_p10"}

@@ -1,15 +1,14 @@
 """Alternating parent/change pairs of the benchmark, kept as a performance record.
 
-Builds the parent revision with ``git archive`` into ``.bench_build/<sha>/``,
-then runs N pairs of the unchanged ``perfbench/run.py --trace 0``, one seed a
-pair: the parent and the change on the same seed, the side that goes first
-alternating from pair to pair. The change is this checkout's working tree, or
-a second revision built the same way. One entry is appended to
-``BENCH_<workload>.json`` (a JSON list, at the root of the checkout unless
-``--out`` names a directory). It holds the shas, the CPU count, the BLAS
-threads and the seeds, every run's end-to-end metrics, and per metric the
-median and quartiles of each side and the number of pairs in which the
-change is lower.
+Builds both revisions, the parent and the change (by default HEAD), with
+``git archive`` into ``.bench_build/<sha>/`` beside the record, then runs N
+pairs of the unchanged ``perfbench/run.py --trace 0``, one seed a pair: the
+parent and the change on the same seed, the side that goes first alternating
+from pair to pair. One entry is appended to ``BENCH_<workload>.json`` (a JSON
+list, at the root of the checkout unless ``--out`` names a directory). It
+holds the shas, the CPU count, the BLAS threads and the seeds, every run's
+end-to-end metrics, and per metric the median and quartiles of each side and
+the number of pairs in which the change is lower. Commit the change first:
 
     python tools/bench_pairs.py --workload online --pairs 10 --first-seed 5001 \\
         --base HEAD~1
@@ -25,7 +24,6 @@ import sys
 import numpy as np
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-BUILD_DIR = os.path.join(ROOT, ".bench_build")
 
 
 def git(*args) -> str:
@@ -33,10 +31,10 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def build(rev: str) -> tuple[str, str]:
+def build(rev: str, build_dir: str) -> tuple[str, str]:
     """A tree of ``rev`` from git archive, made once per sha; returns (sha, path)."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    path = os.path.join(BUILD_DIR, sha[:12])
+    path = os.path.join(build_dir, sha[:12])
     if not os.path.isdir(path):
         partial = f"{path}.partial-{os.getpid()}"
         os.makedirs(partial)
@@ -88,19 +86,15 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, required=True,
                     help="pair i runs seed first-seed + i on both sides")
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--base", default="HEAD", help="git revision of the parent")
-    ap.add_argument("--change", help="git revision of the change; default the working tree")
-    ap.add_argument("--out", default=ROOT, help="directory of BENCH_<workload>.json")
+    ap.add_argument("--base", default="HEAD~1", help="git revision of the parent")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change")
+    ap.add_argument("--out", default=ROOT,
+                    help="directory of BENCH_<workload>.json and of the .bench_build trees")
     args = ap.parse_args(argv)
 
-    base_sha, base_path = build(args.base)
-    if args.change is None:
-        change = {"rev": "working tree", "sha": git("rev-parse", "HEAD"),
-                  "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
-        change_path = ROOT
-    else:
-        sha, change_path = build(args.change)
-        change = {"rev": args.change, "sha": sha, "dirty": False}
+    build_dir = os.path.join(args.out, ".bench_build")
+    base_sha, base_path = build(args.base, build_dir)
+    change_sha, change_path = build(args.change, build_dir)
     for path in {base_path, change_path}:
         compile_tree(path)
 
@@ -114,7 +108,8 @@ def main(argv=None) -> int:
 
     entry = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
              "workload": args.workload, "seconds": args.seconds, "trace": 0,
-             "base": {"rev": args.base, "sha": base_sha}, "change": change,
+             "base": {"rev": args.base, "sha": base_sha},
+             "change": {"rev": args.change, "sha": change_sha},
              "nproc": os.cpu_count(),
              "cpus_allowed": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count(),
