@@ -35,7 +35,8 @@ import zlib
 
 import numpy as np
 
-from fcn_ctr.features import DISCRETIZE_MODES, FIELD_KINDS, FeatureSchema, FieldSpec
+from fcn_ctr.features import (DISCRETIZE_MODES, FIELD_KINDS, FeatureSchema, FieldSpec,
+                              atomic_open)
 from fcn_ctr.model import (MASK_MODES, ModelConfig, ModelParams, dense_layout,
                            layer_views, named_tensors)
 
@@ -71,37 +72,46 @@ class FormatError(CheckpointError):
 
 
 def checkpoint_bytes(params: ModelParams, config: ModelConfig,
-                     schema: FeatureSchema) -> bytes:
+                     schema: FeatureSchema) -> bytearray:
+    """The file, written into one buffer sized up front: each tensor is cast straight
+    into its float32 view of the buffer, so the file is held once."""
     parts = [MAGIC, _U32.pack(VERSION),
              _CONFIG.pack(schema.num_fields, config.d, config.lcn_depth, config.ecn_depth,
                           MASK_MODES.index(config.mask_mode), config.dropout_rate,
                           config.ln_epsilon, DISCRETIZE_MODES.index(schema.discretize))]
-
     for spec, vocab in zip(schema.fields, schema.vocabs):
         name = spec.name.encode("utf-8")
         parts += [_U32.pack(len(name)), name,
                   struct.pack("<3I", FIELD_KINDS.index(spec.kind), spec.min_count, len(vocab)),
                   b"".join(_U32.pack(len(tok)) + tok
                            for tok in map(str.encode, sorted(vocab, key=vocab.get)))]
+    tensors = [(name, tensor, struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
+               for name, tensor in named_tensors(params)]
 
-    for name, tensor in named_tensors(params):
+    data = bytearray(sum(map(len, parts)) + sum(len(h) + 4 * t.size for _, t, h in tensors) + 4)
+    pos = 0
+    for part in parts:
+        data[pos:pos + len(part)] = part
+        pos += len(part)
+    for name, tensor, header in tensors:
+        data[pos:pos + len(header)] = header
+        pos += len(header)
+        stored = np.frombuffer(data, "<f4", tensor.size, pos).reshape(tensor.shape)
         with np.errstate(over="ignore"):
-            stored = np.ascontiguousarray(tensor, dtype="<f4")
+            np.copyto(stored, tensor)
         if not np.isfinite(stored).all():
             raise ValueError(f"cannot save tensor {name}: a value is not finite as float32")
-        parts += [struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape), stored]
-
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    parts.append(_U32.pack(crc))
-    return b"".join(parts)
+        pos += stored.nbytes
+    _U32.pack_into(data, pos, zlib.crc32(memoryview(data)[:pos]))
+    return data
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     schema: FeatureSchema) -> None:
+    """Write the checkpoint to ``path`` through a temporary file beside it, so that
+    a failed write leaves what was there before."""
     data = checkpoint_bytes(params, config, schema)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(data)
 
 

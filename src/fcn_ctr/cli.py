@@ -131,7 +131,7 @@ def cmd_predict(args) -> int:
     params, config, schema = ckpt.load_checkpoint(args.checkpoint)
     batch = _load_labeled_csv(args.input, schema, require_labels=False)
     y, y_deep, y_shallow = training.predict_scores(batch, params, config)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with features.atomic_open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write("y_hat,y_hat_deep,y_hat_shallow\n")
         for a, b, c in zip(y, y_deep, y_shallow):
             fh.write(f"{_float_token(a)},{_float_token(b)},{_float_token(c)}\n")

@@ -8,10 +8,14 @@ with id 0 reserved for out-of-vocabulary values in every field.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import itertools
 import math
 import operator
+import os
+import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -70,6 +74,14 @@ class FeatureSchema:
     def num_fields(self) -> int:
         return len(self.fields)
 
+    @functools.cached_property
+    def reader(self) -> tuple:
+        """(an itemgetter of every field's value and the first field's again, so that it
+        returns a tuple for one field too; the indices of the numeric fields): how
+        ``_columns`` reads records, made on first use."""
+        get = operator.itemgetter(*(spec.name for spec in self.fields), self.fields[0].name)
+        return get, [j for j, spec in enumerate(self.fields) if spec.kind == "numeric"]
+
 
 @dataclass
 class EncodedBatch:
@@ -110,25 +122,24 @@ def discretize_numeric(raw, mode: str = "lnsq") -> str:
     return str(math.floor(math.log2(x)))
 
 
-def _columns(records: list[dict], specs: list[FieldSpec], discretize: str | None):
-    """Per chunk of records, in order, each field's tokens; a missing field is a DataError,
-    a categorical None stays None (OOV). With ``discretize`` None a numeric field yields
-    its raw values. A chunk's records are read once for all fields: a pass per field
-    missed the cache on shuffled records, one over all records held them all."""
-    if not specs:
+def _columns(records: list[dict], schema: FeatureSchema, raw: bool = False):
+    """Per chunk of records, in order, each of the schema's fields' tokens; a missing field
+    is a DataError, a categorical None stays None (OOV). With ``raw`` a numeric field
+    yields its raw values. A chunk's records are read once for all fields: a pass per
+    field missed the cache on shuffled records, one over all records held them all."""
+    if not schema.fields:
         return
-    # itemgetter of two or more keys returns a tuple: the first field is read twice
-    get = operator.itemgetter(*(spec.name for spec in specs), specs[0].name)
+    get, numeric = schema.reader
     for lo in range(0, len(records), 1024):
         try:
-            columns = list(zip(*map(get, records[lo:lo + 1024])))
+            *columns, _ = zip(*map(get, records[lo:lo + 1024]))
         except KeyError:
             idx, name = next((lo + i, spec.name) for i, record in enumerate(records[lo:])
-                             for spec in specs if spec.name not in record)
+                             for spec in schema.fields if spec.name not in record)
             raise DataError(f"record {idx}: missing field {name!r}") from None
-        yield [map(discretize_numeric, column, itertools.repeat(discretize))
-               if discretize and spec.kind == "numeric" else column
-               for spec, column in zip(specs, columns)]
+        for j in () if raw else numeric:
+            columns[j] = map(discretize_numeric, columns[j], itertools.repeat(schema.discretize))
+        yield columns
 
 
 def build_schema(records: list[dict], field_specs: list[FieldSpec],
@@ -147,11 +158,11 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
     if discretize not in DISCRETIZE_MODES:
         raise ValueError(f"unknown discretize mode {discretize!r}")
 
+    schema = FeatureSchema(list(field_specs), [], discretize)
     columns = [Counter() for _ in field_specs]  # a Counter keeps first-seen order
-    for chunk in _columns(records, field_specs, None):
+    for chunk in _columns(records, schema, raw=True):
         for counts, values in zip(columns, chunk):
             counts.update(values)
-    vocabs: list[dict[str, int]] = []
     for spec, counts in zip(field_specs, columns):
         if spec.kind == "numeric":  # each distinct raw value is discretized once
             tokens = Counter()
@@ -160,8 +171,8 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
             counts = tokens
         kept = [tok for tok, count in counts.items()
                 if count >= spec.min_count and tok not in (OOV_TOKEN, None)]
-        vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0
-    return FeatureSchema(list(field_specs), vocabs, discretize)
+        schema.vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0
+    return schema
 
 
 def parse_label(raw, row_number: int) -> int:
@@ -181,10 +192,11 @@ def encode(records: list[dict], schema: FeatureSchema,
     1-based data rows (the header is row 1).
     """
     n, f = len(records), schema.num_fields
-    rows = itertools.chain.from_iterable(zip(*chunk) for chunk in
-                                         _columns(records, schema.fields, schema.discretize))
-    ids = np.fromiter(itertools.chain.from_iterable(map(
-        dict.get, schema.vocabs, row, itertools.repeat(OOV_ID)) for row in rows), np.int64, n * f)
+    # every record's tokens, row after row, each looked up in its field's vocab
+    tokens = itertools.chain.from_iterable(itertools.chain.from_iterable(
+        zip(*columns) for columns in _columns(records, schema)))
+    ids = np.fromiter(map(dict.get, itertools.cycle(schema.vocabs), tokens,
+                          itertools.repeat(OOV_ID)), np.int64, n * f)
     has_labels = require_labels or (n > 0 and LABEL_COLUMN in records[0])
     labels = np.zeros(n, dtype=np.int64) if has_labels else None
     for idx, record in enumerate(records if has_labels else []):
@@ -283,6 +295,23 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
                 raise DataError(f"{path}: row {reader.line_num}: wrong number of columns")
             records.append(row)
     return columns, records
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """A file opened for writing under a new name beside ``path``, which replaces
+    ``path`` once the block ends without an exception; on an exception it is removed
+    and ``path`` keeps what it held."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path, columns: list[str], records: list[dict]) -> None:

@@ -162,6 +162,13 @@ class ModelParams:
         depth = min(len(self.lcn_layers), len(self.ecn_layers))
         return layer_views(windows[::step], self.width, depth, 0)[0]
 
+    @functools.cached_property
+    def id_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each field's size as uint64, 2 * offsets + [[0], [1]]): what ``embed_reshape``
+        checks ids against and adds twice each id to, for each (view, field)'s row of
+        the table seen as (2 * rows, d/2) halves. Built on first use, like ``stacked``."""
+        return self.sizes.astype(np.uint64), 2 * self.offsets + np.arange(2)[:, None]
+
     @property
     def num_fields(self) -> int:
         return len(self.embeddings)
@@ -350,18 +357,18 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
     n, fields = ids.shape
     if fields != f:
         raise ValueError(f"expected {f} fields, got {fields}")
-    if n:
-        # checked per field: past its field's end, an id is the next field's row
-        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= params.sizes)
-        if bad.any():
-            j = int(bad.argmax())
-            raise ValueError(f"field {j}: id out of range [0, {params.sizes[j]}) in batch")
+    # checked per field, as past its field's end an id is the next field's row; one
+    # unsigned compare, in which a negative id wraps past every size
+    sizes, base = params.id_gather
+    bad = np.greater_equal(ids, sizes, signature=(np.uint64, np.uint64, bool), casting="unsafe")
+    if np.count_nonzero(bad):
+        j = int(bad.any(axis=0).argmax())
+        raise ValueError(f"field {j}: id out of range [0, {params.sizes[j]}) in batch")
     x1 = np.empty((*lead, n, f * d)) if out is None else out
     # the table seen as (2 * rows, d/2) halves, x1 as (row, view, field, d/2): one
     # take fills x1 in place (mode "clip", as the ids are checked: "raise" copies)
-    halves = 2 * (ids + params.offsets)[:, None, :] + np.arange(2)[:, None]
-    np.take(params.table.reshape(*lead, -1, half), halves, axis=-2,
-            out=x1.reshape(*lead, n, 2, f, half), mode="clip")
+    params.table.reshape(*lead, -1, half).take(2 * ids[:, None, :] + base, axis=-2,
+                                              out=x1.reshape(*lead, n, 2, f, half), mode="clip")
     return x1
 
 
@@ -546,7 +553,8 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
     """(x_ecn, x_lcn) in inference, bitwise as ``_branch_forward`` gives them: the
     shared-depth layers run on stacks of [lcn, ecn] inputs against the anchors
     [x1, ecn input], then the deeper branch finishes alone."""
-    x = anchor = np.stack((x1, x1))
+    x = anchor = np.empty((2, *x1.shape))
+    anchor[:] = x1
     for layer in params.stacked:
         x, _ = cross_layer_forward(x, anchor, layer, config.mask_mode, config.ln_epsilon,
                                    want_trace=False)
@@ -590,11 +598,14 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
                                     want_trace, lcn_ws),
             _parallel(x1.size))
 
-    heads = params.heads
-    z_deep = np.matmul(x_ecn, heads.w_deep[..., None])[..., 0] + heads.b_deep
-    z_shallow = np.matmul(x_lcn, heads.w_shallow[..., None])[..., 0] + heads.b_shallow
-    y_deep = sigmoid(z_deep)
-    y_shallow = sigmoid(z_shallow)
+    # the heads' logits, deep then shallow, as one stack: one sigmoid and one fusion
+    heads, z = params.heads, np.empty((2, *x_ecn.shape[:-1]))
+    z_deep, z_shallow = z
+    np.matmul(x_ecn, heads.w_deep[..., None], out=z_deep[..., None])
+    np.matmul(x_lcn, heads.w_shallow[..., None], out=z_shallow[..., None])
+    z_deep += heads.b_deep
+    z_shallow += heads.b_shallow
+    y_deep, y_shallow = sigmoid(z)
     y = 0.5 * (y_deep + y_shallow)
 
     trace = None

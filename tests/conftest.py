@@ -1,7 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import builtins
+
+import numpy as np
 import pytest
 
+import fcn_ctr.features as features_mod
+from fcn_ctr.features import FieldSpec
 import fcn_ctr.verification as verification_mod
 
 
@@ -18,3 +23,62 @@ def flip_bias_gradient(monkeypatch):
         return grads
 
     return lambda: monkeypatch.setattr(verification_mod, "backward", flipped)
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Files that ``features`` opens for writing write half of their first write's
+    data, then raise ``OSError`` (a disk that fills up partway through a save)."""
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def fake_open(path, mode="r", **kwargs):
+        fh = builtins.open(path, mode, **kwargs)
+        return HalfWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(features_mod, "open", fake_open, raising=False)
+
+
+CRITEO_NUMERIC = ("I1", "I2", "I3")
+CRITEO_CATEGORICAL = ("C1", "C2", "C3", "C4", "C5")
+
+
+@pytest.fixture
+def criteo_shaped():
+    """``make(n, seed)``: n raw records shaped like Criteo's columns, with a label:
+    heavy-tailed integer counts with 10% empty and a few ``nan``, ``1e400``
+    (inf as a float) and ``2.5e3`` cells, and Zipf-skewed hashed categoricals;
+    and their field specs, under which a categorical token seen once is OOV."""
+
+    def make(n: int, seed: int) -> tuple[list[dict], list[FieldSpec]]:
+        g = np.random.default_rng(seed)
+        columns = {}
+        for j, name in enumerate(CRITEO_NUMERIC):
+            cells = np.floor(g.lognormal(1.0 + j, 1.5, n)).astype(np.int64).astype(str)
+            cells = cells.astype(object)
+            cells[g.random(n) < 0.1] = ""
+            for odd in ("nan", "1e400", "2.5e3"):
+                cells[g.random(n) < 0.01] = odd
+            columns[name] = cells
+        for j, name in enumerate(CRITEO_CATEGORICAL):
+            ranks = g.zipf(1.2, n) % 5000
+            columns[name] = np.char.mod("%08x", ranks * 2654435761 % (1 << 32) + j).astype(object)
+        columns["label"] = (g.random(n) < 0.25).astype(np.int64).astype(str).astype(object)
+        specs = ([FieldSpec(name, "numeric") for name in CRITEO_NUMERIC]
+                 + [FieldSpec(name, min_count=2) for name in CRITEO_CATEGORICAL])
+        return [dict(zip(columns, row)) for row in zip(*columns.values())], specs
+
+    return make

@@ -1,6 +1,7 @@
 """Checkpoint serialization: round trips, error taxonomy, golden file."""
 
 import hashlib
+import os
 import struct
 import tracemalloc
 import zlib
@@ -87,6 +88,31 @@ class TestRoundTrip:
             tracemalloc.stop()
         assert loaded[0].table.nbytes == 2 * rows * d * 8
         assert peak - kept < 0.5 * len(data), (peak - kept, len(data))
+
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, failing_writes):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"the checkpoint from before")
+        with pytest.raises(OSError, match="No space left on device"):
+            save_checkpoint(path, *sample_state())
+        assert path.read_bytes() == b"the checkpoint from before"
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_writer_holds_the_file_once(self):
+        # the float32 payloads are cast into one preallocated buffer: a save
+        # allocates about the file once, where a list of parts and their join took two
+        rows, d = 20_000, 64
+        config = ModelConfig(d=d, lcn_depth=1, ecn_depth=1)
+        params = init_model_params(config, [rows] * 2, 1)
+        vocab = {OOV_TOKEN: 0, **{str(i): i for i in range(1, rows)}}
+        schema = FeatureSchema([FieldSpec("a"), FieldSpec("b")], [vocab] * 2, "lnsq")
+        tracemalloc.start()
+        try:
+            data = checkpoint_bytes(params, config, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data), (peak, len(data))
 
 
 def reference_bytes(params, config, schema) -> bytes:

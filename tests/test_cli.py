@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import inspect
+import os
 import typing
 import warnings
 import struct
@@ -255,6 +256,16 @@ class TestNonFiniteParameters:
                    "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
         assert "heads.b_shallow" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_failed_predict_write_keeps_the_old_file(tmp_path, failing_writes, capsys):
+    out = tmp_path / "preds.csv"
+    out.write_text("the predictions from before\n")
+    assert run("predict", "--checkpoint", str(GOLDEN_DIR / "model.ckpt"),
+               "--input", str(GOLDEN_DIR / "inputs.csv"), "--output", str(out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "the predictions from before\n"
+    assert os.listdir(tmp_path) == ["preds.csv"]
 
 
 class TestNonFiniteScores:

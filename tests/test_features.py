@@ -174,6 +174,26 @@ class TestEncode:
         batch = encode([], schema, require_labels=False)
         assert batch.ids.shape == (0, 2) and batch.ids.dtype == np.int64
 
+    def test_one_record_encode_equals_bulk(self, criteo_shaped):
+        # the online request path: OOV tokens, empty, nan and 1e400 numerics included
+        records, specs = criteo_shaped(2000, seed=5)
+        schema = build_schema(records[:1000], specs)
+        bulk = encode(records, schema, require_labels=False)
+        assert (bulk.ids == OOV_ID).any(axis=0).all()
+        for i, record in enumerate(records):
+            one = encode([record], schema, require_labels=False)
+            assert one.ids.shape == (1, len(specs)) and one.ids.dtype == np.int64
+            assert np.array_equal(one.ids[0], bulk.ids[i]), i
+            assert one.labels is not None and one.labels[0] == bulk.labels[i]
+            assert one.sizes == bulk.sizes == schema.sizes
+
+    def test_one_record_missing_field_message(self):
+        rows, schema = self.schema()
+        with pytest.raises(DataError, match=r"^record 0: missing field 'b'$"):
+            encode([{"a": "x", "label": "1"}], schema)
+        with pytest.raises(DataError, match=r"^record 0: missing field 'a'$"):
+            encode([{"label": "1"}], schema, require_labels=False)
+
     def test_optional_labels_for_prediction(self):
         rows, schema = self.schema()
         unlabeled = [{"a": "x", "b": "p"}]

@@ -11,14 +11,15 @@ import pytest
 
 import fcn_ctr.model as model_mod
 from fcn_ctr.checkpoint import checkpoint_bytes, parse_checkpoint
-from fcn_ctr.features import OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec
+from fcn_ctr.features import (OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec, build_schema,
+                              encode)
 from fcn_ctr.model import (BRANCHES, CrossLayerParams, HeadParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
                            field_importance, forward, forward_from_x1,
                            init_model_params, layer_views, named_tensors,
                            param_count, self_mask, sigmoid)
 from fcn_ctr.numerics import Rng, derive_seed
-from fcn_ctr.training import TrainConfig, init_adam_state, train_step
+from fcn_ctr.training import TrainConfig, init_adam_state, predict_scores, train_step
 
 
 def manual_params(embeddings, lcn=(), ecn=(), w_deep=None, w_shallow=None):
@@ -83,17 +84,24 @@ class TestEmbedReshape:
         assert x1.shape == expected.shape == (n, f * d)
         assert x1.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("field, bad", [(1, -1), (1, 5), (0, 3)],
-                             ids=["-1", "5", "field0-3"])
-    def test_out_of_range_names_field_and_range(self, field, bad):
+    LAYOUTS = {"int64": lambda ids: ids, "int32": lambda ids: ids.astype(np.int32),
+               "non-contiguous": lambda ids: np.repeat(ids, 2, axis=1)[:, ::2]}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("field, bad", [(1, -1), (1, 5), (0, 3), (0, -2**31)],
+                             ids=["-1", "5", "field0-3", "field0-huge-negative"])
+    def test_out_of_range_names_field_and_range(self, field, bad, layout):
         # in the one table, field 0's id 3 would be field 1's first row
-        params = manual_params([np.zeros((3, 4)), np.zeros((5, 4))])
+        params = manual_params([np.arange(12.0).reshape(3, 4), np.arange(20.0).reshape(5, 4)])
         ids = np.array([[0, 2], [1, 4]])
+        good = self.LAYOUTS[layout](ids.copy())
+        assert embed_reshape(good, params, d=4).tobytes() == \
+            self.concatenate_layout(ids, params, 4).tobytes()
         ids[1, field] = bad
         size = len(params.embeddings[field])
         with pytest.raises(ValueError,
                            match=rf"^field {field}: id out of range \[0, {size}\) in batch$"):
-            embed_reshape(ids, params, d=4)
+            embed_reshape(self.LAYOUTS[layout](ids), params, d=4)
 
 
 class TestSelfMask:
@@ -521,6 +529,42 @@ class TestFreshTracesOutsideTraining:
         for trace in traces:
             for ws in state.workspace:
                 self.assert_disjoint(trace_arrays(trace), ws.buffers.values())
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 4096])
+def test_sigmoid_of_a_logit_stack_equals_per_row_calls(n):
+    # the heads take one sigmoid over the (2, n) stack of both logits
+    z = Rng(n).standard_normal((2, n)) * 40.0
+    z.flat[:6] = [0.0, -0.0, np.inf, -np.inf, 750.0, -750.0][:z.size]
+    stacked = sigmoid(z)
+    for row in range(2):
+        assert stacked[row].tobytes() == sigmoid(z[row]).tobytes()
+
+
+class TestOneRowPath:
+    """The online request path: one raw record's ``encode``, then a batch-1 ``forward``
+    on the stacked path, against the batched offline scoring of the same records."""
+
+    @pytest.mark.parametrize("depths", [(3, 3), (3, 1), (0, 3)])
+    def test_one_row_scores_hold_the_batch_one_bits(self, depths, criteo_shaped, monkeypatch):
+        records, specs = criteo_shaped(2000, seed=8)
+        schema = build_schema(records[:1000], specs)
+        config = ModelConfig(lcn_depth=depths[0], ecn_depth=depths[1], seed=2)
+        params = init_model_params(config, schema.sizes, derive_seed(2, "init"))
+        one_row = np.empty((3, len(records)))
+        for i, record in enumerate(records):
+            request = {k: v for k, v in record.items() if k != "label"}
+            res = forward(encode([request], schema, require_labels=False), params, config)
+            one_row[:, i] = res.y[0], res.y_deep[0], res.y_shallow[0]
+        batch = encode(records, schema)
+        # one row at a time through predict_scores, then on the per-branch path
+        assert np.array(predict_scores(batch, params, config, 1)).tobytes() == one_row.tobytes()
+        monkeypatch.setattr(model_mod, "STACKED_MAX_ACTIVATIONS", -1)
+        assert np.array(predict_scores(batch, params, config, 1)).tobytes() == one_row.tobytes()
+        # at 4096 rows OpenBLAS's gemm sums the cross-layer and head products in
+        # another order than a one-row product does, so some scores move by an ulp
+        batched = np.array(predict_scores(batch, params, config, 4096))
+        np.testing.assert_allclose(one_row, batched, rtol=0, atol=1e-15)
 
 
 class TestStackedBranches:

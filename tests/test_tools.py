@@ -97,6 +97,10 @@ def test_bench_pairs_appends_an_entry(tmp_path):
         assert m["pairs"] == 1 and m["change_lower"] in (0, 1), name
         for side in ("base", "change"):
             assert 0 < m[side]["q1"] <= m[side]["median"] <= m[side]["q3"], name
+        # one pair: its change over base is every quartile of the per-pair change
+        (base,), (change,) = (entry["runs"][side] for side in ("base", "change"))
+        assert m["pair_change"] == pytest.approx(
+            dict.fromkeys(("q1", "median", "q3"), change[name] / base[name] - 1.0)), name
     for side in ("base", "change"):
         (run,) = entry["runs"][side]
         assert run["correct"] and run["failed"] == 0 and run["seed"] == 1000

@@ -7,8 +7,11 @@ parent and the change on the same seed, the side that goes first alternating
 from pair to pair. One entry is appended to ``BENCH_<workload>.json`` (a JSON
 list, at the root of the checkout unless ``--out`` names a directory). It
 holds the shas, the CPU count, the BLAS threads and the seeds, every run's
-end-to-end metrics, and per metric the median and quartiles of each side and
-the number of pairs in which the change is lower. Commit the change first:
+end-to-end metrics, and per metric the median and quartiles of each side, the
+change of the medians, the median and quartiles of the per-pair change (change
+over base, minus one: pairing cancels the speed a process happens to run at), and
+the number of pairs in which the change is lower. Entries written before the
+per-pair change have no ``pair_change``. Commit the change first:
 
     python tools/bench_pairs.py --workload online --pairs 10 --first-seed 5001 \\
         --base HEAD~1
@@ -71,10 +74,12 @@ def summary(base: list[dict], change: list[dict]) -> dict:
         name = metric["name"]
         a = np.array([r[name] for r in base])
         b = np.array([r[name] for r in change])
-        sides = {side: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
-                 for side, v in (("base", a), ("change", b))}
-        out[name] = {"unit": metric["unit"], "better": metric["better"], **sides,
-                     "median_change": sides["change"]["median"] / sides["base"]["median"] - 1.0,
+        quartiles = {side: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
+                     for side, v in (("base", a), ("change", b), ("pair_change", b / a - 1.0))}
+        pair_change = quartiles.pop("pair_change")
+        out[name] = {"unit": metric["unit"], "better": metric["better"], **quartiles,
+                     "median_change": quartiles["change"]["median"] / quartiles["base"]["median"] - 1.0,
+                     "pair_change": pair_change,
                      "change_lower": int(np.count_nonzero(b < a)), "pairs": len(a)}
     return out
 
@@ -126,8 +131,10 @@ def main(argv=None) -> int:
         json.dump(entries, fh, indent=1)
         fh.write("\n")
     for name, m in entry["metrics"].items():
+        pair = m["pair_change"]
         print(f"{name}: base {m['base']['median']:.6g} change {m['change']['median']:.6g} "
-              f"{m['unit']} ({m['median_change']:+.1%}), change lower in "
+              f"{m['unit']} ({m['median_change']:+.1%}; per pair {pair['median']:+.1%}, "
+              f"quartiles {pair['q1']:+.1%} {pair['q3']:+.1%}), change lower in "
               f"{m['change_lower']}/{m['pairs']} pairs")
     return 0
 
