@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 import os
-import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -302,8 +301,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """A file opened for writing under a new name beside ``path``, which replaces
     ``path`` once the block ends without an exception; on an exception it is removed
     and ``path`` keeps what it held."""
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
