@@ -297,7 +297,7 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
+def atomic_open(path, mode: str, **kwargs):
     """A file opened for writing under a new name beside ``path``, which replaces
     ``path`` once the block ends without an exception; on an exception it is removed
     and ``path`` keeps what it held."""

@@ -66,6 +66,10 @@ def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def quartiles(values: np.ndarray) -> dict:
+    return dict(zip(("q1", "median", "q3"), np.percentile(values, [25, 50, 75]).tolist()))
+
+
 def summary(base: list[dict], change: list[dict]) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)["end_to_end"]
@@ -74,12 +78,10 @@ def summary(base: list[dict], change: list[dict]) -> dict:
         name = metric["name"]
         a = np.array([r[name] for r in base])
         b = np.array([r[name] for r in change])
-        quartiles = {side: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
-                     for side, v in (("base", a), ("change", b), ("pair_change", b / a - 1.0))}
-        pair_change = quartiles.pop("pair_change")
-        out[name] = {"unit": metric["unit"], "better": metric["better"], **quartiles,
-                     "median_change": quartiles["change"]["median"] / quartiles["base"]["median"] - 1.0,
-                     "pair_change": pair_change,
+        out[name] = {"unit": metric["unit"], "better": metric["better"],
+                     "base": quartiles(a), "change": quartiles(b),
+                     "median_change": float(np.median(b) / np.median(a) - 1.0),
+                     "pair_change": quartiles(b / a - 1.0),
                      "change_lower": int(np.count_nonzero(b < a)), "pairs": len(a)}
     return out
 
