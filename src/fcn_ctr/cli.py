@@ -6,10 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
-
-import numpy as np
 
 from fcn_ctr import checkpoint as ckpt
 from fcn_ctr import features, model, training, verification
@@ -23,31 +22,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_token(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _detect_field_specs(columns, records, min_count):
-    """Fields whose every non-empty value parses as a finite number are
-    treated as numeric (and discretized); everything else is categorical."""
+    """Fields whose every non-blank value is a number (``features.parse_number``)
+    are treated as numeric (and discretized); everything else is categorical."""
     specs = []
     for name in columns:
-        if name == features.LABEL_COLUMN:
-            continue
-        numeric = True
-        for rec in records:
-            raw = (rec[name] or "").strip()
-            if raw == "":
-                continue
-            try:
-                v = float(raw)
-            except ValueError:
-                numeric = False
-                break
-            if not np.isfinite(v):
-                numeric = False
-                break
-        specs.append(FieldSpec(name, features.FIELD_KINDS[numeric], min_count))
+        if name != features.LABEL_COLUMN:
+            numeric = all(features.parse_number(v) is not None
+                          for v in map(operator.itemgetter(name), records) if v.strip())
+            specs.append(FieldSpec(name, features.FIELD_KINDS[numeric], min_count))
     if not specs:
         raise DataError("no feature columns found (only the label column present)")
     return specs
@@ -66,30 +49,19 @@ def cmd_synth(args) -> int:
     records, truth = features.synth_interaction_data(
         args.fields, args.cardinality, args.order, args.rows, rng)
     columns = [f"f{j}" for j in range(args.fields)] + [features.LABEL_COLUMN]
+
+    parts = features.split_indices(len(records), (0.8, 0.1, 0.1),
+                                   Rng(derive_seed(args.seed, "split")))
     os.makedirs(args.out, exist_ok=True)
+    for name, index in zip(("train.csv", "valid.csv", "test.csv"), parts):
+        features.write_csv(os.path.join(args.out, name), columns, [records[i] for i in index])
 
-    n = len(records)
-    split_rng = Rng(derive_seed(args.seed, "split"))
-    perm = split_rng.permutation(n)
-    hi_train = int(round(0.8 * n))
-    hi_valid = int(round(0.9 * n))
-    parts = {
-        "train.csv": perm[:hi_train],
-        "valid.csv": perm[hi_train:hi_valid],
-        "test.csv": perm[hi_valid:],
-    }
-    for name, index in parts.items():
-        if index.size == 0:
-            raise DataError(f"synth split produced an empty {name}; use more rows")
-        features.write_csv(os.path.join(args.out, name),
-                           columns, [records[i] for i in index])
-
-    with open(os.path.join(args.out, "latents.txt"), "w", encoding="utf-8") as fh:
+    with features.atomic_open(os.path.join(args.out, "latents.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"order {truth['order']}\nnoise {truth['noise']}\n")
         for fname, mapping in truth["latents"].items():
             for token, value in mapping.items():
                 fh.write(f"{fname} {token} {value:+d}\n")
-    print(f"wrote {hi_train}/{hi_valid - hi_train}/{n - hi_valid} rows to {args.out}")
+    print(f"wrote {'/'.join(str(len(index)) for index in parts)} rows to {args.out}")
     return 0
 
 
@@ -131,10 +103,8 @@ def cmd_predict(args) -> int:
     params, config, schema = ckpt.load_checkpoint(args.checkpoint)
     batch = _load_labeled_csv(args.input, schema, require_labels=False)
     y, y_deep, y_shallow = training.predict_scores(batch, params, config)
-    with features.atomic_open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write("y_hat,y_hat_deep,y_hat_shallow\n")
-        for a, b, c in zip(y, y_deep, y_shallow):
-            fh.write(f"{_float_token(a)},{_float_token(b)},{_float_token(c)}\n")
+    features.write_float_table(args.output, ["y_hat", "y_hat_deep", "y_hat_shallow"],
+                               zip(y, y_deep, y_shallow))
     print(f"wrote {batch.n} predictions to {args.output}")
     return 0
 
@@ -149,18 +119,11 @@ def cmd_inspect(args) -> int:
     names = schema.field_names
     os.makedirs(args.out, exist_ok=True)
 
-    def write_vector(filename, header, values):
-        with open(os.path.join(args.out, filename), "w", encoding="utf-8") as fh:
-            fh.write(f"field,{header}\n")
-            for name, v in zip(names, values):
-                fh.write(f"{name},{_float_token(v)}\n")
-
-    write_vector("cross_strength.csv", "strength", strengths)
-    write_vector("mask_sparsity.csv", "sparsity", sparsity)
-    with open(os.path.join(args.out, "pair_importance.csv"), "w", encoding="utf-8") as fh:
-        fh.write("field," + ",".join(names) + "\n")
-        for name, row in zip(names, pair):
-            fh.write(name + "," + ",".join(_float_token(v) for v in row) + "\n")
+    for filename, header, table in (("cross_strength.csv", ["strength"], strengths[:, None]),
+                                    ("mask_sparsity.csv", ["sparsity"], sparsity[:, None]),
+                                    ("pair_importance.csv", names, pair)):
+        features.write_float_table(os.path.join(args.out, filename), ["field", *header],
+                                   table, names)
     print(f"wrote field importance for {args.branch} layer {args.layer} to {args.out}")
     return 0
 

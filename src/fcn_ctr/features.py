@@ -99,6 +99,17 @@ class EncodedBatch:
         return EncodedBatch(self.ids[index], labels, self.sizes)
 
 
+def parse_number(raw) -> float | None:
+    """The finite float a raw value holds, else None: what counts as a number, both
+    when a column is detected as numeric and when a numeric value is discretized.
+    ``float`` syntax applies, surrounding whitespace included."""
+    try:
+        x = float(raw)
+    except (TypeError, ValueError):
+        return None
+    return x if math.isfinite(x) else None
+
+
 def discretize_numeric(raw, mode: str = "lnsq") -> str:
     """Bucket one raw numeric value into a token.
 
@@ -108,11 +119,8 @@ def discretize_numeric(raw, mode: str = "lnsq") -> str:
     """
     if mode not in DISCRETIZE_MODES:
         raise ValueError(f"unknown discretize mode {mode!r}")
-    try:
-        x = float(raw)
-    except (TypeError, ValueError):
-        return OOV_TOKEN
-    if not math.isfinite(x):
+    x = parse_number(raw)
+    if x is None:
         return OOV_TOKEN
     if x <= 2.0:
         return "1"
@@ -205,8 +213,8 @@ def encode(records: list[dict], schema: FeatureSchema,
     return EncodedBatch(ids.reshape(n, f), labels, schema.sizes)
 
 
-def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
-    """Shuffle rows under ``rng`` and cut them into disjoint parts.
+def split_indices(n: int, fractions, rng: Rng) -> tuple[np.ndarray, ...]:
+    """Shuffle ``range(n)`` under ``rng`` and cut it into disjoint parts.
 
     Part sizes come from cumulative rounding of the fractions, so they cover
     every row exactly once. Raises if any part would be empty.
@@ -214,7 +222,6 @@ def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
     fractions = [float(x) for x in fractions]
     if any(x <= 0 for x in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be positive and sum to 1, got {fractions}")
-    n = batch.n
     perm = rng.permutation(n)
     bounds = [0]
     acc = 0.0
@@ -222,12 +229,15 @@ def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
         acc += frac
         bounds.append(int(round(acc * n)))
     bounds[-1] = n
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            raise DataError(f"split produced an empty part for fractions {fractions} on {n} rows")
-        parts.append(batch.rows(perm[lo:hi]))
-    return tuple(parts)
+    parts = tuple(perm[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    if any(part.size == 0 for part in parts):
+        raise DataError(f"split produced an empty part for fractions {fractions} on {n} rows")
+    return parts
+
+
+def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
+    """``batch``'s rows cut as ``split_indices`` cuts them."""
+    return tuple(batch.rows(index) for index in split_indices(batch.n, fractions, rng))
 
 
 def synth_interaction_data(num_fields: int, cardinality: int, order: int,
@@ -314,7 +324,18 @@ def atomic_open(path, mode: str, **kwargs):
 
 
 def write_csv(path, columns: list[str], records: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
+
+
+def write_float_table(path, header: list[str], rows, names=None) -> None:
+    """Write ``header``, then one line per row of floats in ``.17g``, which reads
+    back as the same float64, through ``atomic_open``; with ``names`` each line
+    starts with its row's name."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in enumerate(rows):
+            line = ",".join(f"{v:.17g}" for v in row)
+            fh.write(f"{line}\n" if names is None else f"{names[i]},{line}\n")

@@ -35,7 +35,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,13 +347,14 @@ def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Grad
                                         len(params.ecn_layers)), dense)
 
 
-def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
+def embed_reshape(ids: np.ndarray, params: ModelParams,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Look up field embeddings and lay them out as [a_1..a_f, b_1..b_f]:
     ids (n, f) give x1 (n, D), or (K, n, D) from a (K, rows, d) stack of
-    tables, written into ``out`` when given.
+    tables, written into ``out`` when given. d is the table's width.
     """
-    half, f, lead = d // 2, params.num_fields, params.table.shape[:-2]
+    *lead, rows, d = params.table.shape
+    half, f = d // 2, params.num_fields
     n, fields = ids.shape
     if fields != f:
         raise ValueError(f"expected {f} fields, got {fields}")
@@ -367,8 +368,8 @@ def embed_reshape(ids: np.ndarray, params: ModelParams, d: int,
     x1 = np.empty((*lead, n, f * d)) if out is None else out
     # the table seen as (2 * rows, d/2) halves, x1 as (row, view, field, d/2): one
     # take fills x1 in place (mode "clip", as the ids are checked: "raise" copies)
-    params.table.reshape(*lead, -1, half).take(2 * ids[:, None, :] + base, axis=-2,
-                                              out=x1.reshape(*lead, n, 2, f, half), mode="clip")
+    params.table.reshape(*lead, 2 * rows, half).take(
+        2 * ids[:, None, :] + base, axis=-2, out=x1.reshape(*lead, n, 2, f, half), mode="clip")
     return x1
 
 
@@ -566,14 +567,14 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
 
 
 def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
-                    training: bool = False, rng: Rng | None = None, want_trace: bool = False,
+                    training: bool = False, rng: Rng | None = None,
                     workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None
                     ) -> ForwardResult:
     """Run both cross branches and the fused heads from a prepared x1 batch.
 
-    A trace is captured in training mode, and without dropout when
-    ``want_trace``.
-    Small (n, D) batches without dropout or trace stack both branches
+    A trace is captured in training mode only; a config at dropout rate 0
+    traces without dropout.
+    Small (n, D) inference batches stack both branches
     (``_stacked_forward``), large ones run on two threads (``_both_branches``),
     all with the serial bits. Each branch draws its own dropout uniforms, one
     (n, D) draw a layer into that layer's output buffer, and keeps only a bool
@@ -584,18 +585,17 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     branches' arrays, and the trace then views it until the workspace's next
     use; by default every array is new.
     """
-    want_trace = want_trace or training
     rate = config.dropout_rate if training else 0.0
     ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
-    if x1.ndim == 2 and not (want_trace or rate) and x1.size <= STACKED_MAX_ACTIVATIONS:
+    if x1.ndim == 2 and not training and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
         ecn_rng = rng.split(len(params.ecn_layers) * x1.size) if rate and rng is not None else rng
         (x_ecn, ecn_traces), (x_lcn, lcn_traces) = _both_branches(
             lambda: _branch_forward(x1, None, params.ecn_layers, config, rate, ecn_rng,
-                                    want_trace, ecn_ws),
+                                    training, ecn_ws),
             lambda: _branch_forward(x1, x1, params.lcn_layers, config, rate, rng,
-                                    want_trace, lcn_ws),
+                                    training, lcn_ws),
             _parallel(x1.size))
 
     # the heads' logits, deep then shallow, as one stack: one sigmoid and one fusion
@@ -609,23 +609,22 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     y = 0.5 * (y_deep + y_shallow)
 
     trace = None
-    if want_trace:
+    if training:
         trace = ForwardTrace(x1, ecn_traces, lcn_traces, x_ecn, x_lcn,
                              z_deep, z_shallow, y_deep, y_shallow)
     return ForwardResult(y, y_deep, y_shallow, trace)
 
 
 def forward(batch, params: ModelParams, config: ModelConfig,
-            training: bool = False, rng: Rng | None = None, want_trace: bool = False,
+            training: bool = False, rng: Rng | None = None,
             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> ForwardResult:
     """Embed an encoded batch and run the network. See forward_from_x1. A params
     whose ``table`` is a (K, rows, d) stack and whose layers and heads are
     ``layer_views`` of a (K, P) stack of dense vectors runs K parameter sets at
     once: (K, n) outputs, slice k bitwise set k's own forward."""
     shape = (*params.table.shape[:-2], len(batch.ids), params.width)
-    x1 = embed_reshape(batch.ids, params, config.d,
-                       (workspace or (FRESH, FRESH))[1].take("x1", shape))
-    result = forward_from_x1(x1, params, config, training, rng, want_trace, workspace)
+    x1 = embed_reshape(batch.ids, params, (workspace or (FRESH, FRESH))[1].take("x1", shape))
+    result = forward_from_x1(x1, params, config, training, rng, workspace)
     if result.trace is not None:
         result.trace.ids = batch.ids
     return result
@@ -819,7 +818,8 @@ def field_importance(params: ModelParams, config: ModelConfig, batch,
         )
     if len(batch.ids) == 0:
         raise ValueError("field importance needs at least one row; the batch has none")
-    trace = forward(batch, params, config, want_trace=True).trace
+    # the training forward at dropout rate 0: inference, with its trace
+    trace = forward(batch, params, replace(config, dropout_rate=0.0), training=True).trace
     tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer_index]
 
     f, half, n = params.num_fields, config.d // 2, len(tr.c)

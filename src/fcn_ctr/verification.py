@@ -187,7 +187,7 @@ def degree_probe(ecn_depth: int, lcn_depth: int, seed: int = 0):
     def branch_values(npts: int, step: float):
         ts = step * (np.arange(npts) - (npts - 1) / 2.0)
         x1 = ts[:, None] * direction[None, :]
-        res = forward_from_x1(x1, params, config, training=False, want_trace=True)
+        res = forward_from_x1(x1, params, config, training=True)  # dropout 0: a trace, no draws
         return res.trace.z_deep, res.trace.z_shallow
 
     def measure(expected: int, pick) -> int:

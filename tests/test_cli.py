@@ -50,6 +50,14 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "config": config, "ckpt": ckpt}
 
 
+SYNTH_DIGESTS = {
+    "train.csv": "9f78f8b6f81acbe3a86f4bad82b60648afbda97dff3a8e8f3dfb1d4483203859",
+    "valid.csv": "02b331fd9c028dce6ff615a82a7621ce1b313b05d35a057eeeb4aa57ac4b1bc5",
+    "test.csv": "41be9c0bef44047afd78405e341df10a1d0ffb8a039f2307d6d4e5158565178d",
+    "latents.txt": "c87a8e70a60c9b1d242d9a6f8737e68e629d6d4a8e885579b7a6831f28114b9e",
+}
+
+
 class TestSynth:
     def test_row_counts_and_sidecar(self, tmp_path):
         out = tmp_path / "synth"
@@ -62,6 +70,13 @@ class TestSynth:
         assert sum(counts) == 200
         assert counts == [160, 20, 20]
         assert (out / "latents.txt").exists()
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # the row cut, the CSV writer and the latents writer, as the bytes they wrote
+        out = tmp_path / "synth"
+        assert run("synth", "--out", str(out), "--fields", "3", "--cardinality", "4",
+                   "--order", "2", "--rows", "200", "--seed", "3") == 0
+        assert {name: sha(out / name) for name in SYNTH_DIGESTS} == SYNTH_DIGESTS
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -266,6 +281,31 @@ def test_failed_predict_write_keeps_the_old_file(tmp_path, failing_writes, capsy
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_text() == "the predictions from before\n"
     assert os.listdir(tmp_path) == ["preds.csv"]
+
+
+def test_failed_synth_write_keeps_the_old_file(tmp_path, failing_writes, capsys):
+    out = tmp_path / "synth"
+    out.mkdir()
+    (out / "train.csv").write_text("the rows from before\n")
+    assert run("synth", "--out", str(out), "--fields", "3", "--cardinality", "4",
+               "--order", "2", "--rows", "200", "--seed", "3") == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "train.csv").read_text() == "the rows from before\n"
+    assert os.listdir(out) == ["train.csv"]
+
+
+def test_failed_inspect_write_keeps_the_old_files(tmp_path, failing_writes, capsys):
+    out = tmp_path / "views"
+    out.mkdir()
+    names = ["cross_strength.csv", "mask_sparsity.csv", "pair_importance.csv"]
+    for name in names:
+        (out / name).write_text(f"the {name} from before\n")
+    assert run("inspect", "--checkpoint", str(GOLDEN_DIR / "model.ckpt"),
+               "--data", str(GOLDEN_DIR / "inputs.csv"), "--out", str(out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    for name in names:
+        assert (out / name).read_text() == f"the {name} from before\n"
+    assert sorted(os.listdir(out)) == names
 
 
 class TestNonFiniteScores:

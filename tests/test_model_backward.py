@@ -60,7 +60,7 @@ class TestBackwardBasics:
         res, grads = run_backward(config, params, batch)
         report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
         gd, _ = tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report)
-        x1 = embed_reshape(batch.ids, params, config.d)
+        x1 = embed_reshape(batch.ids, params)
         expected = x1.T @ (gd * res.y_deep * (1.0 - res.y_deep))
         np.testing.assert_allclose(grads.heads.w_deep, expected, rtol=1e-12)
 

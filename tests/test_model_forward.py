@@ -2,6 +2,7 @@
 parameter accounting, and the field-wise importance views."""
 
 import copy
+import dataclasses
 import sys
 import threading
 import warnings
@@ -45,23 +46,23 @@ class TestEmbedReshape:
     def test_two_view_layout(self):
         # e1 = (1,2,3,4), e2 = (5,6,7,8): halves interleave by field
         params = manual_params([[[1, 2, 3, 4]], [[5, 6, 7, 8]]])
-        x1 = embed_reshape(np.array([[0, 0]]), params, d=4)
+        x1 = embed_reshape(np.array([[0, 0]]), params)
         np.testing.assert_array_equal(x1, [[1, 2, 5, 6, 3, 4, 7, 8]])
 
     def test_single_field_is_identity(self):
         params = manual_params([[[1.5, -2.0, 0.25, 9.0]]])
-        x1 = embed_reshape(np.array([[0]]), params, d=4)
+        x1 = embed_reshape(np.array([[0]]), params)
         np.testing.assert_array_equal(x1, [[1.5, -2.0, 0.25, 9.0]])
 
     def test_zero_embeddings(self):
         params = manual_params([np.zeros((3, 4)), np.zeros((2, 4))])
-        x1 = embed_reshape(np.array([[2, 1], [0, 0]]), params, d=4)
+        x1 = embed_reshape(np.array([[2, 1], [0, 0]]), params)
         np.testing.assert_array_equal(x1, np.zeros((2, 8)))
 
     def test_id_out_of_range(self):
         params = manual_params([np.zeros((3, 4))])
         with pytest.raises(ValueError, match="out of range"):
-            embed_reshape(np.array([[3]]), params, d=4)
+            embed_reshape(np.array([[3]]), params)
 
 
     @staticmethod
@@ -79,7 +80,7 @@ class TestEmbedReshape:
         rng = Rng(4)
         params = manual_params([rng.standard_normal((3 + j, d)) for j in range(f)])
         ids = np.stack([rng.integers(3 + j, size=n) for j in range(f)], axis=-1)
-        x1 = embed_reshape(ids, params, d)
+        x1 = embed_reshape(ids, params)
         expected = self.concatenate_layout(ids, params, d)
         assert x1.shape == expected.shape == (n, f * d)
         assert x1.tobytes() == expected.tobytes()
@@ -95,13 +96,13 @@ class TestEmbedReshape:
         params = manual_params([np.arange(12.0).reshape(3, 4), np.arange(20.0).reshape(5, 4)])
         ids = np.array([[0, 2], [1, 4]])
         good = self.LAYOUTS[layout](ids.copy())
-        assert embed_reshape(good, params, d=4).tobytes() == \
+        assert embed_reshape(good, params).tobytes() == \
             self.concatenate_layout(ids, params, 4).tobytes()
         ids[1, field] = bad
         size = len(params.embeddings[field])
         with pytest.raises(ValueError,
                            match=rf"^field {field}: id out of range \[0, {size}\) in batch$"):
-            embed_reshape(self.LAYOUTS[layout](ids), params, d=4)
+            embed_reshape(self.LAYOUTS[layout](ids), params)
 
 
 class TestSelfMask:
@@ -179,6 +180,11 @@ def trace_gate(tr, config):
     return model_mod._gate(tr.c, masked, tr.keep, config.dropout_rate)
 
 
+def without_dropout(config):
+    """``config`` at dropout rate 0: its training forward is traced inference."""
+    return dataclasses.replace(config, dropout_rate=0.0)
+
+
 def small_setup(lcn_depth, ecn_depth, mask="paper", dropout=0.0, seed=5,
                 f=3, d=4, vocab=4, n=8):
     config = ModelConfig(d=d, lcn_depth=lcn_depth, ecn_depth=ecn_depth,
@@ -208,7 +214,7 @@ class TestForward:
     def test_zero_depth_is_logistic_regression(self):
         config, params, batch = small_setup(0, 0)
         res = forward(batch, params, config)
-        x1 = embed_reshape(batch.ids, params, config.d)
+        x1 = embed_reshape(batch.ids, params)
         expect_deep = sigmoid(x1 @ params.heads.w_deep + params.heads.b_deep[0])
         np.testing.assert_allclose(res.y_deep, expect_deep, rtol=1e-15)
 
@@ -233,7 +239,8 @@ class TestForward:
         config, params, batch = small_setup(1, 1, dropout=0.5, n=64)
         rng = Rng(99)
         res = forward(batch, params, config, training=True, rng=rng)
-        free = forward(batch, params, config, want_trace=True)
+        # the training forward at rate 0 traces the same layers without dropout
+        free = forward(batch, params, without_dropout(config), training=True)
         for tr, tr_free in ((res.trace.ecn[0], free.trace.ecn[0]),
                             (res.trace.lcn[0], free.trace.lcn[0])):
             keep = tr.keep
@@ -247,9 +254,16 @@ class TestForward:
             assert (gate[~keep] == 0.0).all()
 
     def test_inference_has_no_dropout(self):
+        # inference at rate 0.5 draws nothing from the rng it is given, keeps no
+        # trace, and gives the bits of the forward at rate 0
         config, params, batch = small_setup(1, 1, dropout=0.5)
-        res = forward(batch, params, config, training=False, want_trace=True)
-        assert res.trace.ecn[0].keep is None
+        rng = Rng(1)
+        res = forward(batch, params, config, training=False, rng=rng)
+        assert rng.random(4).tobytes() == Rng(1).random(4).tobytes()
+        free = forward(batch, params, without_dropout(config), training=True)
+        assert res.trace is None and free.trace.ecn[0].keep is None
+        for name in ("y", "y_deep", "y_shallow"):
+            assert getattr(res, name).tobytes() == getattr(free, name).tobytes()
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
     def test_keep_mask_then_scale_is_the_float_mask_product(self, rate):
@@ -381,7 +395,7 @@ class TestFlatStore:
         # a checkpoint may hold no field (the loader accepts one): a constant predictor
         params = manual_params([])
         assert params.num_fields == 0 and params.table.size == 0
-        assert embed_reshape(np.zeros((2, 0), np.int64), params, d=4).shape == (2, 0)
+        assert embed_reshape(np.zeros((2, 0), np.int64), params).shape == (2, 0)
 
     def test_copy_shares_no_memory(self):
         params = self.params()
@@ -474,7 +488,7 @@ class TestFieldImportance:
         (8, 16, 4096, "no_ln", "ecn", 0), (4, 2, 4096, "paper", "ecn", 0)])
     def test_matches_per_field_loops(self, f, d, n, mask, branch, layer):
         config, params, batch = small_setup(2, 2, mask=mask, f=f, d=d, n=n)
-        trace = forward(batch, params, config, want_trace=True).trace
+        trace = forward(batch, params, without_dropout(config), training=True).trace
         tr = (trace.ecn if branch == "ecn" else trace.lcn)[layer]
         lp = (params.ecn_layers if branch == "ecn" else params.lcn_layers)[layer]
         got = field_importance(params, config, batch, layer, branch)
@@ -505,9 +519,9 @@ class TestFreshTracesOutsideTraining:
 
     def test_consecutive_traced_forwards_share_no_memory(self):
         config, params, batch = small_setup(2, 3, dropout=0.2, n=40)
-        for kwargs in ({"want_trace": True}, {"training": True, "rng": Rng(1)}):
-            first = forward(batch, params, config, **kwargs).trace
-            second = forward(batch, params, config, **kwargs).trace
+        for cfg, rng in ((without_dropout(config), None), (config, Rng(1))):
+            first = forward(batch, params, cfg, training=True, rng=rng).trace
+            second = forward(batch, params, cfg, training=True, rng=rng).trace
             self.assert_disjoint(trace_arrays(first), trace_arrays(second))
 
     def test_field_importance_traces_share_no_memory(self, monkeypatch):
@@ -615,8 +629,8 @@ class TestStackedBranches:
                             lambda x1, *args: calls.append(len(x1)) or real(x1, *args))
         for n in (1, crossover - 1, crossover):
             forward_from_x1(self.x1(n), params, config)
-        # traced and training forwards keep the per-branch path
-        forward_from_x1(self.x1(2), params, config, want_trace=True)
+        # training forwards keep the per-branch path, traced without dropout too
+        forward_from_x1(self.x1(2), params, without_dropout(config), training=True)
         forward_from_x1(self.x1(2), params, config, training=True, rng=Rng(1))
         assert calls == [1, crossover - 1]
 

@@ -14,12 +14,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
+from fcn_ctr.checkpoint import save_checkpoint
+from fcn_ctr.cli import main as cli
 from fcn_ctr.features import (FieldSpec, build_schema, encode, split,
                               synth_interaction_data, write_csv)
 from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng, derive_seed
-from fcn_ctr.training import TrainConfig, predict_scores, train
+from fcn_ctr.training import TrainConfig, train
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 
@@ -40,19 +41,12 @@ def main(out=OUT):
 
     ckpt_path = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt_path, params, config, schema)
-    # freeze predictions from the float32-stored params, i.e. what any
-    # consumer of the checkpoint file will compute
-    params, config, schema = load_checkpoint(ckpt_path)
-
-    inputs = records[:16]
-    write_csv(os.path.join(out, "inputs.csv"),
-              [f"f{j}" for j in range(3)] + ["label"], inputs)
-    pred_batch = encode(inputs, schema)
-    y, yd, ys = predict_scores(pred_batch, params, config)
-    with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8") as fh:
-        fh.write("y_hat,y_hat_deep,y_hat_shallow\n")
-        for a, b, c in zip(y, yd, ys):
-            fh.write(f"{a:.17g},{b:.17g},{c:.17g}\n")
+    inputs = os.path.join(out, "inputs.csv")
+    write_csv(inputs, [f"f{j}" for j in range(3)] + ["label"], records[:16])
+    # freeze the predictions `fcn-ctr predict` computes from the file's float32 params
+    if cli(["predict", "--checkpoint", ckpt_path, "--input", inputs,
+            "--output", os.path.join(out, "predictions.csv")]):
+        raise SystemExit("predict failed on the golden checkpoint")
 
     digest = hashlib.sha256(open(ckpt_path, "rb").read()).hexdigest()
     with open(ckpt_path + ".sha256", "w") as fh:
