@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 import zlib
 
@@ -115,51 +116,123 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         fh.write(data)
 
 
+_CHUNK = 1 << 18  # bytes a file is read by: the schema's read-ahead, a payload's chunk
+
+
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a checkpoint front to back, from bytes or from an open file: the one
+    parser of both. The header, the schema and the tensor headers are read through
+    ``data``, all of the bytes, or of a file the bytes from offset ``base`` on, read
+    as the parse needs them; each tensor payload is widened into its float64 home,
+    from a view of the bytes, or from a file in chunks read into one scratch buffer.
+    The CRC runs over a file's bytes as they go by, and at the end over bytes."""
+
+    def __init__(self, data, fh=None):
+        self.data, self.fh = data, fh
+        self.size = len(data) if fh is None else os.fstat(fh.fileno()).st_size
+        self.base = self.pos = 0
+        self.crc = self.crc_at = 0  # the CRC32 of every byte before crc_at
 
     def truncated(self, n: int, at: int) -> TruncatedCheckpointError:
         return TruncatedCheckpointError(
-            f"checkpoint truncated: needed {n} bytes at offset {at}, file has {len(self.data)}")
+            f"checkpoint truncated: needed {n} bytes at offset {at}, file has {self.size}")
+
+    def need(self, at: int, n: int, ahead: int = 0) -> None:
+        """Have the n bytes at offset at (at or past pos) in data. Where a file's
+        data ends before them, it drops the bytes before pos, after the CRC has
+        run over them, and reads on to them and ``ahead`` more."""
+        if at + n > self.size:
+            raise self.truncated(n, at)
+        end = self.base + len(self.data)
+        if at + n > end:
+            more = self.fh.read(min(at + n + ahead, self.size) - end)
+            if at + n > end + len(more):  # the file shrank while it was read
+                raise self.truncated(n, at)
+            self.checksum(self.pos)
+            self.data, self.base = self.data[self.pos - self.base:] + more, self.pos
 
     def advance(self, n: int) -> int:
-        """Move past the next n bytes and return their offset: every read unpacks
-        or views the bytes in place, and only a string is sliced out."""
-        if self.pos + n > len(self.data):
-            raise self.truncated(n, self.pos)
+        """Move past the next n bytes and return their index in data: every read
+        unpacks or views the bytes in place, and only a string is sliced out."""
+        self.need(self.pos, n)
         self.pos += n
-        return self.pos - n
+        return self.pos - n - self.base
+
+    def unpack(self, fmt: str) -> tuple:
+        at = self.advance(struct.calcsize(fmt))  # before data is read: it may replace data
+        return struct.unpack_from(fmt, self.data, at)
 
     def u32(self) -> int:
-        return _U32.unpack_from(self.data, self.advance(4))[0]
+        return self.unpack("<I")[0]
 
     def strings(self, count: int) -> dict[str, int]:
         """The next ``count`` strings, each a u32 length and UTF-8 bytes, as string ->
-        index: one loop that checks each string's bound before decoding it."""
-        data, pos, end = self.data, self.pos, len(self.data)
+        index: one loop that checks each string's bound before decoding it, and
+        reads more of a file where data ends inside a string."""
         unpack = _U32.unpack_from
-        out = {}
-        try:
-            for i in range(count):
-                start = pos + 4
-                pos = start + unpack(data, pos)[0]
-                if pos > end:
-                    raise self.truncated(pos - start, start)
-                out[data[start:pos].decode()] = i
-        except struct.error:  # fewer than 4 bytes left for the length at pos
-            raise self.truncated(4, pos) from None
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 string ending at offset {pos}") from exc
-        self.pos = pos
+        out, i = {}, 0
+        while True:
+            data, base = self.data, self.base
+            pos, end = self.pos - base, len(data)
+            try:
+                for i in range(i, count):
+                    start = pos + 4
+                    stop = start + unpack(data, pos)[0]
+                    if stop > end:
+                        break
+                    out[data[start:stop].decode()] = i
+                    pos = stop
+                else:
+                    i = count
+            except struct.error:  # fewer than 4 bytes left for the length at pos
+                pass
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"invalid UTF-8 string ending at offset {base + stop}") from exc
+            self.pos = base + pos
+            if i == count:
+                return out
+            if pos + 4 > end:
+                self.need(self.pos, 4, _CHUNK)
+            else:
+                self.need(self.pos + 4, unpack(data, pos)[0], _CHUNK)
+
+    def checksum(self, upto: int) -> None:
+        self.crc = zlib.crc32(memoryview(self.data)[self.crc_at - self.base:upto - self.base],
+                              self.crc)
+        self.crc_at = upto
+
+    def floats(self, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+        """The next float32 tensor of ``shape``, widened into ``out`` (C-contiguous)
+        or into a new float64 array, made only once the payload is known to fit."""
+        count = math.prod(shape)
+        at, n = self.pos, 4 * count
+        if at + n > self.size:
+            raise self.truncated(n, at)
+        if out is None:
+            out = np.empty(shape)
+        if self.fh is None:
+            np.copyto(out, np.frombuffer(self.data, "<f4", count, self.advance(n)).reshape(shape))
+            return out
+        # a file: checksum and drop what data holds up to here, then stream the payload
+        self.checksum(at)
+        self.fh.seek(at)
+        self.data, self.base = b"", at + n
+        flat, step = out.reshape(-1), _CHUNK // 4
+        chunk = bytearray(4 * min(step, count))
+        for lo in range(0, count, step):
+            k = min(step, count - lo)
+            view = memoryview(chunk)[:4 * k]
+            if self.fh.readinto(view) != 4 * k:  # the file shrank while it was read
+                raise self.truncated(n, at)
+            self.crc = zlib.crc32(view, self.crc)
+            flat[lo:lo + k] = np.frombuffer(chunk, "<f4", k)
+        self.pos = self.crc_at = at + n
         return out
 
 
-def parse_checkpoint(data: bytes):
-    """Decode checkpoint bytes into (params, config, schema)."""
-    r = _Reader(data)
-    magic = data[r.advance(len(MAGIC)):r.pos]
+def _parse(r: _Reader):
+    """Decode the checkpoint ``r`` reads into (params, config, schema)."""
+    (magic,) = r.unpack(f"{len(MAGIC)}s")
     if magic != MAGIC:
         raise BadMagicError(f"not a checkpoint: magic {magic!r}")
     version = r.u32()
@@ -167,7 +240,7 @@ def parse_checkpoint(data: bytes):
         raise UnsupportedVersionError(f"unsupported checkpoint version {version}")
 
     (num_fields, d, lcn_depth, ecn_depth, mask_idx, dropout, ln_epsilon,
-     disc_idx) = _CONFIG.unpack_from(data, r.advance(_CONFIG.size))
+     disc_idx) = r.unpack(_CONFIG.format)
     if mask_idx >= len(MASK_MODES):
         raise FormatError(f"invalid mask mode code {mask_idx}")
     if disc_idx >= len(DISCRETIZE_MODES):
@@ -177,15 +250,15 @@ def parse_checkpoint(data: bytes):
     vocabs = []
     for _ in range(num_fields):
         (name,) = r.strings(1)
-        kind_idx, min_count, size = struct.unpack_from("<3I", data, r.advance(12))
+        kind_idx, min_count, size = r.unpack("<3I")
         if kind_idx >= len(FIELD_KINDS):
             raise FormatError(f"invalid field kind code {kind_idx}")
         if min_count < 1:
             raise FormatError(f"field {name!r}: invalid min_count {min_count}")
-        if size > (len(data) - r.pos) // 4:  # every token takes at least its u32 length
+        if size > (r.size - r.pos) // 4:  # every token takes at least its u32 length
             raise TruncatedCheckpointError(
                 f"checkpoint truncated: {size} vocab tokens need at least {4 * size} bytes "
-                f"at offset {r.pos}, file has {len(data)}")
+                f"at offset {r.pos}, file has {r.size}")
         vocab = r.strings(size)
         if len(vocab) != size:
             raise FormatError(f"field {name!r}: vocab repeats a token")
@@ -194,32 +267,40 @@ def parse_checkpoint(data: bytes):
     schema = FeatureSchema(fields, vocabs, DISCRETIZE_MODES[disc_idx])
 
     # every tensor's shape follows from d, the depths and the vocab sizes;
-    # a tensor of any other shape is refused before its payload is read
-    expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(schema.sizes)]
-    payloads = []
-    for name, shape in itertools.chain(expected,
-                                       dense_layout(d * num_fields, lcn_depth, ecn_depth)):
+    # a tensor of any other shape is refused before its payload is read. The
+    # embeddings are widened into their rows of the table, made only if their
+    # payloads fit in the rest of the file: if not, one of them is refused
+    sizes = schema.sizes
+    rows = int(sum(sizes))
+    table = np.empty((rows, d)) if 4 * rows * d <= r.size - r.pos else None
+    homes = [None if table is None else table[lo:lo + size]
+             for lo, size in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(sizes)]
+    dense = []
+    for j, (name, shape) in enumerate(itertools.chain(
+            expected, dense_layout(d * num_fields, lcn_depth, ecn_depth))):
         rank = r.u32()
         if rank != len(shape):
             raise FormatError(f"tensor {name}: expected rank {len(shape)}, found rank {rank}")
-        dims = struct.unpack_from(f"<{rank}I", data, r.advance(4 * rank))
+        dims = r.unpack(f"<{rank}I")
         if dims != shape:
             raise FormatError(f"tensor {name}: expected dims {shape}, found {dims}")
-        payloads.append(np.frombuffer(data, "<f4", math.prod(dims), r.advance(4 * math.prod(dims))))
+        if j < num_fields:
+            r.floats(shape, homes[j])
+        else:
+            dense.append(r.floats(shape).ravel())
 
     stored_crc = r.u32()
-    if r.pos != len(data):
-        raise ChecksumError(f"{len(data) - r.pos} trailing bytes after checksum")
-    actual_crc = zlib.crc32(memoryview(data)[:r.pos - 4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
+    if r.pos != r.size:
+        raise ChecksumError(f"{r.size - r.pos} trailing bytes after checksum")
+    r.checksum(r.pos - 4)
+    if stored_crc != r.crc:
         raise ChecksumError(
-            f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+            f"checksum mismatch: stored {stored_crc:#010x}, computed {r.crc:#010x}"
         )
 
-    # the constructor widens the float32 views into the float64 table and vector
-    embeddings = [p.reshape(size, d) for p, size in zip(payloads, schema.sizes)]
-    stored = np.concatenate(payloads[num_fields:])
-    params = ModelParams(embeddings, *layer_views(stored, d * num_fields, lcn_depth, ecn_depth))
+    params = ModelParams(table, sizes, *layer_views(np.concatenate(dense), d * num_fields,
+                                                    lcn_depth, ecn_depth))
     for name, t in named_tensors(params):
         if not np.isfinite(t).all():
             raise FormatError(f"tensor {name} holds a non-finite value")
@@ -232,7 +313,14 @@ def parse_checkpoint(data: bytes):
     return params, config, schema
 
 
+def parse_checkpoint(data: bytes):
+    """Decode checkpoint bytes into (params, config, schema), reading them in place."""
+    return _parse(_Reader(data))
+
+
 def load_checkpoint(path):
-    """Read and validate a checkpoint file. Returns (params, config, schema)."""
+    """Read and validate a checkpoint file. Returns (params, config, schema). The file
+    is streamed: its bytes are never held whole, and each embedding payload is
+    widened into the table in chunks as it is read."""
     with open(path, "rb") as fh:
-        return parse_checkpoint(fh.read())
+        return _parse(_Reader(b"", fh))

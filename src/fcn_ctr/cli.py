@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import operator
 import os
 import sys
@@ -103,8 +104,9 @@ def cmd_predict(args) -> int:
     params, config, schema = ckpt.load_checkpoint(args.checkpoint)
     batch = _load_labeled_csv(args.input, schema, require_labels=False)
     y, y_deep, y_shallow = training.predict_scores(batch, params, config)
-    features.write_float_table(args.output, ["y_hat", "y_hat_deep", "y_hat_shallow"],
-                               zip(y, y_deep, y_shallow))
+    with features.atomic_open(args.output, "w", encoding="utf-8", newline="") as fh:
+        features.write_float_table(fh, ["y_hat", "y_hat_deep", "y_hat_shallow"],
+                                   zip(y, y_deep, y_shallow))
     print(f"wrote {batch.n} predictions to {args.output}")
     return 0
 
@@ -119,11 +121,16 @@ def cmd_inspect(args) -> int:
     names = schema.field_names
     os.makedirs(args.out, exist_ok=True)
 
-    for filename, header, table in (("cross_strength.csv", ["strength"], strengths[:, None]),
-                                    ("mask_sparsity.csv", ["sparsity"], sparsity[:, None]),
-                                    ("pair_importance.csv", names, pair)):
-        features.write_float_table(os.path.join(args.out, filename), ["field", *header],
-                                   table, names)
+    # all three are written and flushed before any replaces its file: the
+    # set on disk is the old one or the new one, never a mix of the two
+    with contextlib.ExitStack() as stack:
+        for filename, header, table in (("cross_strength.csv", ["strength"], strengths[:, None]),
+                                        ("mask_sparsity.csv", ["sparsity"], sparsity[:, None]),
+                                        ("pair_importance.csv", names, pair)):
+            fh = stack.enter_context(features.atomic_open(
+                os.path.join(args.out, filename), "w", encoding="utf-8", newline=""))
+            features.write_float_table(fh, ["field", *header], table, names)
+            fh.flush()
     print(f"wrote field importance for {args.branch} layer {args.layer} to {args.out}")
     return 0
 

@@ -330,12 +330,12 @@ def write_csv(path, columns: list[str], records: list[dict]) -> None:
         writer.writerows(records)
 
 
-def write_float_table(path, header: list[str], rows, names=None) -> None:
+def write_float_table(fh, header: list[str], rows, names=None) -> None:
     """Write ``header``, then one line per row of floats in ``.17g``, which reads
-    back as the same float64, through ``atomic_open``; with ``names`` each line
-    starts with its row's name."""
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(rows):
-            line = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{line}\n" if names is None else f"{names[i]},{line}\n")
+    back as the same float64, to ``fh``, a text file from ``atomic_open(path, "w",
+    encoding="utf-8", newline="")``; with ``names`` each line starts with its row's
+    name."""
+    fh.write(",".join(header) + "\n")
+    for i, row in enumerate(rows):
+        line = ",".join(f"{v:.17g}" for v in row)
+        fh.write(f"{line}\n" if names is None else f"{names[i]},{line}\n")

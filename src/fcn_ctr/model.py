@@ -121,17 +121,18 @@ def named_dense(tree) -> list:
 
 @dataclass
 class ModelParams:
-    """Every model parameter. The constructor copies the per-field (s_i, d)
-    embedding tables into ``table``, field 0's rows first, field j's from row
-    ``offsets[j]``, and every other tensor into ``dense``, one float64 vector
-    laid out by ``dense_layout``; the tensor fields become views of the two."""
+    """Every model parameter. The constructor adopts ``table``, the (sum of s_i, d)
+    float64 embedding table, field 0's rows first, field j's ``sizes[j]`` rows from
+    row ``offsets[j]``, as it is (copied only if it is not C-contiguous float64),
+    and copies every other tensor into ``dense``, one float64 vector laid out by
+    ``dense_layout``; ``embeddings`` and the tensor fields are views of the two."""
 
-    embeddings: list[np.ndarray]          # per field, (s_i, d): row per token id
+    table: np.ndarray                     # (sum of s_i, d)
+    sizes: np.ndarray                     # (f,) each field's row count, s_i
     lcn_layers: list[CrossLayerParams]
     ecn_layers: list[CrossLayerParams]
     heads: HeadParams
-    table: np.ndarray = field(init=False)    # (sum of s_i, d)
-    sizes: np.ndarray = field(init=False)    # (f,) each field's row count, s_i
+    embeddings: list[np.ndarray] = field(init=False)  # per field, (s_i, d): row per token id
     offsets: np.ndarray = field(init=False)  # (f,) each field's first row in table
     dense: np.ndarray = field(init=False)
 
@@ -143,9 +144,12 @@ class ModelParams:
                 raise ValueError(f"tensor {name}: expected shape {shape}, got {np.shape(t)}")
         self.dense = np.concatenate([np.ravel(t) for _, t in given], dtype=np.float64)
         self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width, *depths)
-        self.sizes = np.array([len(e) for e in self.embeddings], dtype=np.int64)
+        self.sizes = np.array(self.sizes, dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        self.table = np.concatenate(self.embeddings or [np.empty((0, 0))], dtype=np.float64)
+        self.table = np.ascontiguousarray(self.table, dtype=np.float64)
+        if self.table.ndim != 2 or len(self.table) != self.sizes.sum():
+            raise ValueError(f"table: expected {self.sizes.sum()} rows of d, "
+                             f"got shape {self.table.shape}")
         self.embeddings = [self.table[lo:lo + size] for lo, size in zip(self.offsets, self.sizes)]
 
     @functools.cached_property
@@ -178,7 +182,8 @@ class ModelParams:
         return int(self.heads.w_deep.shape[-1])
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.embeddings, self.lcn_layers, self.ecn_layers, self.heads)
+        return ModelParams(self.table.copy(), self.sizes, self.lcn_layers, self.ecn_layers,
+                           self.heads)
 
 
 def named_tensors(params: ModelParams):
@@ -321,11 +326,14 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     """Draw fresh parameters: embeddings and cross weights uniform by fan-in,
     layernorm gain 1 / bias 0, all other biases 0. Draw order is fixed
     (embeddings, lcn layers, ecn layers, heads) so a seed pins every tensor."""
+    if min(sizes, default=0) <= 0:
+        raise ValueError(f"init_model_params: every field needs a row, got sizes {list(sizes)}")
     rng = Rng(seed)
     d = config.d
     D = d * len(sizes)
     m = D // 2
-    embeddings = [init_params((s, d), rng, fan_in=d) for s in sizes]
+    # one draw for every field: each has the same bound, so the words fall as per field
+    table = init_params((sum(sizes), d), rng, fan_in=d)
 
     def make_layer() -> CrossLayerParams:
         return CrossLayerParams(init_params((m, D), rng), np.zeros(m),
@@ -335,7 +343,7 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     ecn = [make_layer() for _ in range(config.ecn_depth)]
     heads = HeadParams(init_params((D,), rng), np.zeros(1),
                        init_params((D,), rng), np.zeros(1))
-    return ModelParams(embeddings, lcn, ecn, heads)
+    return ModelParams(table, sizes, lcn, ecn, heads)
 
 
 def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Gradients:

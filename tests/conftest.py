@@ -25,31 +25,52 @@ def flip_bias_gradient(monkeypatch):
     return lambda: monkeypatch.setattr(verification_mod, "backward", flipped)
 
 
-@pytest.fixture
-def failing_writes(monkeypatch):
-    """Files that ``features`` opens for writing write half of their first write's
-    data, then raise ``OSError`` (a disk that fills up partway through a save)."""
+class HalfWrite:
+    """A file whose first write writes half of its data, then raises ``OSError``
+    (a disk that fills up partway through a save)."""
 
-    class HalfWrite:
-        def __init__(self, fh):
-            self.fh = fh
+    def __init__(self, fh):
+        self.fh = fh
 
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            self.fh.flush()
-            raise OSError(28, "No space left on device")
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            self.fh.close()
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes_from(monkeypatch, first: int) -> None:
+    """Files that ``features`` opens for writing fail as ``HalfWrite`` from the
+    ``first``-th on, counting from 1; the ones before write as usual."""
+    opened = 0
 
     def fake_open(path, mode="r", **kwargs):
+        nonlocal opened
         fh = builtins.open(path, mode, **kwargs)
-        return HalfWrite(fh) if "w" in mode else fh
+        if "w" not in mode:
+            return fh
+        opened += 1
+        return HalfWrite(fh) if opened >= first else fh
 
     monkeypatch.setattr(features_mod, "open", fake_open, raising=False)
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Every file that ``features`` opens for writing fails as ``HalfWrite``."""
+    fail_writes_from(monkeypatch, 1)
+
+
+@pytest.fixture
+def failing_second_write(monkeypatch):
+    """The first file that ``features`` opens for writing is written; every later
+    one fails as ``HalfWrite``."""
+    fail_writes_from(monkeypatch, 2)
 
 
 CRITEO_NUMERIC = ("I1", "I2", "I3")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fcn_ctr.checkpoint as checkpoint_mod
 from fcn_ctr.checkpoint import (BadMagicError, CheckpointError, ChecksumError,
                                 FormatError, MAGIC, TruncatedCheckpointError,
                                 UnsupportedVersionError, checkpoint_bytes,
@@ -89,6 +90,28 @@ class TestRoundTrip:
         assert loaded[0].table.nbytes == 2 * rows * d * 8
         assert peak - kept < 0.5 * len(data), (peak - kept, len(data))
 
+
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        # a file is streamed: its header and schema through a buffer that fills
+        # as the parse needs them, each payload in chunks straight into the
+        # table, so the load never holds the file's bytes whole
+        rows, d = 20_000, 64
+        config = ModelConfig(d=d, lcn_depth=1, ecn_depth=1)
+        params = init_model_params(config, [rows] * 2, 1)
+        vocab = {OOV_TOKEN: 0, **{str(i): i for i in range(1, rows)}}
+        schema = FeatureSchema([FieldSpec("a"), FieldSpec("b")], [vocab] * 2, "lnsq")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, schema)
+        del params
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded[0].table.nbytes == 2 * rows * d * 8
+        assert peak - kept < 0.5 * os.path.getsize(path), (peak - kept, os.path.getsize(path))
+        assert checkpoint_bytes(*loaded) == path.read_bytes()
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, failing_writes):
         path = tmp_path / "m.ckpt"
@@ -379,6 +402,59 @@ class TestFormatErrors:
         assert {cls.__name__: n for cls, n in kinds.items()} == {
             "BadMagicError": 24, "ChecksumError": 4403, "FormatError": 799,
             "TruncatedCheckpointError": 189, "UnsupportedVersionError": 12}
+
+
+def outcome(parse, data):
+    """(class, message) of the error ``parse`` raises on ``data``, or the bytes
+    its result saves back to."""
+    try:
+        return checkpoint_bytes(*parse(data))
+    except CheckpointError as exc:
+        return type(exc), str(exc)
+
+
+class TestFileReader:
+    """``load_checkpoint`` streams a file through the reader that
+    ``parse_checkpoint`` runs over bytes: the same bytes give the same result."""
+
+    @pytest.fixture(params=[None, 7], ids=["chunk-default", "chunk-7"])
+    def load(self, request, tmp_path, monkeypatch):
+        # a 7-byte chunk refills the buffer inside nearly every string and
+        # reads each payload one float at a time
+        if request.param:
+            monkeypatch.setattr(checkpoint_mod, "_CHUNK", request.param)
+        path = tmp_path / "m.ckpt"
+
+        def load(data):
+            path.write_bytes(data)
+            return load_checkpoint(path)
+        return load
+
+    def test_golden_loads_from_the_file_as_from_its_bytes(self, load):
+        data = (GOLDEN_DIR / "model.ckpt").read_bytes()
+        assert outcome(load, data) == outcome(parse_checkpoint, data) == data
+
+    def test_damage_is_classified_as_from_bytes(self, load):
+        golden = (GOLDEN_DIR / "model.ckpt").read_bytes()
+        damaged = []
+        for k in np.random.default_rng(18).choice(3 * len(golden), 300, replace=False):
+            data = bytearray(golden)
+            data[k // 3] ^= (0x01, 0x80, 0xFF)[k % 3]
+            damaged.append(bytes(data))
+        params, config, schema = TestVocabCodec().state()
+        vocabs = bytes(checkpoint_bytes(params, config, schema))
+        end = len(vocabs) - 4 - sum(4 * (1 + t.ndim) + 4 * t.size
+                                    for _, t in named_tensors(params))
+        damaged += [vocabs[:cut] for cut in range(NAME_AT, end + 1)]
+        counts = {}
+        for data in damaged:
+            got = outcome(load, data)
+            assert got == outcome(parse_checkpoint, data)
+            counts[got[0].__name__] = counts.get(got[0].__name__, 0) + 1
+        # the sample holds every class, and a cut reports the size of its file
+        assert set(counts) == {"BadMagicError", "ChecksumError", "FormatError",
+                               "TruncatedCheckpointError", "UnsupportedVersionError"}, counts
+        assert outcome(load, vocabs[:end - 1])[1].endswith(f"file has {end - 1}")
 
 
 class TestGoldenFile:

@@ -308,6 +308,23 @@ def test_failed_inspect_write_keeps_the_old_files(tmp_path, failing_writes, caps
     assert sorted(os.listdir(out)) == names
 
 
+def test_inspect_replaces_no_file_when_the_second_write_fails(tmp_path, failing_second_write,
+                                                              capsys):
+    # cross_strength.csv is written whole before mask_sparsity.csv fails: it
+    # must not replace its old copy, or the set would mix two runs
+    out = tmp_path / "views"
+    out.mkdir()
+    names = ["cross_strength.csv", "mask_sparsity.csv", "pair_importance.csv"]
+    for name in names:
+        (out / name).write_text(f"the {name} from before\n")
+    assert run("inspect", "--checkpoint", str(GOLDEN_DIR / "model.ckpt"),
+               "--data", str(GOLDEN_DIR / "inputs.csv"), "--out", str(out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    for name in names:
+        assert (out / name).read_text() == f"the {name} from before\n"
+    assert sorted(os.listdir(out)) == names
+
+
 class TestNonFiniteScores:
     @pytest.fixture
     def overflow_checkpoint(self, tmp_path):

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +33,8 @@ def manual_params(embeddings, lcn=(), ecn=(), w_deep=None, w_shallow=None):
         w_shallow=np.zeros(D) if w_shallow is None else np.asarray(w_shallow, float),
         b_shallow=np.zeros(1),
     )
-    return ModelParams(tables, list(lcn), list(ecn), heads)
+    return ModelParams(np.concatenate(tables or [np.empty((0, 0))]), [len(t) for t in tables],
+                       list(lcn), list(ecn), heads)
 
 
 def plain_layer(w, b=None):
@@ -396,6 +398,35 @@ class TestFlatStore:
         params = manual_params([])
         assert params.num_fields == 0 and params.table.size == 0
         assert embed_reshape(np.zeros((2, 0), np.int64), params).shape == (2, 0)
+
+    def test_constructor_adopts_the_table(self):
+        params = self.params()
+        twin = ModelParams(params.table, params.sizes, params.lcn_layers, params.ecn_layers,
+                           params.heads)
+        assert twin.table is params.table
+        assert all(e.base is params.table for e in twin.embeddings)
+        with pytest.raises(ValueError, match="table: expected 12 rows"):
+            ModelParams(params.table[:11], params.sizes, params.lcn_layers, params.ecn_layers,
+                        params.heads)
+
+    def test_an_empty_field_is_refused(self):
+        # one draw for the whole table must still refuse a field with no row
+        config = ModelConfig(d=4, lcn_depth=1, ecn_depth=1, seed=0)
+        with pytest.raises(ValueError):
+            init_model_params(config, [3, 0], 1)
+
+    def test_init_holds_the_table_once(self):
+        # the table is drawn in place: what init allocates beyond the params it
+        # returns stays near nothing (per-field draws packed into it took 2x)
+        config = ModelConfig(d=64, lcn_depth=1, ecn_depth=1)
+        tracemalloc.start()
+        try:
+            params = init_model_params(config, [20_000] * 2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = params.table.nbytes + params.dense.nbytes
+        assert peak <= 1.25 * held, (peak, held)
 
     def test_copy_shares_no_memory(self):
         params = self.params()
