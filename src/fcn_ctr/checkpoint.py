@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import stat
 import struct
 import zlib
 
@@ -319,8 +320,10 @@ def parse_checkpoint(data: bytes):
 
 
 def load_checkpoint(path):
-    """Read and validate a checkpoint file. Returns (params, config, schema). The file
-    is streamed: its bytes are never held whole, and each embedding payload is
-    widened into the table in chunks as it is read."""
+    """Read and validate a checkpoint file. Returns (params, config, schema). A
+    regular file is streamed: its bytes are never held whole, and each embedding
+    payload is widened into the table in chunks as it is read."""
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe: no size to stream against
+            return parse_checkpoint(fh.read())
         return _parse(_Reader(b"", fh))

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -433,6 +434,18 @@ class TestFileReader:
     def test_golden_loads_from_the_file_as_from_its_bytes(self, load):
         data = (GOLDEN_DIR / "model.ckpt").read_bytes()
         assert outcome(load, data) == outcome(parse_checkpoint, data) == data
+
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        # a pipe has no size to stream against: its bytes are read, then parsed
+        data = (GOLDEN_DIR / "model.ckpt").read_bytes()
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        loaded = load_checkpoint(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert checkpoint_bytes(*loaded) == data
 
     def test_damage_is_classified_as_from_bytes(self, load):
         golden = (GOLDEN_DIR / "model.ckpt").read_bytes()
