@@ -39,8 +39,8 @@ import numpy as np
 
 from fcn_ctr.features import (DISCRETIZE_MODES, FIELD_KINDS, FeatureSchema, FieldSpec,
                               atomic_open)
-from fcn_ctr.model import (MASK_MODES, ModelConfig, ModelParams, dense_layout,
-                           layer_views, named_tensors)
+from fcn_ctr.model import (MASK_MODES, ModelConfig, ModelParams, dense_layout, dense_size,
+                           named_tensors)
 
 MAGIC = b"FCNCKPT1"
 VERSION = 1
@@ -117,22 +117,20 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         fh.write(data)
 
 
-_CHUNK = 1 << 18  # bytes a file is read by: the schema's read-ahead, a payload's chunk
+_CHUNK = 1 << 18  # bytes a file is read by: the schema's read-ahead, a payload's step
 
 
 class _Reader:
     """Reads a checkpoint front to back, from bytes or from an open file: the one
-    parser of both. The header, the schema and the tensor headers are read through
-    ``data``, all of the bytes, or of a file the bytes from offset ``base`` on, read
-    as the parse needs them; each tensor payload is widened into its float64 home,
-    from a view of the bytes, or from a file in chunks read into one scratch buffer.
-    The CRC runs over a file's bytes as they go by, and at the end over bytes."""
+    parser of both. Every read goes through one window, ``data``, the file's bytes
+    from offset ``base`` on: bytes are a window that holds the whole file, and a
+    file's window is refilled as the parse needs more, so only ``__init__`` and
+    ``need`` tell the two apart. ``crc`` is the CRC32 of every byte before base."""
 
     def __init__(self, data, fh=None):
         self.data, self.fh = data, fh
         self.size = len(data) if fh is None else os.fstat(fh.fileno()).st_size
-        self.base = self.pos = 0
-        self.crc = self.crc_at = 0  # the CRC32 of every byte before crc_at
+        self.base = self.pos = self.crc = 0
 
     def truncated(self, n: int, at: int) -> TruncatedCheckpointError:
         return TruncatedCheckpointError(
@@ -198,37 +196,20 @@ class _Reader:
                 self.need(self.pos + 4, unpack(data, pos)[0], _CHUNK)
 
     def checksum(self, upto: int) -> None:
-        self.crc = zlib.crc32(memoryview(self.data)[self.crc_at - self.base:upto - self.base],
-                              self.crc)
-        self.crc_at = upto
+        """Run the CRC on over data's bytes from base up to offset ``upto``."""
+        self.crc = zlib.crc32(memoryview(self.data)[:upto - self.base], self.crc)
 
-    def floats(self, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
-        """The next float32 tensor of ``shape``, widened into ``out`` (C-contiguous)
-        or into a new float64 array, made only once the payload is known to fit."""
-        count = math.prod(shape)
-        at, n = self.pos, 4 * count
-        if at + n > self.size:
-            raise self.truncated(n, at)
-        if out is None:
-            out = np.empty(shape)
-        if self.fh is None:
-            np.copyto(out, np.frombuffer(self.data, "<f4", count, self.advance(n)).reshape(shape))
-            return out
-        # a file: checksum and drop what data holds up to here, then stream the payload
-        self.checksum(at)
-        self.fh.seek(at)
-        self.data, self.base = b"", at + n
-        flat, step = out.reshape(-1), _CHUNK // 4
-        chunk = bytearray(4 * min(step, count))
+    def floats(self, count: int, out: np.ndarray | None) -> None:
+        """Move past the next ``count`` float32s, widening them into ``out`` (C-contiguous,
+        of ``count`` values) where given, ``_CHUNK`` bytes at a time."""
+        if 4 * count > self.size - self.pos:
+            raise self.truncated(4 * count, self.pos)
+        flat, step = None if out is None else out.reshape(-1), _CHUNK // 4
         for lo in range(0, count, step):
             k = min(step, count - lo)
-            view = memoryview(chunk)[:4 * k]
-            if self.fh.readinto(view) != 4 * k:  # the file shrank while it was read
-                raise self.truncated(n, at)
-            self.crc = zlib.crc32(view, self.crc)
-            flat[lo:lo + k] = np.frombuffer(chunk, "<f4", k)
-        self.pos = self.crc_at = at + n
-        return out
+            at = self.advance(4 * k)
+            if flat is not None:
+                flat[lo:lo + k] = np.frombuffer(self.data, "<f4", k, at)
 
 
 def _parse(r: _Reader):
@@ -267,29 +248,25 @@ def _parse(r: _Reader):
         vocabs.append(vocab)
     schema = FeatureSchema(fields, vocabs, DISCRETIZE_MODES[disc_idx])
 
-    # every tensor's shape follows from d, the depths and the vocab sizes;
-    # a tensor of any other shape is refused before its payload is read. The
-    # embeddings are widened into their rows of the table, made only if their
-    # payloads fit in the rest of the file: if not, one of them is refused
-    sizes = schema.sizes
-    rows = int(sum(sizes))
-    table = np.empty((rows, d)) if 4 * rows * d <= r.size - r.pos else None
-    homes = [None if table is None else table[lo:lo + size]
-             for lo, size in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    # every tensor's shape follows from d, the depths and the vocab sizes; a tensor
+    # of any other shape is refused before its payload is read. Each payload is
+    # widened into its tensor of the params, made only if every tensor fits in the
+    # rest of the file (a layer's four headers take 36 bytes): if not, one is refused
+    sizes, width, depths = schema.sizes, d * num_fields, (lcn_depth, ecn_depth)
+    rows, values = int(sum(sizes)), dense_size(width, *depths)
+    params = (ModelParams(np.empty((rows, d)), sizes, np.empty(values), *depths)
+              if 4 * (rows * d + values) + 36 * sum(depths) <= r.size - r.pos else None)
+    homes = itertools.repeat(None) if params is None else [t for _, t in named_tensors(params)]
     expected = [(f"embeddings[{j}]", (size, d)) for j, size in enumerate(sizes)]
-    dense = []
-    for j, (name, shape) in enumerate(itertools.chain(
-            expected, dense_layout(d * num_fields, lcn_depth, ecn_depth))):
+    for (name, shape), home in zip(itertools.chain(expected, dense_layout(width, *depths)),
+                                   homes):
         rank = r.u32()
         if rank != len(shape):
             raise FormatError(f"tensor {name}: expected rank {len(shape)}, found rank {rank}")
         dims = r.unpack(f"<{rank}I")
         if dims != shape:
             raise FormatError(f"tensor {name}: expected dims {shape}, found {dims}")
-        if j < num_fields:
-            r.floats(shape, homes[j])
-        else:
-            dense.append(r.floats(shape).ravel())
+        r.floats(math.prod(shape), home)
 
     stored_crc = r.u32()
     if r.pos != r.size:
@@ -300,8 +277,6 @@ def _parse(r: _Reader):
             f"checksum mismatch: stored {stored_crc:#010x}, computed {r.crc:#010x}"
         )
 
-    params = ModelParams(table, sizes, *layer_views(np.concatenate(dense), d * num_fields,
-                                                    lcn_depth, ecn_depth))
     for name, t in named_tensors(params):
         if not np.isfinite(t).all():
             raise FormatError(f"tensor {name} holds a non-finite value")
@@ -321,8 +296,8 @@ def parse_checkpoint(data: bytes):
 
 def load_checkpoint(path):
     """Read and validate a checkpoint file. Returns (params, config, schema). A
-    regular file is streamed: its bytes are never held whole, and each embedding
-    payload is widened into the table in chunks as it is read."""
+    regular file is streamed: its bytes are never held whole, and each payload is
+    widened into its tensor in chunks as it is read."""
     with open(path, "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe: no size to stream against
             return parse_checkpoint(fh.read())

@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, ckpt.CheckpointError, ValueError, FloatingPointError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -235,11 +235,6 @@ def split_indices(n: int, fractions, rng: Rng) -> tuple[np.ndarray, ...]:
     return parts
 
 
-def split(batch: EncodedBatch, fractions, rng: Rng) -> tuple[EncodedBatch, ...]:
-    """``batch``'s rows cut as ``split_indices`` cuts them."""
-    return tuple(batch.rows(index) for index in split_indices(batch.n, fractions, rng))
-
-
 def synth_interaction_data(num_fields: int, cardinality: int, order: int,
                            rows: int, rng: Rng):
     """Generate a pure interaction-of-order-k classification workload.

@@ -33,9 +33,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -97,6 +96,13 @@ def dense_layout(width: int, lcn_depth: int, ecn_depth: int):
                 ("heads.w_shallow", (width,)), ("heads.b_shallow", (1,)))
 
 
+def dense_size(width: int, lcn_depth: int, ecn_depth: int) -> int:
+    """How many values ``dense_layout`` lays out, in closed form: each cross layer
+    holds W (D/2, D) and b, gain, beta (D/2,), the heads two (D,) and two (1,)."""
+    m = width // 2
+    return (lcn_depth + ecn_depth) * (m * width + 3 * m) + 2 * width + 2
+
+
 def layer_views(vec: np.ndarray, width: int, lcn_depth: int, ecn_depth: int):
     """(lcn layers, ecn layers, heads) whose tensors are views into vec. Views
     of a (K, P) stack of vectors lead with K: weights (K, D/2, D), the layers'
@@ -121,29 +127,24 @@ def named_dense(tree) -> list:
 
 @dataclass
 class ModelParams:
-    """Every model parameter. The constructor adopts ``table``, the (sum of s_i, d)
-    float64 embedding table, field 0's rows first, field j's ``sizes[j]`` rows from
-    row ``offsets[j]``, as it is (copied only if it is not C-contiguous float64),
-    and copies every other tensor into ``dense``, one float64 vector laid out by
-    ``dense_layout``; ``embeddings`` and the tensor fields are views of the two."""
+    """Every model parameter, in two float64 arrays the constructor adopts as they
+    are (copied only if not C-contiguous float64): ``table``, the (sum of s_i, d)
+    embedding table, field 0's rows first, field j's ``sizes[j]`` rows from row
+    ``offsets[j]``, and ``dense``, the ``dense_size`` values of every other tensor
+    laid out by ``dense_layout``; ``embeddings`` and the tensor fields view the two."""
 
     table: np.ndarray                     # (sum of s_i, d)
     sizes: np.ndarray                     # (f,) each field's row count, s_i
-    lcn_layers: list[CrossLayerParams]
-    ecn_layers: list[CrossLayerParams]
-    heads: HeadParams
+    dense: np.ndarray                     # (dense_size,)
+    lcn_depth: InitVar[int]
+    ecn_depth: InitVar[int]
+    lcn_layers: list[CrossLayerParams] = field(init=False)
+    ecn_layers: list[CrossLayerParams] = field(init=False)
+    heads: HeadParams = field(init=False)
     embeddings: list[np.ndarray] = field(init=False)  # per field, (s_i, d): row per token id
     offsets: np.ndarray = field(init=False)  # (f,) each field's first row in table
-    dense: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        width, depths = len(self.heads.w_deep), (len(self.lcn_layers), len(self.ecn_layers))
-        given = named_dense(self)
-        for (name, t), (_, shape) in zip(given, dense_layout(width, *depths)):
-            if np.shape(t) != shape:
-                raise ValueError(f"tensor {name}: expected shape {shape}, got {np.shape(t)}")
-        self.dense = np.concatenate([np.ravel(t) for _, t in given], dtype=np.float64)
-        self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width, *depths)
+    def __post_init__(self, lcn_depth: int, ecn_depth: int):
         self.sizes = np.array(self.sizes, dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.table = np.ascontiguousarray(self.table, dtype=np.float64)
@@ -151,6 +152,13 @@ class ModelParams:
             raise ValueError(f"table: expected {self.sizes.sum()} rows of d, "
                              f"got shape {self.table.shape}")
         self.embeddings = [self.table[lo:lo + size] for lo, size in zip(self.offsets, self.sizes)]
+        width = self.table.shape[1] * len(self.sizes)
+        size = dense_size(width, lcn_depth, ecn_depth)
+        self.dense = np.ascontiguousarray(self.dense, dtype=np.float64)
+        if self.dense.shape != (size,):
+            raise ValueError(f"dense: expected {size} values, got shape {self.dense.shape}")
+        self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width,
+                                                                   lcn_depth, ecn_depth)
 
     @functools.cached_property
     def stacked(self) -> list[CrossLayerParams]:
@@ -182,8 +190,8 @@ class ModelParams:
         return int(self.heads.w_deep.shape[-1])
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.table.copy(), self.sizes, self.lcn_layers, self.ecn_layers,
-                           self.heads)
+        return ModelParams(self.table.copy(), self.sizes, self.dense.copy(),
+                           len(self.lcn_layers), len(self.ecn_layers))
 
 
 def named_tensors(params: ModelParams):
@@ -329,21 +337,17 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     if min(sizes, default=0) <= 0:
         raise ValueError(f"init_model_params: every field needs a row, got sizes {list(sizes)}")
     rng = Rng(seed)
-    d = config.d
-    D = d * len(sizes)
-    m = D // 2
+    depths = config.lcn_depth, config.ecn_depth
+    params = ModelParams(np.empty((sum(sizes), config.d)), sizes,
+                         np.zeros(dense_size(config.d * len(sizes), *depths)), *depths)
     # one draw for every field: each has the same bound, so the words fall as per field
-    table = init_params((sum(sizes), d), rng, fan_in=d)
-
-    def make_layer() -> CrossLayerParams:
-        return CrossLayerParams(init_params((m, D), rng), np.zeros(m),
-                                np.ones(m), np.zeros(m))
-
-    lcn = [make_layer() for _ in range(config.lcn_depth)]
-    ecn = [make_layer() for _ in range(config.ecn_depth)]
-    heads = HeadParams(init_params((D,), rng), np.zeros(1),
-                       init_params((D,), rng), np.zeros(1))
-    return ModelParams(table, sizes, lcn, ecn, heads)
+    init_params(params.table.shape, rng, config.d, params.table)
+    for layer in params.lcn_layers + params.ecn_layers:
+        init_params(layer.w.shape, rng, out=layer.w)
+        layer.gain.fill(1.0)
+    for w in (params.heads.w_deep, params.heads.w_shallow):
+        init_params(w.shape, rng, out=w)
+    return params
 
 
 def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Gradients:
@@ -492,18 +496,17 @@ PARALLEL_MIN_ACTIVATIONS = 32768
 # times as long. D = 32 crossed at the same activations (192 and 224 rows).
 STACKED_MAX_ACTIVATIONS = 6144
 
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
 
-
-def _forget_worker() -> None:
+def _new_worker() -> None:
+    """Make the ecn worker; its thread starts with the first job."""
     global _worker
-    _worker = None
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fcn-ecn")
 
 
+_new_worker()
 if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor but not its thread
-    os.register_at_fork(after_in_child=_forget_worker)
+    # a forked child inherits the executor but not its thread: it gets a new one
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _parallel(activations: int) -> bool:
@@ -516,16 +519,12 @@ def _parallel(activations: int) -> bool:
 
 def _both_branches(ecn_job, lcn_job, parallel: bool):
     """Return (ecn_job(), lcn_job()). In parallel the ecn job runs on the one
-    worker thread, created on first use, while the lcn job runs on this one.
-    The jobs share no mutable state. If both raise, the ecn job's exception
-    propagates, as it would when the jobs run one after the other."""
-    global _worker
+    worker thread while the lcn job runs on this one. The jobs share no mutable
+    state. If both raise, the ecn job's exception propagates, as it would when
+    the jobs run one after the other."""
     if not parallel:
         return ecn_job(), lcn_job()
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fcn-ecn")
-        future = _worker.submit(ecn_job)
+    future = _worker.submit(ecn_job)
     try:
         lcn = lcn_job()
     finally:
@@ -791,10 +790,10 @@ def param_count(config: ModelConfig, sizes: list[int]) -> dict:
     total therefore scales with the leading term D^2 * depth / 2 per branch.
     """
     D = config.d * len(sizes)
-    per_layer = D * D // 2 + D // 2 + D
+    heads = dense_size(D, 0, 0)
+    per_layer = dense_size(D, 1, 0) - heads
     lcn = per_layer * config.lcn_depth
     ecn = per_layer * config.ecn_depth
-    heads = 2 * (D + 1)
     return {
         "embedding": config.d * int(sum(sizes)),
         "per_layer": per_layer,

@@ -107,16 +107,21 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def init_params(shape: tuple, rng: Rng, fan_in: int | None = None) -> np.ndarray:
-    """Allocate a parameter tensor drawn i.i.d. from
-    U(-1/sqrt(fan_in), +1/sqrt(fan_in)), where ``fan_in`` defaults to the
-    last dimension for matrices and to the length for vectors. Draws are
-    deterministic under a fixed ``rng`` seed.
+def init_params(shape: tuple, rng: Rng, fan_in: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """A parameter tensor drawn i.i.d. from U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
+    where ``fan_in`` defaults to the last dimension for matrices and to the
+    length for vectors, into ``out`` (C-contiguous float64 of ``shape``) when
+    given. Draws are deterministic under a fixed ``rng`` seed: each value is
+    ``rng.uniform``'s -bound + 2 bound u of one word, either way.
     """
     if any(s <= 0 for s in shape):
         raise ValueError(f"init_params: non-positive shape {shape}")
     bound = 1.0 / np.sqrt(shape[-1] if fan_in is None else fan_in)
-    return rng.uniform(-bound, bound, shape)
+    out = rng.random(shape, out)
+    out *= 2 * bound
+    out -= bound
+    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

@@ -16,7 +16,7 @@ import pytest
 from fcn_ctr.checkpoint import load_checkpoint
 from fcn_ctr.cli import main as cli_main
 from fcn_ctr.features import (FieldSpec, build_schema, encode, read_csv,
-                              split, synth_interaction_data)
+                              split_indices, synth_interaction_data)
 from fcn_ctr.metrics import auc as rank_auc
 from fcn_ctr.model import ModelConfig, param_count
 from fcn_ctr.numerics import Rng, derive_seed
@@ -43,7 +43,8 @@ def workload():
     records, _ = synth_interaction_data(8, 10, 4, 50000, rng)
     schema = build_schema(records, [FieldSpec(f"f{j}") for j in range(8)])
     batch = encode(records, schema)
-    return split(batch, (0.8, 0.1, 0.1), Rng(derive_seed(7, "split")))
+    return tuple(map(batch.rows, split_indices(batch.n, (0.8, 0.1, 0.1),
+                                               Rng(derive_seed(7, "split")))))
 
 
 def test_criterion_1_gradient_exactness():

@@ -1,7 +1,9 @@
 """Checkpoint serialization: round trips, error taxonomy, golden file."""
 
 import hashlib
+import io
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -18,7 +20,8 @@ from fcn_ctr.checkpoint import (BadMagicError, CheckpointError, ChecksumError,
                                 load_checkpoint, parse_checkpoint,
                                 save_checkpoint)
 from fcn_ctr.features import FeatureSchema, FieldSpec, OOV_TOKEN, read_csv, encode
-from fcn_ctr.model import ModelConfig, init_model_params, named_tensors
+from fcn_ctr.model import (ModelConfig, ModelParams, dense_size, init_model_params,
+                           named_tensors)
 from fcn_ctr.numerics import derive_seed
 from fcn_ctr.training import predict_scores
 
@@ -255,6 +258,23 @@ class TestErrorTaxonomy:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
+    def test_depth_the_file_cannot_hold_makes_no_layer(self):
+        # with no field the model is 0 wide and a layer has no payload, only its four
+        # tensor headers (36 bytes): for a depth the rest of the file cannot hold, no
+        # params and no layer views are made, and the tensor that breaks is refused
+        params = ModelParams(np.empty((0, 4)), [], np.zeros(dense_size(0, 1, 1)), 1, 1)
+        data = bytearray(checkpoint_bytes(params, ModelConfig(d=4, lcn_depth=1, ecn_depth=1),
+                                          FeatureSchema([], [], "lnsq")))
+        struct.pack_into("<I", data, LCN_DEPTH_AT, 200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^tensor lcn_layers\[2\]\.w: expected rank 2"):
+                parse_checkpoint(with_crc(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_corrupted_payload_fails_checksum(self):
         params, config, schema = sample_state()
         data = bytearray(checkpoint_bytes(params, config, schema))
@@ -278,6 +298,7 @@ def with_crc(data: bytearray) -> bytes:
 # byte offsets in a sample_state() checkpoint: magic 8, version 4, then
 # five u32 config fields, two f64, the discretize code, then field 0's name,
 # its kind code and its min_count
+LCN_DEPTH_AT = 20
 MASK_CODE_AT = 28
 DROPOUT_AT = 32
 LN_EPSILON_AT = 40
@@ -468,6 +489,34 @@ class TestFileReader:
         assert set(counts) == {"BadMagicError", "ChecksumError", "FormatError",
                                "TruncatedCheckpointError", "UnsupportedVersionError"}, counts
         assert outcome(load, vocabs[:end - 1])[1].endswith(f"file has {end - 1}")
+
+
+    @pytest.mark.parametrize("where", ["vocab", "payload"])
+    def test_a_file_that_shrinks_while_it_is_read(self, load, where, monkeypatch):
+        # the file is cut after the reader took its size, so the read that comes up
+        # short is refused as a truncation, with the size the file had when opened
+        params, config, schema = TestVocabCodec().state()
+        data = bytes(checkpoint_bytes(params, config, schema))
+        end = len(data) - 4 - sum(4 * (1 + t.ndim) + 4 * t.size
+                                  for _, t in named_tensors(params))
+        lo, hi = (NAME_AT, end) if where == "vocab" else (end + 12, end + 12 + 48)
+        cut = (lo + hi) // 2  # inside the vocab, or inside embeddings[0]'s payload
+
+        reads = []
+
+        class Shrinking(io.BufferedReader):
+            def read(self, n=-1):
+                reads.append(n)  # a reader that misses the short read would read forever
+                assert len(reads) < 10_000, "the reader kept reading a file that came up short"
+                os.truncate(self.fileno(), cut)
+                return super().read(n)
+
+        monkeypatch.setattr(checkpoint_mod, "open", lambda path, mode: Shrinking(
+            io.FileIO(path, "r+")), raising=False)
+        with pytest.raises(TruncatedCheckpointError, match=rf"file has {len(data)}$") as exc:
+            load(data)
+        at = int(re.search(r"at offset (\d+)", str(exc.value))[1])
+        assert lo <= at < hi, (at, lo, hi)
 
 
 class TestGoldenFile:

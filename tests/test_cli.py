@@ -4,14 +4,19 @@ import dataclasses
 import hashlib
 import inspect
 import os
+import re
 import typing
 import warnings
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fcn_ctr
 import fcn_ctr.training as training_mod
 from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
@@ -19,6 +24,11 @@ from fcn_ctr.features import FieldSpec, build_schema, read_csv
 from fcn_ctr.model import ModelConfig
 from fcn_ctr.runconfig import RunConfig, UsageError, parse_run_config, render_run_config
 from fcn_ctr.training import TrainConfig
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -443,6 +453,70 @@ class TestUsageErrors:
     def test_missing_checkpoint_file_is_data_error(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(tmp_path / "none.csv")) == 2
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.RLIMIT_AS")
+@pytest.mark.parametrize("key, value", [("d", 200000), ("lcn_depth", 2000000000)])
+def test_model_too_large_for_memory_is_data_error(workspace, tmp_path, key, value):
+    # train runs in a child process under a 3 GiB address-space limit, so a model
+    # that is made piece by piece until memory runs out cannot exhaust the machine
+    config = tmp_path / "big.cfg"
+    config.write_text(f"{key} = {value}\nmax_epochs = 1\n")
+    limit = 3 << 30
+    src = str(Path(fcn_ctr.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcn_ctr", "train", "--config", str(config),
+         "--train", str(workspace["data"] / "train.csv"),
+         "--valid", str(workspace["data"] / "valid.csv"),
+         "--out-checkpoint", str(tmp_path / "big.ckpt")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_mutated_inputs_end_in_a_typed_exit(tmp_path, capsys):
+    # a fixed-seed mutation pass over eval's and predict's CSVs and train's run
+    # configs: byte flips, cuts, and inserted quotes, NUL, \xff, nan and 1e400.
+    # Every case ends in exit 0, 1 or 2 and raises nothing, and no exit 0 prints
+    # a NaN, to the terminal or into predict's output
+    rows = ["num,cat,label"] + [f"{100 + 7 * i},{'abc'[i % 3]},{i % 2}" for i in range(40)]
+    clean_csv = ("\n".join(rows) + "\n").encode()
+    clean_config = b"d = 2\nlcn_depth = 1\necn_depth = 1\nmax_epochs = 1\nbatch_size = 16\n"
+    train, config, data = tmp_path / "train.csv", tmp_path / "run.cfg", tmp_path / "data.csv"
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "pred.csv"
+    train.write_bytes(clean_csv)
+    config.write_bytes(clean_config)
+    fit = ["train", "--config", str(config), "--train", str(train), "--valid", str(train),
+           "--out-checkpoint"]
+    assert run(*fit, str(ckpt)) == 0
+    argv = {"eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--input", str(data),
+                        "--output", str(out)],
+            "train": fit + [str(tmp_path / "mutant.ckpt")]}
+    inserts = (b'"', b"\x00", b"\xff", b"nan", b"1e400")
+    rng = np.random.default_rng(19)
+    codes = []
+    for command in ["eval", "predict"] * 150 + ["train"] * 50:
+        path, blob = (config, bytearray(clean_config)) if command == "train" else (
+            data, bytearray(clean_csv))
+        at, kind = int(rng.integers(len(blob))), int(rng.integers(3))
+        if kind == 0:
+            blob[at] ^= 1 << int(rng.integers(8))
+        elif kind == 1:
+            del blob[at:]
+        else:
+            blob[at:at] = inserts[int(rng.integers(len(inserts)))]
+        path.write_bytes(blob)
+        out.unlink(missing_ok=True)
+        code = main(argv[command])
+        printed = capsys.readouterr().out + (out.read_text() if out.exists() else "")
+        assert code in (0, 1, 2), (command, bytes(blob))
+        assert code or not re.search(r"\bnan\b", printed, re.I), (command, bytes(blob), printed)
+        codes.append(code)
+    assert set(codes) == {0, 1, 2}, codes
 
 
 class TestRunConfig:

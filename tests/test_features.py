@@ -5,7 +5,7 @@ import pytest
 
 from fcn_ctr.features import (DataError, EncodedBatch, FieldSpec, OOV_ID,
                               OOV_TOKEN, build_schema, discretize_numeric,
-                              encode, read_csv, split, synth_interaction_data,
+                              encode, read_csv, split_indices, synth_interaction_data,
                               write_csv)
 from fcn_ctr.numerics import Rng
 
@@ -202,32 +202,35 @@ class TestEncode:
 
 
 class TestSplit:
-    def batch(self, n):
+    """Rows are cut as ``cli synth`` cuts them: ``split_indices``, then ``EncodedBatch.rows``."""
+
+    def split(self, n, fractions, rng):
         ids = np.arange(n, dtype=np.int64)[:, None]
-        return EncodedBatch(ids, np.zeros(n, dtype=np.int64), [n])
+        batch = EncodedBatch(ids, np.zeros(n, dtype=np.int64), [n])
+        return [batch.rows(index) for index in split_indices(n, fractions, rng)]
 
     def test_80_10_10(self):
-        parts = split(self.batch(100), (0.8, 0.1, 0.1), Rng(1))
+        parts = self.split(100, (0.8, 0.1, 0.1), Rng(1))
         assert [p.n for p in parts] == [80, 10, 10]
 
     def test_deterministic(self):
-        a = split(self.batch(57), (0.5, 0.25, 0.25), Rng(9))
-        b = split(self.batch(57), (0.5, 0.25, 0.25), Rng(9))
+        a = self.split(57, (0.5, 0.25, 0.25), Rng(9))
+        b = self.split(57, (0.5, 0.25, 0.25), Rng(9))
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.ids, pb.ids)
 
     def test_disjoint_cover(self):
-        parts = split(self.batch(101), (0.6, 0.2, 0.2), Rng(2))
+        parts = self.split(101, (0.6, 0.2, 0.2), Rng(2))
         seen = np.concatenate([p.ids[:, 0] for p in parts])
         assert sorted(seen) == list(range(101))
 
     def test_empty_part_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            split(self.batch(3), (0.9, 0.05, 0.05), Rng(3))
+            self.split(3, (0.9, 0.05, 0.05), Rng(3))
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
-            split(self.batch(10), (0.5, 0.2), Rng(0))
+            self.split(10, (0.5, 0.2), Rng(0))
 
 
 class TestSynthData:

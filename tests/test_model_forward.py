@@ -15,7 +15,7 @@ import fcn_ctr.model as model_mod
 from fcn_ctr.checkpoint import checkpoint_bytes, parse_checkpoint
 from fcn_ctr.features import (OOV_TOKEN, EncodedBatch, FeatureSchema, FieldSpec, build_schema,
                               encode)
-from fcn_ctr.model import (BRANCHES, CrossLayerParams, HeadParams, ModelConfig,
+from fcn_ctr.model import (BRANCHES, CrossLayerParams, ModelConfig,
                            ModelParams, cross_layer_forward, embed_reshape,
                            field_importance, forward, forward_from_x1,
                            init_model_params, layer_views, named_tensors,
@@ -25,16 +25,15 @@ from fcn_ctr.training import TrainConfig, init_adam_state, predict_scores, train
 
 
 def manual_params(embeddings, lcn=(), ecn=(), w_deep=None, w_shallow=None):
+    # the layers' and heads' tensors packed into dense in dense_layout's order
     tables = [np.asarray(e, dtype=np.float64) for e in embeddings]
     D = sum(t.shape[1] for t in tables)
-    heads = HeadParams(
-        w_deep=np.zeros(D) if w_deep is None else np.asarray(w_deep, float),
-        b_deep=np.zeros(1),
-        w_shallow=np.zeros(D) if w_shallow is None else np.asarray(w_shallow, float),
-        b_shallow=np.zeros(1),
-    )
+    heads = [np.zeros(D) if w_deep is None else w_deep, np.zeros(1),
+             np.zeros(D) if w_shallow is None else w_shallow, np.zeros(1)]
+    dense = np.concatenate([np.ravel(t) for layer in (*lcn, *ecn) for t in vars(layer).values()]
+                           + [np.ravel(t) for t in heads], dtype=np.float64)
     return ModelParams(np.concatenate(tables or [np.empty((0, 0))]), [len(t) for t in tables],
-                       list(lcn), list(ecn), heads)
+                       dense, len(lcn), len(ecn))
 
 
 def plain_layer(w, b=None):
@@ -400,14 +399,14 @@ class TestFlatStore:
         assert embed_reshape(np.zeros((2, 0), np.int64), params).shape == (2, 0)
 
     def test_constructor_adopts_the_table(self):
+        # both arrays are adopted as they are, and the tensor fields view them
         params = self.params()
-        twin = ModelParams(params.table, params.sizes, params.lcn_layers, params.ecn_layers,
-                           params.heads)
-        assert twin.table is params.table
+        twin = ModelParams(params.table, params.sizes, params.dense, 2, 1)
+        assert twin.table is params.table and twin.dense is params.dense
         assert all(e.base is params.table for e in twin.embeddings)
+        assert all(t.base is params.dense for _, t in named_tensors(twin)[3:])
         with pytest.raises(ValueError, match="table: expected 12 rows"):
-            ModelParams(params.table[:11], params.sizes, params.lcn_layers, params.ecn_layers,
-                        params.heads)
+            ModelParams(params.table[:11], params.sizes, params.dense, 2, 1)
 
     def test_an_empty_field_is_refused(self):
         # one draw for the whole table must still refuse a field with no row
@@ -448,9 +447,15 @@ class TestFlatStore:
         np.testing.assert_array_equal(params.lcn_layers[0].w, np.ones((2, 4)))
 
     def test_constructor_refuses_wrong_shape(self):
-        transposed = CrossLayerParams(np.ones((4, 2)), np.zeros(2), np.ones(2), np.zeros(2))
-        with pytest.raises(ValueError, match=r"lcn_layers\[0\]\.w: expected shape \(2, 4\)"):
-            manual_params([np.zeros((3, 4))], lcn=[transposed])
+        # dense's length follows from the width and the depths: one value more or
+        # fewer, or one layer more than it holds, is refused
+        params = manual_params([np.zeros((3, 4))], lcn=[plain_layer(np.ones((2, 4)))])
+        size = model_mod.dense_size(4, 1, 0)
+        assert params.dense.size == size == 2 * 4 + 3 * 2 + 2 * 4 + 2
+        for dense, depths in ((params.dense[:-1], (1, 0)), (np.zeros(size + 1), (1, 0)),
+                              (params.dense, (1, 1))):
+            with pytest.raises(ValueError, match=r"dense: expected \d+ values"):
+                ModelParams(params.table, params.sizes, dense, *depths)
 
 
 class TestFieldImportance:

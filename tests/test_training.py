@@ -10,7 +10,7 @@ import pytest
 
 import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
-from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split, synth_interaction_data
+from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split_indices, synth_interaction_data
 from fcn_ctr.metrics import EvalResult
 from fcn_ctr.model import ModelConfig, backward, forward, init_model_params, named_dense
 from fcn_ctr.numerics import Rng, derive_seed
@@ -215,7 +215,7 @@ class TestTrainLoop:
         records, _ = synth_interaction_data(3, 4, 1, n, Rng(seed))
         schema = build_schema(records, [FieldSpec(f"f{j}") for j in range(3)])
         batch = encode(records, schema)
-        return split(batch, (0.7, 0.15, 0.15), Rng(seed + 1))
+        return tuple(map(batch.rows, split_indices(batch.n, (0.7, 0.15, 0.15), Rng(seed + 1))))
 
     def test_first_order_signal_learned_fast(self):
         # order-1 synthetic labels are linearly separable up to noise, so the

@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fcn_ctr.checkpoint import save_checkpoint
 from fcn_ctr.cli import main as cli
-from fcn_ctr.features import (FieldSpec, build_schema, encode, split,
+from fcn_ctr.features import (FieldSpec, build_schema, encode, split_indices,
                               synth_interaction_data, write_csv)
 from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng, derive_seed
@@ -32,7 +32,8 @@ def main(out=OUT):
     specs = [FieldSpec(f"f{j}") for j in range(3)]
     schema = build_schema(records, specs)
     batch = encode(records, schema)
-    tr, va, te = split(batch, (0.8, 0.1, 0.1), Rng(derive_seed(2024, "split")))
+    tr, va, te = map(batch.rows, split_indices(batch.n, (0.8, 0.1, 0.1),
+                                               Rng(derive_seed(2024, "split"))))
 
     config = ModelConfig(d=4, lcn_depth=1, ecn_depth=2, mask_mode="paper",
                          dropout_rate=0.1, seed=2024)
