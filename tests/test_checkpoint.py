@@ -490,7 +490,6 @@ class TestFileReader:
                                "TruncatedCheckpointError", "UnsupportedVersionError"}, counts
         assert outcome(load, vocabs[:end - 1])[1].endswith(f"file has {end - 1}")
 
-
     @pytest.mark.parametrize("where", ["vocab", "payload"])
     def test_a_file_that_shrinks_while_it_is_read(self, load, where, monkeypatch):
         # the file is cut after the reader took its size, so the read that comes up

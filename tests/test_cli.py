@@ -25,11 +25,6 @@ from fcn_ctr.model import ModelConfig
 from fcn_ctr.runconfig import RunConfig, UsageError, parse_run_config, render_run_config
 from fcn_ctr.training import TrainConfig
 
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
-
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -455,24 +450,25 @@ class TestUsageErrors:
                    "--data", str(tmp_path / "none.csv")) == 2
 
 
-@pytest.mark.skipif(resource is None, reason="needs resource.RLIMIT_AS")
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
 @pytest.mark.parametrize("key, value", [("d", 200000), ("lcn_depth", 2000000000)])
 def test_model_too_large_for_memory_is_data_error(workspace, tmp_path, key, value):
-    # train runs in a child process under a 3 GiB address-space limit, so a model
-    # that is made piece by piece until memory runs out cannot exhaust the machine
+    # train runs in a child process that limits its own address space to 3 GiB
+    # first, so a model made piece by piece until memory runs out cannot
+    # exhaust the machine
     config = tmp_path / "big.cfg"
     config.write_text(f"{key} = {value}\nmax_epochs = 1\n")
-    limit = 3 << 30
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+             "from fcn_ctr.cli import main; sys.exit(main(sys.argv[1:]))")
     src = str(Path(fcn_ctr.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "fcn_ctr", "train", "--config", str(config),
+        [sys.executable, "-c", child, "train", "--config", str(config),
          "--train", str(workspace["data"] / "train.csv"),
          "--valid", str(workspace["data"] / "valid.csv"),
          "--out-checkpoint", str(tmp_path / "big.ckpt")],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
