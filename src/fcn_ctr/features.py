@@ -290,14 +290,17 @@ def read_csv(path) -> tuple[list[str], list[dict]]:
     """Read an RFC 4180 CSV with a header row into (columns, records)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        columns = list(reader.fieldnames)
-        records = []
-        for row in reader:
-            if None in row or any(v is None for v in row.values()):
-                raise DataError(f"{path}: row {reader.line_num}: wrong number of columns")
-            records.append(row)
+        try:
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            columns = list(reader.fieldnames)
+            records = []
+            for row in reader:
+                if None in row or any(v is None for v in row.values()):
+                    raise DataError(f"{path}: row {reader.line_num}: wrong number of columns")
+                records.append(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return columns, records
 
 

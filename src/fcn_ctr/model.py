@@ -19,9 +19,10 @@ vectors (n, D/2). Every embedding row lives in one float64 table,
 ``ModelParams.table``, every other parameter in one float64 vector,
 ``ModelParams.dense``, and the per-field tables and the layer and head fields
 view the two. Params are immutable during forward/backward; traces are
-per-batch and single-owner. A training run hands forward and backward a
-``BranchWorkspace`` per branch, whose buffers take a step's arrays in place
-of fresh temporaries; every other caller gets fresh arrays. The two
+per-batch and single-owner, and a backward spends the trace it reads. A
+training run hands forward a ``BranchWorkspace`` per branch, whose buffers
+take a step's arrays in place of fresh temporaries, and the trace carries
+the pair to the backward; every other caller gets fresh arrays. The two
 branches share only x1 and the heads, so small inference batches run them
 as one (2, n, D) stack, large batches with the ecn on a worker thread and
 the lcn on the caller's, the rest one after the other, all with bitwise the
@@ -225,8 +226,9 @@ class ForwardTrace:
     z_shallow: np.ndarray
     y_deep: np.ndarray
     y_shallow: np.ndarray
+    workspace: tuple[BranchWorkspace, BranchWorkspace]  # the (ecn, lcn) pair the forward ran in
     ids: np.ndarray | None = None
-    spent: bool = False  # a workspace backward overwrote its arrays
+    spent: bool = False  # a backward overwrote its lcn outputs
 
 
 @dataclass
@@ -255,8 +257,7 @@ class BranchWorkspace:
     fresh temporaries: one flat array per role, grown to the largest batch
     seen, so a smaller batch takes reshaped prefixes of the same memory. A
     step's trace and gradients view these buffers until the next step (or the
-    epoch's evaluation) overwrites them, and the backward spends the trace
-    (``spend``). Single-owner, like an ``Rng``."""
+    epoch's evaluation) overwrites them. Single-owner, like an ``Rng``."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -292,19 +293,14 @@ class BranchWorkspace:
                      dw=self.take("dw", (m, width)))
         return views
 
-    def spend(self, array: np.ndarray) -> np.ndarray | None:
-        """Where a result may go that overwrites ``array``, a trace array the
-        step no longer reads, such as an lcn layer's output."""
-        return array
-
 
 _NO_VIEWS: dict = {}  # a role without a view gets a new array
 
 
 class FreshArrays(BranchWorkspace):
     """The workspace of every caller but a training run, which reuses
-    nothing, so no result aliases another call's: ``take`` allocates, there
-    are no views and ``spend`` is None, so each numpy call makes its own result."""
+    nothing, so no result aliases another call's: ``take`` allocates and there
+    are no views, so each numpy call makes its own result."""
 
     def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         return np.empty(shape, dtype)
@@ -314,9 +310,6 @@ class FreshArrays(BranchWorkspace):
 
     def backward_views(self, n: int, width: int) -> dict:
         return _NO_VIEWS
-
-    def spend(self, array: np.ndarray) -> None:
-        return None
 
 
 FRESH = FreshArrays()
@@ -350,10 +343,8 @@ def init_model_params(config: ModelConfig, sizes: list[int], seed: int) -> Model
     return params
 
 
-def zero_gradients(params: ModelParams, dense: np.ndarray | None = None) -> Gradients:
-    """Zero gradients over ``dense``, zeroed here, or by default a new vector."""
-    if dense is None:
-        dense = np.empty_like(params.dense)
+def zero_gradients(params: ModelParams, dense: np.ndarray) -> Gradients:
+    """Zero gradients over ``dense``, a vector shaped as ``params.dense``, zeroed here."""
     dense.fill(0.0)
     return Gradients(None, *layer_views(dense, params.width, len(params.lcn_layers),
                                         len(params.ecn_layers)), dense)
@@ -539,8 +530,10 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
     ``anchor=x1``; ``anchor=None`` anchors each layer on its own input, as
     the ecn does. At a dropout ``rate`` above 0 each layer draws x1's shape
     of uniforms from ``rng``, layer by layer. Returns (branch output, layer
-    traces)."""
-    if rate and layers and rng is None:
+    traces); a branch without layers returns x1 itself."""
+    if not layers:
+        return x1, []
+    if rate and rng is None:
         raise ValueError("training-mode dropout requires an rng")
     x = x1
     traces = []
@@ -590,19 +583,19 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     draw, ecn first.
     ``workspace``, the (ecn, lcn) pair a training run reuses, takes the
     branches' arrays, and the trace then views it until the workspace's next
-    use; by default every array is new.
+    use; by default every array is new. The trace carries the pair it ran in.
     """
     rate = config.dropout_rate if training else 0.0
-    ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
+    workspace = workspace or (FRESH, FRESH)
     if x1.ndim == 2 and not training and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
         ecn_rng = rng.split(len(params.ecn_layers) * x1.size) if rate and rng is not None else rng
         (x_ecn, ecn_traces), (x_lcn, lcn_traces) = _both_branches(
             lambda: _branch_forward(x1, None, params.ecn_layers, config, rate, ecn_rng,
-                                    training, ecn_ws),
+                                    training, workspace[0]),
             lambda: _branch_forward(x1, x1, params.lcn_layers, config, rate, rng,
-                                    training, lcn_ws),
+                                    training, workspace[1]),
             _parallel(x1.size))
 
     # the heads' logits, deep then shallow, as one stack: one sigmoid and one fusion
@@ -618,7 +611,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     trace = None
     if training:
         trace = ForwardTrace(x1, ecn_traces, lcn_traces, x_ecn, x_lcn,
-                             z_deep, z_shallow, y_deep, y_shallow)
+                             z_deep, z_shallow, y_deep, y_shallow, workspace)
     return ForwardResult(y, y_deep, y_shallow, trace)
 
 
@@ -690,8 +683,8 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     Accumulates the layers' parameter gradients and returns (gradient at x1
     through the first layer's input, the anchor gradient of each lcn layer,
     last layer first). The ecn anchor is the layer input, so its gradient
-    joins dx. Each lcn anchor gradient goes where ``ws.spend`` puts it: in a
-    training run's workspace, over its layer's output."""
+    joins dx. Each lcn anchor gradient overwrites its layer's output, which
+    nothing reads once the backward has passed that layer."""
     out = ws.backward_views(len(dz), len(w_head))
     dx = np.outer(dz, w_head, out=out.get("dx"))
     anchor_terms = []
@@ -709,15 +702,14 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
         if anchor is None:
             dx += np.multiply(dx, gate, out=gate)
         else:
-            anchor_terms.append(np.multiply(dx, gate, out=ws.spend(x_out)))
+            anchor_terms.append(np.multiply(dx, gate, out=x_out))
         x_out = tr.x_in
         dx += np.matmul(dc, layer.w, out=dgate)
     return dx, anchor_terms
 
 
 def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
-             dy_deep: np.ndarray, dy_shallow: np.ndarray,
-             workspace: tuple[BranchWorkspace, BranchWorkspace] | None = None) -> Gradients:
+             dy_deep: np.ndarray, dy_shallow: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of the loss for every parameter tensor.
 
     ``dy_deep`` and ``dy_shallow`` are the per-sample loss gradients with
@@ -728,16 +720,16 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     run the two branches on two threads, like the forward pass; dx1 is then
     summed in one fixed order, so the result does not depend on which
     branch finishes first. dx1 goes to the touched ``table`` rows of the
-    trace's ids as one sparse gradient. With a ``workspace`` (as in ``forward_from_x1``)
-    the gradients and the branches' temporaries live in it, and the trace is
-    spent: each lcn layer's output takes its anchor gradient, a second backward
-    raises ``ValueError``, and the gradients hold until the workspace's next
-    backward. By default the trace is left as it was and the gradients are new.
+    trace's ids as one sparse gradient. The gradients and the branches'
+    temporaries live in the workspace the forward ran in (``trace.workspace``):
+    a training run's holds them until its next backward, ``FRESH`` makes them
+    new. The backward spends the trace: each lcn layer's output takes its
+    anchor gradient, and a second backward raises ``ValueError``.
     """
     if trace is None or trace.spent:
         raise ValueError("backward requires a training-mode forward trace, not a spent one")
-    trace.spent = workspace is not None
-    ecn_ws, lcn_ws = workspace or (FRESH, FRESH)
+    trace.spent = True
+    ecn_ws, lcn_ws = trace.workspace
     grads = zero_gradients(params, ecn_ws.take("grads", params.dense.shape))
     heads = params.heads
 

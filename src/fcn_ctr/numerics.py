@@ -59,10 +59,6 @@ class Rng:
         self.seed = int(seed) & _M64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def raw(self, n: int) -> np.ndarray:
-        """``n`` raw 64-bit words straight from the Philox core (uint64)."""
-        return self._gen.bit_generator.random_raw(n)
-
     def random(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform float64 draws in [0, 1), one raw word each, into ``out``
         (of shape ``size``) when given: the same words either way."""

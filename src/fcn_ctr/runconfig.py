@@ -95,9 +95,13 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_run_config(fh.read(), source=str(path))
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+    return parse_run_config(text, source=str(path))
 
 
 def render_run_config(config: RunConfig) -> str:

@@ -192,7 +192,7 @@ def train_step(batch: EncodedBatch, params: ModelParams, model_config: ModelConf
                                0.0, 0.0, report.primary, report.n)
     g_deep, g_shallow = tri_bce_grads(res.y, res.y_deep, res.y_shallow,
                                       batch.labels, report)
-    grads = backward(res.trace, params, model_config, g_deep, g_shallow, state.workspace)
+    grads = backward(res.trace, params, model_config, g_deep, g_shallow)
     adam_step(params, grads, state, train_config)
     return report
 

@@ -428,6 +428,11 @@ class TestVerifySubcommand:
         assert run("verify", "--suite", "mask") == 0
         assert "PASSED" in capsys.readouterr().out
 
+    def test_auc_suite_exits_zero(self, capsys):
+        assert run("verify", "--suite", "auc") == 0
+        out = capsys.readouterr().out
+        assert "== suite auc: PASS" in out and "PASSED" in out
+
     def test_injected_fault_fails_grad_suite(self, monkeypatch, capsys, flip_bias_gradient):
         import fcn_ctr.verification as verification_mod
         flip_bias_gradient()
@@ -448,6 +453,43 @@ class TestUsageErrors:
     def test_missing_checkpoint_file_is_data_error(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(tmp_path / "none.csv")) == 2
+
+
+# (file contents by flag, exit code, the one stderr line); {train}, {valid} and
+# {config} in the line stand for the files' paths
+TYPED_EXITS = {
+    "label_only": ({"train": b"label\n1\n0\n"}, 2,
+                   "error: no feature columns found (only the label column present)"),
+    "no_label": ({"train": b"a,b\nx,y\n"}, 2, "error: {train}: no label column"),
+    "header_only": ({"train": b"a,label\n"}, 2, "error: build_schema: no records"),
+    "valid_without_label": ({"valid": b"a\nx\n"}, 2,
+                            "error: row 2: missing label column 'label'"),
+    "missing_config": ({"config": None}, 1,
+                       "usage error: cannot read config file: [Errno 2] "
+                       "No such file or directory: '{config}'"),
+    "config_not_utf8": ({"config": b"d = 4\nlr = 0.0\xff1\n"}, 1,
+                        "usage error: {config}:2: not UTF-8 text (invalid start byte)"),
+    "csv_not_utf8": ({"train": b"a,label\nx\xff,1\ny,0\n"}, 2,
+                     "error: {train}: not UTF-8 text (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("case", TYPED_EXITS)
+def test_train_input_fault_is_one_typed_line(case, tmp_path, capsys):
+    # each fault of train's inputs ends in its exit code and one line naming it
+    files, code, line = TYPED_EXITS[case]
+    paths = {name: tmp_path / f"{name}.{'cfg' if name == 'config' else 'csv'}"
+             for name in ("train", "valid", "config")}
+    contents = {"train": b"a,label\nx,1\ny,0\n", "valid": b"a,label\nx,1\n",
+                "config": b"d = 2\nmax_epochs = 1\n", **files}
+    for name, blob in contents.items():
+        if blob is not None:
+            paths[name].write_bytes(blob)
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--config", str(paths["config"]), "--train", str(paths["train"]),
+               "--valid", str(paths["valid"]), "--out-checkpoint", str(out)) == code
+    assert capsys.readouterr().err == line.format(**paths) + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")

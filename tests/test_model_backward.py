@@ -136,7 +136,7 @@ class TestBackwardBasics:
 
     def test_adding_zero_gradients_is_noop(self):
         config, params, batch = setup(1, 1)
-        zeros = zero_gradients(params)
+        zeros = zero_gradients(params, np.empty_like(params.dense))
         before = params.copy()
         for layer, glayer in zip(params.lcn_layers + params.ecn_layers,
                                  zeros.lcn_layers + zeros.ecn_layers):
@@ -300,8 +300,8 @@ class TestBranchThreads:
 
 
 class TestBackwardWorkspace:
-    """By default backward leaves its trace alone and returns new gradients;
-    with a training run's workspace it spends the trace and reuses the buffers."""
+    """Every backward spends its trace; by default its gradients are new, with
+    a training run's workspace they reuse the buffers the forward ran in."""
 
     @staticmethod
     def loss_grads(res, batch):
@@ -318,21 +318,28 @@ class TestBackwardWorkspace:
                                if isinstance(a, np.ndarray)})
         return arrays
 
-    def test_default_keeps_the_trace_and_the_gradients(self):
+    def test_default_spends_the_trace_and_returns_new_equal_gradients(self):
         config, params, batch = setup(2, 2)
         config.dropout_rate = 0.3
-        res = forward(batch, params, config, training=True, rng=Rng(4))
-        before = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()}
-        assert {"x_ecn", "x_lcn", "lcn[1].keep", "ecn[1].relu"} <= set(before)
-        first = backward(res.trace, params, config, *self.loss_grads(res, batch))
-        kept = first.dense.copy()
-        second = backward(res.trace, params, config, *self.loss_grads(res, batch))
-        after = self.trace_arrays(res.trace)
-        assert after.keys() == before.keys()
-        for name, array in after.items():
-            assert array.tobytes() == before[name].tobytes(), name
-        np.testing.assert_array_equal(first.dense, kept)
-        np.testing.assert_array_equal(second.dense, kept)
+        grads = []
+        for _ in range(2):
+            res = forward(batch, params, config, training=True, rng=Rng(4))
+            before = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()}
+            assert {"x_ecn", "x_lcn", "lcn[1].keep", "ecn[1].relu"} <= set(before)
+            grads.append(backward(res.trace, params, config, *self.loss_grads(res, batch)))
+            assert res.trace.spent
+            after = self.trace_arrays(res.trace)
+            assert after.keys() == before.keys()
+            # each lcn layer's output took its anchor term; nothing else changed
+            for name, array in after.items():
+                spent = name in ("lcn[1].x_in", "x_lcn")
+                assert (array.tobytes() == before[name].tobytes()) != spent, name
+            for array in after.values():
+                assert not np.shares_memory(grads[-1].dense, array)
+        first, second = grads
+        assert first.dense.tobytes() == second.dense.tobytes()
+        for a, b in zip(first.embeddings, second.embeddings):
+            assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(first.dense, second.dense)
 
     def test_workspace_spends_the_lcn_outputs_same_grads(self):
@@ -346,7 +353,7 @@ class TestBackwardWorkspace:
         before = [a.copy() for a in outputs]
         ecn = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()
                if not k.startswith("lcn") and k != "x_lcn"}
-        grads = backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
+        grads = backward(res.trace, params, config, *self.loss_grads(res, batch))
         np.testing.assert_array_equal(grads.dense, expected.dense)
         for got, want in zip(grads.embeddings, expected.embeddings):
             np.testing.assert_array_equal(got, want)
@@ -361,12 +368,11 @@ class TestBackwardWorkspace:
         # the spent lcn outputs hold anchor terms: a second backward would scatter
         # wrong embedding gradients beside dense ones that look right
         config, params, batch = setup(2, 2, f=4, d=4, n=64)
-        workspace = (BranchWorkspace(), BranchWorkspace())
-        res = forward(batch, params, config, training=True, workspace=workspace)
-        backward(res.trace, params, config, *self.loss_grads(res, batch), workspace)
-        for again in (workspace, None):
+        for workspace in ((BranchWorkspace(), BranchWorkspace()), None):
+            res = forward(batch, params, config, training=True, workspace=workspace)
+            backward(res.trace, params, config, *self.loss_grads(res, batch))
             with pytest.raises(ValueError, match="spent"):
-                backward(res.trace, params, config, *self.loss_grads(res, batch), again)
+                backward(res.trace, params, config, *self.loss_grads(res, batch))
 
 
 class TestRebuiltGate:
@@ -420,8 +426,7 @@ class TestRebuiltGate:
                 assert expected.tobytes() == output.tobytes()
         report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
         backward(trace, params, config,
-                 *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report),
-                 workspace)
+                 *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report))
         layers = trace.ecn + trace.lcn
         assert len(forward_calls) == len(calls) == len(layers) == 5
         for tr in layers:

@@ -26,8 +26,11 @@ DERIVED_SEEDS = {
 class TestRng:
     def test_raw_stream_vectors(self):
         for key, expected in PHILOX_RAW.items():
-            got = [int(x) for x in Rng(key).raw(4)]
+            got = [int(x) for x in np.random.Philox(key=key).random_raw(4)]
             assert got == expected
+            # an Rng is a Generator over that Philox stream, bit for bit
+            want = np.random.Generator(np.random.Philox(key=key)).random(4)
+            assert Rng(key).random(4).tobytes() == want.tobytes()
 
     def test_identical_seed_identical_stream(self):
         a = Rng(1234).uniform(-1, 1, 100)

@@ -104,3 +104,41 @@ def test_bench_pairs_appends_an_entry(tmp_path):
     for side in ("base", "change"):
         (run,) = entry["runs"][side]
         assert run["correct"] and run["failed"] == 0 and run["seed"] == 1000
+
+
+def test_bench_pairs_leaves_a_failed_pair_out(tmp_path, monkeypatch):
+    # pair 0's base run exits 1 and pair 1's change run is not correct: both
+    # stay in runs, and the metrics are pair 2's alone
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(TOOLS, "bench_pairs.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "build", lambda rev, build_dir: (rev * 8, rev))
+    monkeypatch.setattr(bench, "compile_tree", lambda path: None)
+    value = {"base": 2.0, "change": 3.0}
+
+    def fake_run(argv, cwd, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        if (cwd, seed) == ("base", 100):
+            return subprocess.CompletedProcess(argv, 1, "", "Traceback\nOSError: no\n")
+        wrong = (cwd, seed) == ("change", 101)
+        result = {"correct": not wrong, "attempted": 5, "failed": 2 if wrong else 0,
+                  "metrics": {name: {"value": value[cwd] + seed % 100}
+                              for name in ("setup_s", "peak_rss_mb", "round_ms_p10")}}
+        detail = {"provenance": {"blas_threads": 1}}
+        return subprocess.CompletedProcess(
+            argv, 0, json.dumps(detail) + "\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--workload", "verify", "--pairs", "3", "--first-seed", "100",
+                       "--base", "base", "--change", "change", "--out", str(tmp_path)]) == 0
+    (entry,) = json.loads((tmp_path / "BENCH_verify.json").read_text())
+    base, change = entry["runs"]["base"], entry["runs"]["change"]
+    assert base[0] == {"seed": 100, "exit_code": 1, "error": "OSError: no"}
+    assert not change[1]["correct"] and change[1]["failed"] == 2
+    assert [r["seed"] for r in base + change] == [100, 101, 102] * 2
+    assert entry["pairs_left_out"] == 2 and entry["blas_threads"] == [1]
+    for name, m in entry["metrics"].items():
+        assert m["pairs"] == 1, name
+        assert m["base"]["median"] == 4.0 and m["change"]["median"] == 5.0, name
+        assert m["pair_change"]["median"] == pytest.approx(5.0 / 4.0 - 1.0), name

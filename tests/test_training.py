@@ -41,7 +41,7 @@ class TestAdam:
         from fcn_ctr.model import zero_gradients
         state = init_adam_state(params)
         before = params.copy()
-        adam_step(params, zero_gradients(params), state, TrainConfig())
+        adam_step(params, zero_gradients(params, np.empty_like(params.dense)), state, TrainConfig())
         np.testing.assert_array_equal(params.ecn_layers[0].w, before.ecn_layers[0].w)
         np.testing.assert_array_equal(params.embeddings[0], before.embeddings[0])
 
@@ -50,7 +50,7 @@ class TestAdam:
         # so the update is -lr / (1 + eps) regardless of the tensor
         config, params = toy_model()
         from fcn_ctr.model import zero_gradients
-        grads = zero_gradients(params)
+        grads = zero_gradients(params, np.empty_like(params.dense))
         grads.heads.b_deep[...] = 1.0
         state = init_adam_state(params)
         tcfg = TrainConfig(learning_rate=0.25)
@@ -78,7 +78,7 @@ class TestAdam:
     def test_non_finite_gradient_names_tensor(self):
         config, params = toy_model()
         from fcn_ctr.model import zero_gradients
-        grads = zero_gradients(params)
+        grads = zero_gradients(params, np.empty_like(params.dense))
         grads.lcn_layers[0].w[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match=r"lcn_layers\[0\]\.w"):
             adam_step(params, grads, init_adam_state(params), TrainConfig())

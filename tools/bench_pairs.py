@@ -10,8 +10,12 @@ holds the shas, the CPU count, the BLAS threads and the seeds, every run's
 end-to-end metrics, and per metric the median and quartiles of each side, the
 change of the medians, the median and quartiles of the per-pair change (change
 over base, minus one: pairing cancels the speed a process happens to run at), and
-the number of pairs in which the change is lower. Entries written before the
-per-pair change have no ``pair_change``. Commit the change first:
+the number of pairs in which the change is lower. A run that exits non-zero
+(kept with its ``exit_code`` and last stderr line) or is not ``correct`` stays
+in ``runs``, but its pair is left out of ``metrics``; ``pairs_left_out``
+counts such pairs. Entries written before the per-pair change have no
+``pair_change``, those before ``pairs_left_out`` none of it. Commit the change
+first:
 
     python tools/bench_pairs.py --workload online --pairs 10 --first-seed 5001 \\
         --base HEAD~1
@@ -59,7 +63,10 @@ def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, os.path.join(path, "perfbench", "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
-                          cwd=path, env=env, capture_output=True, text=True, check=True)
+                          cwd=path, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"seed": seed, "exit_code": proc.returncode,
+                "error": (proc.stderr.strip().splitlines() or [""])[-1]}
     detail, result = map(json.loads, proc.stdout.splitlines()[-2:])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "blas_threads": detail["provenance"]["blas_threads"],
@@ -70,14 +77,20 @@ def quartiles(values: np.ndarray) -> dict:
     return dict(zip(("q1", "median", "q3"), np.percentile(values, [25, 50, 75]).tolist()))
 
 
-def summary(base: list[dict], change: list[dict]) -> dict:
+def usable(run: dict) -> bool:
+    """A run that exited 0 and whose workload checked correct."""
+    return "exit_code" not in run and run["correct"]
+
+
+def summary(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per declared end-to-end metric, over (base run, change run) pairs."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)["end_to_end"]
     out = {}
     for metric in declared:
         name = metric["name"]
-        a = np.array([r[name] for r in base])
-        b = np.array([r[name] for r in change])
+        a = np.array([base[name] for base, _ in pairs])
+        b = np.array([change[name] for _, change in pairs])
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "base": quartiles(a), "change": quartiles(b),
                      "median_change": float(np.median(b) / np.median(a) - 1.0),
@@ -113,6 +126,7 @@ def main(argv=None) -> int:
             runs[side].append(run_once(path, args.workload, seed, args.seconds))
             print(side, json.dumps(runs[side][-1]), flush=True)
 
+    pairs = [pair for pair in zip(runs["base"], runs["change"]) if all(map(usable, pair))]
     entry = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
              "workload": args.workload, "seconds": args.seconds, "trace": 0,
              "base": {"rev": args.base, "sha": base_sha},
@@ -120,9 +134,10 @@ def main(argv=None) -> int:
              "nproc": os.cpu_count(),
              "cpus_allowed": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count(),
-             "blas_threads": sorted({r["blas_threads"] for v in runs.values() for r in v},
-                                    key=str),
-             "seeds": seeds, "metrics": summary(runs["base"], runs["change"]), "runs": runs}
+             "blas_threads": sorted({r["blas_threads"] for v in runs.values() for r in v
+                                     if "blas_threads" in r}, key=str),
+             "seeds": seeds, "metrics": summary(pairs) if pairs else {},
+             "pairs_left_out": len(seeds) - len(pairs), "runs": runs}
     path = os.path.join(args.out, f"BENCH_{args.workload}.json")
     entries = []
     if os.path.exists(path):
@@ -138,6 +153,8 @@ def main(argv=None) -> int:
               f"{m['unit']} ({m['median_change']:+.1%}; per pair {pair['median']:+.1%}, "
               f"quartiles {pair['q1']:+.1%} {pair['q3']:+.1%}), change lower in "
               f"{m['change_lower']}/{m['pairs']} pairs")
+    if entry["pairs_left_out"]:
+        print(f"{entry['pairs_left_out']}/{len(seeds)} pairs left out: a run failed")
     return 0
 
 
