@@ -14,8 +14,8 @@ the number of pairs in which the change is lower. A run that exits non-zero
 (kept with its ``exit_code`` and last stderr line) or is not ``correct`` stays
 in ``runs``, but its pair is left out of ``metrics``; ``pairs_left_out``
 counts such pairs. Entries written before the per-pair change have no
-``pair_change``, those before ``pairs_left_out`` none of it. Commit the change
-first:
+``pair_change``, and those written before ``pairs_left_out`` have none. Commit
+the change first:
 
     python tools/bench_pairs.py --workload online --pairs 10 --first-seed 5001 \\
         --base HEAD~1
