@@ -19,7 +19,9 @@ vectors (n, D/2). Every embedding row lives in one float64 table,
 ``ModelParams.table``, every other parameter in one float64 vector,
 ``ModelParams.dense``, and the per-field tables and the layer and head fields
 view the two. Params are immutable during forward/backward; traces are
-per-batch and single-owner, and a backward spends the trace it reads. A
+per-batch and single-owner. A layer trace keeps only what the backward
+reads, which recomputes the relu gate from it, and a backward spends the
+trace: every layer output of both branches takes gradient temporaries. A
 training run hands forward a ``BranchWorkspace`` per branch, whose buffers
 take a step's arrays in place of fresh temporaries, and the trace carries
 the pair to the backward; every other caller gets fresh arrays. The two
@@ -202,15 +204,15 @@ def named_tensors(params: ModelParams):
 
 @dataclass
 class LayerTrace:
-    """Per-layer forward cache consumed by the backward pass. ``keep`` is
-    None without dropout, and the backward scales by 1/(1 - dropout rate)
-    where it keeps. The mask fields stay None where the mask mode does not
-    use them; the backward derives the relu gate, the clamp and the gate from them."""
+    """Per-layer forward cache, all of which the backward pass reads. ``keep``
+    is None without dropout, and the backward scales by 1/(1 - dropout rate)
+    where it keeps. The layernorm stats stay None where the mask mode does not
+    use them; from c and them the backward recomputes the relu gate
+    (``_mask_backward``) and derives the clamp and the gate."""
 
     x_in: np.ndarray           # (n, D)
     c: np.ndarray              # (n, D/2)
     keep: np.ndarray | None = None       # (n, D) bool dropout keep mask, None when off
-    relu: np.ndarray | None = None       # (n, D/2) relu(layernorm(c)), or relu(c) for no_ln
     mu: np.ndarray | None = None         # (n, 1) layernorm mean
     delta: np.ndarray | None = None      # (n, 1) layernorm std, clamped to at least epsilon
 
@@ -228,7 +230,7 @@ class ForwardTrace:
     y_shallow: np.ndarray
     workspace: tuple[BranchWorkspace, BranchWorkspace]  # the (ecn, lcn) pair the forward ran in
     ids: np.ndarray | None = None
-    spent: bool = False  # a backward overwrote its lcn outputs
+    spent: bool = False  # a backward overwrote both branches' layer outputs
 
 
 @dataclass
@@ -274,23 +276,25 @@ class BranchWorkspace:
     def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
         """Per layer, the views ``cross_layer_forward`` fills: its output, the
         gate's first, and the arrays its trace keeps (each role holds every
-        layer's), and the masked half, scratch that the layers share."""
+        layer's), and the relu gate and the masked half, scratch that the
+        layers share."""
         m = width // 2
         layered = {role: self.take(role, (depth, n, cols)) for role, cols in (
-            ("x_out", width), ("c", m), ("relu", m), ("mu", 1), ("delta", 1))}
-        masked = self.take("masked", (n, m))
-        return [dict(masked=masked, **{role: a[i] for role, a in layered.items()})
+            ("x_out", width), ("c", m), ("mu", 1), ("delta", 1))}
+        shared = {role: self.take(role, (n, m)) for role in ("masked", "relu")}
+        return [dict(shared, **{role: a[i] for role, a in layered.items()})
                 for i in range(depth)]
 
     def backward_views(self, n: int, width: int) -> dict:
-        """The views ``_branch_backward`` fills; nrm takes the forward's masked
-        scratch, spent by then, act the relu gate, and dw each layer's
-        W-gradient product."""
+        """The views a branch with layers fills in ``_branch_backward``, which
+        takes dx and the lcn's dgate itself: nrm and relu take the forward's
+        masked and relu scratch, spent by then, act the relu gate's sign, and
+        dw each layer's W-gradient product."""
         m = width // 2
         views = {role: self.take(role, (n, cols)) for role, cols in (
-            ("dx", width), ("dgate", width), ("dc", m), ("dnrm", m), ("mean", 1))}
-        views.update(nrm=self.take("masked", (n, m)), act=self.take("act", (n, m), bool),
-                     dw=self.take("dw", (m, width)))
+            ("dc", m), ("dnrm", m), ("mean", 1))}
+        views.update(nrm=self.take("masked", (n, m)), relu=self.take("relu", (n, m)),
+                     act=self.take("act", (n, m), bool), dw=self.take("dw", (m, width)))
         return views
 
 
@@ -404,13 +408,13 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
 
     Works over the last axis of a vector, an (n, D/2) batch or a (2, n, D/2)
     stack of both branches'. Returns (masked, stats) where stats maps
-    LayerTrace fields to what the backward pass needs. ``out`` maps
+    LayerTrace fields to the layernorm row stats the backward reads. ``out`` maps
     roles to the views the arrays go into (``BranchWorkspace.forward_views``);
     a role it lacks, by default every one, gets a new array.
     """
-    stats = {}
+    relu, stats = None, {}
     if mode == "no_ln":
-        stats = {"relu": _relu(c, out.get("relu"))}
+        relu = _relu(c, out.get("relu"))
     elif mode == "paper":
         mu = _row_mean(c, out.get("mu"))
         nrm = np.subtract(c, mu, out=out.get("relu"))
@@ -421,10 +425,10 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
         relu = np.multiply(nrm, gain, out=nrm)
         relu += beta
         _relu(relu, out=relu)
-        stats = {"relu": relu, "mu": mu, "delta": delta}
+        stats = {"mu": mu, "delta": delta}
     elif mode != "identity":
         raise ValueError(f"unknown mask mode {mode!r}")
-    return _masked(c, stats.get("relu"), mode, out.get("masked")), stats
+    return _masked(c, relu, mode, out.get("masked")), stats
 
 
 def _masked(c: np.ndarray, relu, mode: str, out=None) -> np.ndarray:
@@ -631,30 +635,36 @@ def forward(batch, params: ModelParams, config: ModelConfig,
 
 
 def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
-                   config: ModelConfig, grads_layer: CrossLayerParams, out: dict) -> np.ndarray:
+                   config: ModelConfig, grads_layer: CrossLayerParams, out: dict):
     """Gradient with respect to c from the gradient at the whole gate: the
     c half passes straight through, the masked half goes back through the
-    self-mask, accumulating the layernorm gain/bias gradients on the way.
-    Returns dc (n, D/2); the masked half of ``dgate`` is overwritten. ``out``
-    maps roles to the views of the (n, D/2) arrays and the (n, 1) row means
-    (``BranchWorkspace.backward_views``), as in ``self_mask``."""
+    self-mask, accumulating the layernorm gain/bias gradients on the way. The
+    relu gate, which the trace does not keep, is recomputed first with the
+    forward's operations in the forward's order, bit for bit. Returns (dc
+    (n, D/2), the relu gate or None in identity mode); the masked half of
+    ``dgate`` is overwritten. ``out`` maps roles to the views of the (n, D/2)
+    arrays and the (n, 1) row means (``BranchWorkspace.backward_views``), as
+    in ``self_mask``."""
     m = dgate.shape[1] // 2
     dg_c, dg_hi = dgate[:, :m], dgate[:, m:]
     if config.mask_mode == "identity":
-        return np.add(dg_c, dg_hi, out=out.get("dc"))
+        return np.add(dg_c, dg_hi, out=out.get("dc")), None
     if config.mask_mode == "no_ln":
         # masked = c * relu(c): derivative 2 relu(c)
-        dc = np.multiply(tr.relu, 2.0, out=out.get("dc"))
+        relu = _relu(tr.c, out.get("relu"))
+        dc = np.multiply(relu, 2.0, out=out.get("dc"))
         dc *= dg_hi
     else:
         # paper mode: masked = c * relu(gain * nrm + beta)
-        dc = np.multiply(dg_hi, tr.relu, out=out.get("dc"))
-        dnrm = np.multiply(dg_hi, tr.c, out=out.get("dnrm"))
-        # the forward's normalized c and relu gate, recomputed bit for bit;
-        # through the gate, dnrm becomes the gradient at the layernorm output
         nrm = np.subtract(tr.c, tr.mu, out=out.get("nrm"))
-        dnrm *= np.greater(tr.relu, 0.0, out=out.get("act"))
         nrm /= tr.delta
+        relu = np.multiply(nrm, layer.gain, out=out.get("relu"))
+        relu += layer.beta
+        _relu(relu, out=relu)
+        dc = np.multiply(dg_hi, relu, out=out.get("dc"))
+        # through the gate, dnrm becomes the gradient at the layernorm output
+        dnrm = np.multiply(dg_hi, tr.c, out=out.get("dnrm"))
+        dnrm *= np.greater(relu, 0.0, out=out.get("act"))
         tmp = np.multiply(dnrm, nrm, out=dg_hi)
         grads_layer.gain += tmp.sum(axis=0)
         grads_layer.beta += dnrm.sum(axis=0)
@@ -671,7 +681,7 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
         dnrm /= tr.delta
         dc += dnrm
     dc += dg_c
-    return dc
+    return dc, relu
 
 
 def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | None,
@@ -683,21 +693,27 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     Accumulates the layers' parameter gradients and returns (gradient at x1
     through the first layer's input, the anchor gradient of each lcn layer,
     last layer first). The ecn anchor is the layer input, so its gradient
-    joins dx. Each lcn anchor gradient overwrites its layer's output, which
-    nothing reads once the backward has passed that layer."""
-    out = ws.backward_views(len(dz), len(w_head))
-    dx = np.outer(dz, w_head, out=out.get("dx"))
+    joins dx. Each layer's output is spent once the backward has passed the
+    layer above (the heads, for the last): an lcn output takes its anchor
+    gradient, an ecn output its dgate, the rebuilt gate, then dc @ W. A
+    branch without layers takes only dx."""
+    dx = np.outer(dz, w_head, out=ws.take("dx", (len(dz), len(w_head))))
+    if not layers:
+        return dx, []
+    out = ws.backward_views(*dx.shape)
+    lcn_dgate = None if anchor is None else ws.take("dgate", dx.shape)
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor, out=out.get("dgate"))
+        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor,
+                            out=x_out if anchor is None else lcn_dgate)
         if tr.keep is not None:
             dgate *= tr.keep
             dgate *= 1.0 / (1.0 - config.dropout_rate)
-        dc = _mask_backward(dgate, tr, layer, config, gl, out)
+        dc, relu = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)
         # dgate is spent: its buffer takes the gate, rebuilt via nrm's, then dc @ W
-        gate = _gate(tr.c, _masked(tr.c, tr.relu, config.mask_mode, out.get("nrm")),
+        gate = _gate(tr.c, _masked(tr.c, relu, config.mask_mode, out.get("nrm")),
                      tr.keep, config.dropout_rate, dgate)
         if anchor is None:
             dx += np.multiply(dx, gate, out=gate)
@@ -723,8 +739,9 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     trace's ids as one sparse gradient. The gradients and the branches'
     temporaries live in the workspace the forward ran in (``trace.workspace``):
     a training run's holds them until its next backward, ``FRESH`` makes them
-    new. The backward spends the trace: each lcn layer's output takes its
-    anchor gradient, and a second backward raises ``ValueError``.
+    new. The backward spends the trace: each layer output of both branches
+    takes gradient temporaries (``_branch_backward``), and a second backward
+    raises ``ValueError``.
     """
     if trace is None or trace.spent:
         raise ValueError("backward requires a training-mode forward trace, not a spent one")
@@ -765,8 +782,8 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
         first = np.ones(n * f, bool)
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         rows = rows[first]
-        # the ecn's dgate is spent: its buffer holds the bins, seen as x1 is
-        bins = ecn_ws.take("dgate", (n, 2, f, d // 2)).view(np.int64)
+        # the lcn's dx is spent, summed into dx1: its buffer holds the bins, seen as x1 is
+        bins = lcn_ws.take("dx", (n, 2, f, d // 2)).view(np.int64)
         np.add((np.searchsorted(rows, table_rows) * d)[:, None, :, None],
                np.arange(d).reshape(2, 1, d // 2), out=bins)
         sums = np.bincount(bins.ravel(), weights=dx1.ravel(), minlength=rows.size * d)
@@ -824,9 +841,10 @@ def field_importance(params: ModelParams, config: ModelConfig, batch,
     f, half, n = params.num_fields, config.d // 2, len(tr.c)
     # each field's n norms made contiguous, so each mean sums as the one field's would
     cross_strengths = np.sqrt((tr.c.reshape(n, f, half) ** 2).sum(axis=2)).T.copy().mean(axis=1)
-    masked = _masked(tr.c, tr.relu, config.mask_mode)
+    layer = layers[layer_index]
+    masked, _ = self_mask(tr.c, layer.gain, layer.beta, config.mask_mode, config.ln_epsilon)
     mask_sparsity = (masked.reshape(n, f, half) == 0.0).mean(axis=(0, 2))
     # w's (D/2, D) as (field i, row, view, field j, col): block (i, j) is rows i, columns j
-    w = layers[layer_index].w.reshape(f, half, 2, f, half).transpose(0, 3, 1, 2, 4)
+    w = layer.w.reshape(f, half, 2, f, half).transpose(0, 3, 1, 2, 4)
     pair = np.sqrt((w.reshape(f, f, -1) ** 2).sum(axis=-1))
     return cross_strengths, mask_sparsity, pair

@@ -11,10 +11,12 @@ import pytest
 
 import fcn_ctr.model as model_mod
 from fcn_ctr.features import EncodedBatch
-from fcn_ctr.model import (BRANCHES, MASK_MODES, BranchWorkspace, ModelConfig, backward,
-                           embed_reshape, forward, init_model_params, zero_gradients)
+from fcn_ctr.model import (BRANCHES, MASK_MODES, BranchWorkspace, CrossLayerParams, LayerTrace,
+                           ModelConfig, backward, embed_reshape, forward, init_model_params,
+                           self_mask, zero_gradients)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import tri_bce, tri_bce_grads
+from fcn_ctr.training import TrainConfig, init_adam_state, train_step
 from fcn_ctr.verification import audit_config
 
 
@@ -303,6 +305,10 @@ class TestBackwardWorkspace:
     """Every backward spends its trace; by default its gradients are new, with
     a training run's workspace they reuse the buffers the forward ran in."""
 
+    # every layer output of a 2 + 2 trace (the next layer's input, the last one's
+    # the branch's) and its branch's index in the (ecn, lcn) workspace pair
+    OUTPUTS = {"ecn[1].x_in": 0, "x_ecn": 0, "lcn[1].x_in": 1, "x_lcn": 1}
+
     @staticmethod
     def loss_grads(res, batch):
         report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
@@ -325,14 +331,16 @@ class TestBackwardWorkspace:
         for _ in range(2):
             res = forward(batch, params, config, training=True, rng=Rng(4))
             before = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()}
-            assert {"x_ecn", "x_lcn", "lcn[1].keep", "ecn[1].relu"} <= set(before)
+            assert {"x_ecn", "x_lcn", "lcn[1].keep", "ecn[1].mu"} <= set(before)
+            assert not any(name.endswith(".relu") for name in before)
             grads.append(backward(res.trace, params, config, *self.loss_grads(res, batch)))
             assert res.trace.spent
             after = self.trace_arrays(res.trace)
             assert after.keys() == before.keys()
-            # each lcn layer's output took its anchor term; nothing else changed
+            # each layer's output in both branches took gradient temporaries: an
+            # lcn one its anchor term, an ecn one its dc @ W; nothing else changed
             for name, array in after.items():
-                spent = name in ("lcn[1].x_in", "x_lcn")
+                spent = name in self.OUTPUTS
                 assert (array.tobytes() == before[name].tobytes()) != spent, name
             for array in after.values():
                 assert not np.shares_memory(grads[-1].dense, array)
@@ -342,27 +350,46 @@ class TestBackwardWorkspace:
             assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(first.dense, second.dense)
 
-    def test_workspace_spends_the_lcn_outputs_same_grads(self):
+    def test_workspace_spends_both_branches_outputs_same_grads(self):
         config, params, batch = setup(2, 2)
         res = forward(batch, params, config, training=True)
         expected = backward(res.trace, params, config, *self.loss_grads(res, batch))
         workspace = (BranchWorkspace(), BranchWorkspace())
         res = forward(batch, params, config, training=True, workspace=workspace)
-        # each lcn layer's output: the next layer's input, the last one's the branch's
-        outputs = [res.trace.lcn[1].x_in, res.trace.x_lcn]
-        before = [a.copy() for a in outputs]
-        ecn = {k: a.copy() for k, a in self.trace_arrays(res.trace).items()
-               if not k.startswith("lcn") and k != "x_lcn"}
+        arrays = self.trace_arrays(res.trace)
+        before = {k: a.copy() for k, a in arrays.items()}
         grads = backward(res.trace, params, config, *self.loss_grads(res, batch))
         np.testing.assert_array_equal(grads.dense, expected.dense)
         for got, want in zip(grads.embeddings, expected.embeddings):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(grads.dense, workspace[0].buffers["grads"])
-        for output, old in zip(outputs, before):
-            assert np.shares_memory(output, workspace[1].buffers["x_out"])
-            assert not np.array_equal(output, old)
-        for name, array in ecn.items():
-            np.testing.assert_array_equal(self.trace_arrays(res.trace)[name], array)
+        assert "dgate" not in workspace[0].buffers and "dgate" in workspace[1].buffers
+        for name, old in before.items():
+            if name in self.OUTPUTS:
+                buffer = workspace[self.OUTPUTS[name]].buffers["x_out"]
+                assert np.shares_memory(arrays[name], buffer), name
+                assert not np.array_equal(arrays[name], old), name
+            else:
+                np.testing.assert_array_equal(arrays[name], old, err_msg=name)
+
+    # the roles a branch's layers take in a training step, forward and backward
+    LAYER_ROLES = {"x_out", "c", "mu", "delta", "keep", "masked", "relu",
+                   "dgate", "dc", "dnrm", "mean", "act", "dw"}
+
+    @pytest.mark.parametrize("layerless", BRANCHES)
+    def test_a_branch_without_layers_holds_no_layer_role(self, layerless):
+        other = "lcn" if layerless == "ecn" else "ecn"
+        config, params, batch = setup(*((0, 3) if layerless == "lcn" else (3, 0)),
+                                      f=8, d=16, n=512)
+        config.dropout_rate = 0.1
+        state = init_adam_state(params)
+        train_step(batch, params, config, TrainConfig(), state, Rng(1))
+        roles = {branch: set(ws.buffers) for branch, ws in zip(BRANCHES, state.workspace)}
+        # besides its dx, the ecn holds the gradients, the lcn x1 and the scatter's
+        # rows (its dx takes the bins); the ecn's dgate lives in its outputs
+        held = {"ecn": {"dx", "grads"}, "lcn": {"dx", "x1", "rows"}}
+        assert roles[layerless] == held[layerless]
+        assert roles[other] == held[other] | self.LAYER_ROLES - ({"dgate"} if other == "ecn" else set())
 
     def test_a_spent_trace_is_refused(self):
         # the spent lcn outputs hold anchor terms: a second backward would scatter
@@ -373,6 +400,51 @@ class TestBackwardWorkspace:
             backward(res.trace, params, config, *self.loss_grads(res, batch))
             with pytest.raises(ValueError, match="spent"):
                 backward(res.trace, params, config, *self.loss_grads(res, batch))
+
+
+class TestRecomputedRelu:
+    """The trace keeps no relu gate: ``_mask_backward`` recomputes it from c, mu
+    and delta and the layer's gain and beta, bitwise the forward's."""
+
+    @staticmethod
+    def cross_rows(m=8):
+        g = np.random.default_rng(3)
+        c = g.standard_normal((6, m))
+        c[1] = 0.7  # zero std: delta is clamped to epsilon
+        c[2, 3] = np.inf
+        c[3, 5] = np.nan
+        c[4, :3] = -np.inf, -0.0, 5e-324
+        c[5, :2] = -np.nan, np.inf
+        gain = g.standard_normal(m)
+        gain[:2] = 0.0, -1.5  # row 1 normalizes to 0: gate inputs +0.0 and -0.0
+        beta = np.where(g.random(m) < 0.5, -0.0, g.standard_normal(m))
+        beta[:2] = -0.0
+        return c, gain, beta
+
+    @pytest.mark.parametrize("mask", ["paper", "no_ln"])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_recomputed_relu_is_the_forward_relu_bit_for_bit(self, mask, reuse):
+        c, gain, beta = self.cross_rows()
+        n, m = c.shape
+        config = ModelConfig(mask_mode=mask)
+        layer = CrossLayerParams(np.zeros((m, 2 * m)), np.zeros(m), gain, beta)
+        ws = BranchWorkspace()
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the forward as a training run makes it, its relu in the branch's scratch
+            _, stats = self_mask(c, gain, beta, mask, config.ln_epsilon,
+                                 ws.forward_views(1, n, 2 * m)[0])
+            forward_relu = ws.buffers["relu"].copy()
+            tr = LayerTrace(np.zeros((n, 2 * m)), c, None, **stats)
+            assert "relu" not in vars(tr)
+            if mask == "paper":
+                assert tr.delta[1, 0] == config.ln_epsilon and np.isnan(tr.delta[2:, 0]).all()
+            grads = CrossLayerParams(*(np.zeros_like(t) for t in vars(layer).values()))
+            dgate = np.random.default_rng(4).standard_normal((n, 2 * m))
+            out = ws.backward_views(n, 2 * m) if reuse else {}
+            _, relu = model_mod._mask_backward(dgate, tr, layer, config, grads, out)
+        assert np.shares_memory(relu, ws.buffers["relu"]) == reuse
+        assert np.isnan(forward_relu).any() and (forward_relu == 0.0).any()
+        assert relu.view(np.uint64).tobytes() == forward_relu.view(np.uint64).tobytes()
 
 
 class TestRebuiltGate:

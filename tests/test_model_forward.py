@@ -175,9 +175,10 @@ class TestCrossLayer:
             cross_layer_forward(np.zeros((1, 6)), np.zeros((1, 6)), layer, "paper", 1e-5)
 
 
-def trace_gate(tr, config):
-    """A layer's gate after dropout, rebuilt from its trace as the backward does."""
-    masked = model_mod._masked(tr.c, tr.relu, config.mask_mode)
+def trace_gate(tr, layer, config):
+    """A layer's gate after dropout, rebuilt from its trace and its params as
+    the backward does: the trace keeps no relu gate, so the mask is recomputed."""
+    masked, _ = self_mask(tr.c, layer.gain, layer.beta, config.mask_mode, config.ln_epsilon)
     return model_mod._gate(tr.c, masked, tr.keep, config.dropout_rate)
 
 
@@ -242,10 +243,10 @@ class TestForward:
         res = forward(batch, params, config, training=True, rng=rng)
         # the training forward at rate 0 traces the same layers without dropout
         free = forward(batch, params, without_dropout(config), training=True)
-        for tr, tr_free in ((res.trace.ecn[0], free.trace.ecn[0]),
-                            (res.trace.lcn[0], free.trace.lcn[0])):
+        for tr, tr_free, layer in ((res.trace.ecn[0], free.trace.ecn[0], params.ecn_layers[0]),
+                                   (res.trace.lcn[0], free.trace.lcn[0], params.lcn_layers[0])):
             keep = tr.keep
-            gate, gate_free = trace_gate(tr, config), trace_gate(tr_free, config)
+            gate, gate_free = trace_gate(tr, layer, config), trace_gate(tr_free, layer, config)
             assert tr_free.keep is None
             assert keep.dtype == bool and keep.shape == gate.shape == (64, tr.x_in.shape[1])
             assert 0.4 <= 1.0 - keep.mean() <= 0.6

@@ -21,7 +21,8 @@ def test_step_faults_prints_per_step_quantiles():
     lines = proc.stdout.splitlines()
     assert lines[0] == "rows=64 depth=3+3 steps=2 (first is warm-up)"
     assert [line.split()[0] for line in lines[1:]] == ["minflt", "stime_ms", "step_ms",
-                                                        "workspace_mib"]
+                                                        "workspace_mib",
+                                                        "workspace_mib_by_branch"]
     for line in lines[1:4]:
         p10, p50 = (float(part.split("=")[1]) for part in line.split()[1:])
         assert 0.0 <= p10 <= p50
@@ -34,11 +35,16 @@ def test_step_faults_prints_per_step_quantiles():
     assert minflt[0] == "minflt" and minflt[2] == "p50=0.0", proc.stdout
     # dropout keeps one bool per gate entry, drawn through the output's buffer:
     # no float64 mask role; no layer keeps its gate, which the backward
-    # rebuilds: 84.7 MiB at this shape (108.7 with the gates, 129.7 with masks)
+    # rebuilds, nor its relu, which the backward recomputes; the ecn's dgate
+    # lives in its outputs: 72.7 MiB at this shape (84.7 with a relu per layer
+    # and the ecn's dgate, 108.7 with the gates, 129.7 with masks)
     mib = {role: float(v) for role, v in (part.split("=") for part in lines[4].split()[1:])}
     total = mib.pop("total")
     assert "uniforms" not in mib and "gate" not in mib and "keep" in mib, proc.stdout
-    assert total <= 85.0, proc.stdout
+    assert total <= 73.0, proc.stdout
+    by_branch = dict(part.split("=") for part in lines[5].split()[1:])
+    assert "ecn.dgate" not in by_branch and "lcn.dgate" in by_branch, proc.stdout
+    assert abs(float(by_branch["ecn"]) + float(by_branch["lcn"]) - total) <= 0.1, proc.stdout
 
 
 def test_benchmark_patch_sites_are_module_attributes():

@@ -2,11 +2,13 @@
 
 Runs N ``train_step`` calls on the README workload's data (8 fields,
 cardinality 10, order 4; default model, dropout 0.1, lr 0.01) at a given
-row count and branch depth, reading getrusage around each step, and prints
+row count and branch depths, reading getrusage around each step, and prints
 p10/p50 of each over the steps after the first (warm-up) one, then the MiB
-the two branch workspaces hold after the steps, in total and per role.
+the two branch workspaces hold after the steps, in total and per role, and
+then per branch, in total and per role.
 
     python tools/step_faults.py --rows 4096 --depth 3 --steps 40
+    python tools/step_faults.py --depth 0,3   # lcn depth 0, ecn depth 3
 """
 
 import argparse
@@ -27,15 +29,26 @@ from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.training import TrainConfig, init_adam_state, train_step
 
 
+def depths(text: str) -> tuple[int, int]:
+    """``D`` for D layers in each branch, or ``L,E`` for the lcn's and the ecn's."""
+    lcn, _, ecn = text.partition(",")
+    return int(lcn), int(ecn or lcn)
+
+
+def largest_first(mib: dict) -> list[str]:
+    return [f"{role}={v:.1f}" for role, v in sorted(mib.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, default=4096)
-    ap.add_argument("--depth", type=int, default=3, help="layers in each branch")
+    ap.add_argument("--depth", type=depths, default=(3, 3),
+                    help="layers in each branch, or L,E: the lcn's and the ecn's")
     ap.add_argument("--steps", type=int, default=40)
     args = ap.parse_args(argv)
     records, _ = synth_interaction_data(8, 10, 4, args.rows, Rng(derive_seed(1, "synth")))
     batch = encode(records, build_schema(records, [FieldSpec(f"f{j}") for j in range(8)]))
-    config = ModelConfig(lcn_depth=args.depth, ecn_depth=args.depth, seed=1)
+    config = ModelConfig(lcn_depth=args.depth[0], ecn_depth=args.depth[1], seed=1)
     params = init_model_params(config, batch.sizes, derive_seed(1, "init"))
     state, rng = init_adam_state(params), Rng(derive_seed(1, "dropout"))
     faults, stime, ms = [], [], []
@@ -46,20 +59,21 @@ def main(argv=None):
         faults.append(r1.ru_minflt - r0.ru_minflt)
         stime.append((r1.ru_stime - r0.ru_stime) * 1e3)
         ms.append((t1 - t0) * 1e3)
-    print(f"rows={args.rows} depth={args.depth}+{args.depth} steps={args.steps}"
+    print(f"rows={args.rows} depth={args.depth[0]}+{args.depth[1]} steps={args.steps}"
           " (first is warm-up)")
     for name, values in (("minflt", faults), ("stime_ms", stime), ("step_ms", ms)):
         rest = values[1:] or values
         p10 = statistics.quantiles(rest, n=10, method="inclusive")[0] if rest[1:] else rest[0]
         print(f"{name:9s} p10={p10:.1f} p50={statistics.median(rest):.1f}")
-    roles = {}
-    for ws in state.workspace:
-        for role, flat in ws.buffers.items():
-            roles[role] = roles.get(role, 0) + flat.nbytes / 2**20
-    sizes = sorted(roles.items(), key=lambda item: (-item[1], item[0]))
-    print("workspace_mib", f"total={sum(roles.values()):.1f}",
-          *(f"{role}={mib:.1f}" for role, mib in sizes))
-
+    mib = {(branch, role): flat.nbytes / 2**20 for branch, ws in zip(("ecn", "lcn"), state.workspace)
+           for role, flat in ws.buffers.items()}
+    roles, totals = {}, {"ecn": 0.0, "lcn": 0.0}
+    for (branch, role), v in mib.items():
+        roles[role] = roles.get(role, 0.0) + v
+        totals[branch] += v
+    print("workspace_mib", f"total={sum(roles.values()):.1f}", *largest_first(roles))
+    print("workspace_mib_by_branch", *(f"{branch}={v:.1f}" for branch, v in totals.items()),
+          *largest_first({f"{branch}.{role}": v for (branch, role), v in mib.items()}))
 
 if __name__ == "__main__":
     main()
