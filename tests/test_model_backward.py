@@ -389,7 +389,8 @@ class TestBackwardWorkspace:
         # rows (its dx takes the bins); the ecn's dgate lives in its outputs
         held = {"ecn": {"dx", "grads"}, "lcn": {"dx", "x1", "rows"}}
         assert roles[layerless] == held[layerless]
-        assert roles[other] == held[other] | self.LAYER_ROLES - ({"dgate"} if other == "ecn" else set())
+        lcn_only = {"dgate"} if other == "ecn" else set()
+        assert roles[other] == held[other] | self.LAYER_ROLES - lcn_only
 
     def test_a_spent_trace_is_refused(self):
         # the spent lcn outputs hold anchor terms: a second backward would scatter

@@ -36,6 +36,7 @@ def depths(text: str) -> tuple[int, int]:
 
 
 def largest_first(mib: dict) -> list[str]:
+    """``role=MiB`` of each item, the largest first."""
     return [f"{role}={v:.1f}" for role, v in sorted(mib.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
@@ -65,7 +66,8 @@ def main(argv=None):
         rest = values[1:] or values
         p10 = statistics.quantiles(rest, n=10, method="inclusive")[0] if rest[1:] else rest[0]
         print(f"{name:9s} p10={p10:.1f} p50={statistics.median(rest):.1f}")
-    mib = {(branch, role): flat.nbytes / 2**20 for branch, ws in zip(("ecn", "lcn"), state.workspace)
+    mib = {(branch, role): flat.nbytes / 2**20
+           for branch, ws in zip(("ecn", "lcn"), state.workspace)
            for role, flat in ws.buffers.items()}
     roles, totals = {}, {"ecn": 0.0, "lcn": 0.0}
     for (branch, role), v in mib.items():
@@ -74,6 +76,7 @@ def main(argv=None):
     print("workspace_mib", f"total={sum(roles.values()):.1f}", *largest_first(roles))
     print("workspace_mib_by_branch", *(f"{branch}={v:.1f}" for branch, v in totals.items()),
           *largest_first({f"{branch}.{role}": v for (branch, role), v in mib.items()}))
+
 
 if __name__ == "__main__":
     main()
