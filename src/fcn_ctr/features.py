@@ -172,12 +172,10 @@ def build_schema(records: list[dict], field_specs: list[FieldSpec],
             counts.update(values)
     for spec, counts in zip(field_specs, columns):
         if spec.kind == "numeric":  # each distinct raw value is discretized once
-            tokens = list(map(discretize_numeric, counts, itertools.repeat(discretize)))
-            # each token's id in first-seen order; one bincount sums its values' counts
-            index = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
-            sums = np.bincount(np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens)),
-                               np.fromiter(counts.values(), np.float64, len(counts)), len(index))
-            counts = dict(zip(index, sums.tolist()))
+            tokens = Counter()
+            for raw, count in counts.items():
+                tokens[discretize_numeric(raw, discretize)] += count
+            counts = tokens
         kept = [tok for tok, count in counts.items()
                 if count >= spec.min_count and tok not in (OOV_TOKEN, None)]
         schema.vocabs.append({tok: i for i, tok in enumerate([OOV_TOKEN, *kept])})  # OOV_ID is 0

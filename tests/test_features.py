@@ -1,7 +1,5 @@
 """Schema building, encoding, discretization, splits, and synthetic data."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -116,28 +114,6 @@ class TestBuildSchema:
             assert list(schema.vocabs[0].items()) == list(
                 {tok: i for i, tok in enumerate([OOV_TOKEN, *kept])}.items())
             assert len(schema.vocabs[0]) > 10
-
-    @pytest.mark.parametrize("min_count", [1, 7, 20, 40])
-    def test_numeric_vocab_equals_the_per_distinct_value_loop(self, min_count):
-        # the loop the bincount replaced: discretize each distinct raw value and
-        # add its count to its token's, tokens in first-seen order
-        g = np.random.default_rng(5)
-        values = np.round(g.lognormal(2.0, 3.0, 300), 1).astype(str).astype(object)
-        cells = values[g.integers(0, len(values), 3000)]  # repeats, distinct strings per token
-        cells[g.random(3000) < 0.05] = ""
-        cells[g.random(3000) < 0.05] = None
-        cells[g.random(3000) < 0.01] = "nan"
-        rows = [{"n": cell} for cell in cells]
-        tokens = Counter()
-        for raw, count in Counter(cells.tolist()).items():
-            tokens[discretize_numeric(raw)] += count
-        kept = [tok for tok, n in tokens.items() if n >= min_count and tok != OOV_TOKEN]
-        vocab = build_schema(rows, [FieldSpec("n", "numeric", min_count)]).vocabs[0]
-        assert list(vocab.items()) == list(
-            {tok: i for i, tok in enumerate([OOV_TOKEN, *kept])}.items())
-        # a min_count above 1 leaves tokens out; raw strings share tokens
-        assert (len(kept) < len(tokens) - 1) == (min_count > 1) and len(kept) >= 10
-        assert len(tokens) < len(set(cells.tolist())) / 3
 
 
 class TestEncode:

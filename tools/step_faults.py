@@ -4,8 +4,8 @@ Runs N ``train_step`` calls on the README workload's data (8 fields,
 cardinality 10, order 4; default model, dropout 0.1, lr 0.01) at a given
 row count and branch depths, reading getrusage around each step, and prints
 p10/p50 of each over the steps after the first (warm-up) one, then the MiB
-the two branch workspaces hold after the steps, in total and per role, and
-then per branch, in total and per role.
+the two branch workspaces hold after the steps, in total and per role of
+each branch (``ecn.dgate``), then each branch's total.
 
     python tools/step_faults.py --rows 4096 --depth 3 --steps 40
     python tools/step_faults.py --depth 0,3   # lcn depth 0, ecn depth 3
@@ -35,11 +35,6 @@ def depths(text: str) -> tuple[int, int]:
     return int(lcn), int(ecn or lcn)
 
 
-def largest_first(mib: dict) -> list[str]:
-    """``role=MiB`` of each item, the largest first."""
-    return [f"{role}={v:.1f}" for role, v in sorted(mib.items(), key=lambda kv: (-kv[1], kv[0]))]
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, default=4096)
@@ -66,16 +61,15 @@ def main(argv=None):
         rest = values[1:] or values
         p10 = statistics.quantiles(rest, n=10, method="inclusive")[0] if rest[1:] else rest[0]
         print(f"{name:9s} p10={p10:.1f} p50={statistics.median(rest):.1f}")
-    mib = {(branch, role): flat.nbytes / 2**20
-           for branch, ws in zip(("ecn", "lcn"), state.workspace)
-           for role, flat in ws.buffers.items()}
-    roles, totals = {}, {"ecn": 0.0, "lcn": 0.0}
-    for (branch, role), v in mib.items():
-        roles[role] = roles.get(role, 0.0) + v
-        totals[branch] += v
-    print("workspace_mib", f"total={sum(roles.values()):.1f}", *largest_first(roles))
-    print("workspace_mib_by_branch", *(f"{branch}={v:.1f}" for branch, v in totals.items()),
-          *largest_first({f"{branch}.{role}": v for (branch, role), v in mib.items()}))
+    branches = dict(zip(("ecn", "lcn"), state.workspace))
+    mib = {f"{branch}.{role}": flat.nbytes / 2**20
+           for branch, ws in branches.items() for role, flat in ws.buffers.items()}
+    sizes = sorted(mib.items(), key=lambda item: (-item[1], item[0]))
+    print("workspace_mib", f"total={sum(mib.values()):.1f}",
+          *(f"{role}={v:.1f}" for role, v in sizes))
+    print("workspace_mib_by_branch",
+          *(f"{branch}={sum(f.nbytes for f in ws.buffers.values()) / 2**20:.1f}"
+            for branch, ws in branches.items()))
 
 
 if __name__ == "__main__":
