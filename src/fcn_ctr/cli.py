@@ -77,6 +77,7 @@ def cmd_train(args) -> int:
     specs = _detect_field_specs(columns, train_records, config.min_count)
     schema = features.build_schema(train_records, specs, config.discretize)
     train_set = features.encode(train_records, schema)
+    del train_records  # training holds no raw record
     valid_set = _load_labeled_csv(args.valid, schema)
 
     params, _reports = training.train(train_set, valid_set,

@@ -269,36 +269,39 @@ def synth_interaction_data(num_fields: int, cardinality: int, order: int,
     flips = rng.random(rows) < SYNTH_NOISE
     labels = np.where(flips, 1 - labels, labels)
 
-    records = []
-    for i in range(rows):
-        rec = {f"f{j}": f"v{cats[i, j]}" for j in range(num_fields)}
-        rec[LABEL_COLUMN] = str(int(labels[i]))
-        records.append(rec)
+    # every record refers to one string per column name, token and label
+    names = [f"f{j}" for j in range(num_fields)]
+    tokens = [f"v{c}" for c in range(cardinality)]
+    columns, label_tokens = [*names, LABEL_COLUMN], ("0", "1")
+    records = [dict(zip(columns, [*map(tokens.__getitem__, row), label_tokens[y]]))
+               for row, y in zip(cats.tolist(), labels.tolist())]
 
     truth = {
         "order": order,
         "noise": SYNTH_NOISE,
-        "latents": {
-            f"f{j}": {f"v{c}": int(latents[j][c]) for c in range(cardinality)}
-            for j in range(num_fields)
-        },
+        "latents": {name: dict(zip(tokens, latent.tolist()))
+                    for name, latent in zip(names, latents)},
     }
     return records, truth
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:
-    """Read an RFC 4180 CSV with a header row into (columns, records)."""
+    """Read an RFC 4180 CSV with a header row into (columns, records), as
+    ``csv.DictReader`` would: blank lines are skipped, and with a repeated
+    column name the last value wins. Every record is keyed by the header's
+    strings, and equal values in a column are one string object."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
+            columns = next(reader, None)
+            if columns is None:
                 raise DataError(f"{path}: empty file, expected a header row")
-            columns = list(reader.fieldnames)
+            seen = [{} for _ in columns]  # per column, each distinct value's first string
             records = []
-            for row in reader:
-                if None in row or any(v is None for v in row.values()):
+            for row in filter(None, reader):
+                if len(row) != len(columns):
                     raise DataError(f"{path}: row {reader.line_num}: wrong number of columns")
-                records.append(row)
+                records.append(dict(zip(columns, map(dict.setdefault, seen, row, row))))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return columns, records

@@ -254,6 +254,13 @@ class Gradients:
     dense: np.ndarray
 
 
+# the workspace roles each mask mode never reads: no_ln has no layernorm,
+# identity no relu gate either
+_LAYERNORM_ROLES = ("mu", "delta", "dnrm", "act", "mean")
+_UNREAD_ROLES = {"paper": (), "no_ln": _LAYERNORM_ROLES,
+                 "identity": (*_LAYERNORM_ROLES, "relu")}
+
+
 class BranchWorkspace:
     """One branch's buffers for training steps, which fill them in place of
     fresh temporaries: one flat array per role, grown to the largest batch
@@ -273,28 +280,30 @@ class BranchWorkspace:
             flat = self.buffers[role] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
-    def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
-        """Per layer, the views ``cross_layer_forward`` fills: its output, the
-        gate's first, and the arrays its trace keeps (each role holds every
-        layer's), and the relu gate and the masked half, scratch that the
-        layers share."""
-        m = width // 2
+    def forward_views(self, depth: int, n: int, width: int, mode: str) -> list[dict]:
+        """Per layer, the views ``cross_layer_forward`` fills in mask ``mode``:
+        its output, the gate's first, and the arrays its trace keeps (each role
+        holds every layer's), and the relu gate and the masked half, scratch
+        that the layers share. A role the mode never reads is not taken."""
+        m, unread = width // 2, _UNREAD_ROLES[mode]
         layered = {role: self.take(role, (depth, n, cols)) for role, cols in (
-            ("x_out", width), ("c", m), ("mu", 1), ("delta", 1))}
-        shared = {role: self.take(role, (n, m)) for role in ("masked", "relu")}
+            ("x_out", width), ("c", m), ("mu", 1), ("delta", 1)) if role not in unread}
+        shared = {role: self.take(role, (n, m)) for role in ("masked", "relu")
+                  if role not in unread}
         return [dict(shared, **{role: a[i] for role, a in layered.items()})
                 for i in range(depth)]
 
-    def backward_views(self, n: int, width: int) -> dict:
-        """The views a branch with layers fills in ``_branch_backward``, which
-        takes dx and the lcn's dgate itself: nrm and relu take the forward's
-        masked and relu scratch, spent by then, act the relu gate's sign, and
-        dw each layer's W-gradient product."""
-        m = width // 2
-        views = {role: self.take(role, (n, cols)) for role, cols in (
-            ("dc", m), ("dnrm", m), ("mean", 1))}
-        views.update(nrm=self.take("masked", (n, m)), relu=self.take("relu", (n, m)),
-                     act=self.take("act", (n, m), bool), dw=self.take("dw", (m, width)))
+    def backward_views(self, n: int, width: int, mode: str) -> dict:
+        """The views a branch with layers fills in ``_branch_backward`` in mask
+        ``mode``, which takes dx and the lcn's dgate itself: nrm and relu take
+        the forward's masked and relu scratch, spent by then, act the relu
+        gate's sign, and dw each layer's W-gradient product. A role the mode
+        never reads is not taken."""
+        m, unread = width // 2, _UNREAD_ROLES[mode]
+        views = {role: self.take(role, (n, cols), dtype) for role, cols, dtype in (
+            ("dc", m, float), ("dnrm", m, float), ("mean", 1, float), ("relu", m, float),
+            ("act", m, bool)) if role not in unread}
+        views.update(nrm=self.take("masked", (n, m)), dw=self.take("dw", (m, width)))
         return views
 
 
@@ -309,10 +318,10 @@ class FreshArrays(BranchWorkspace):
     def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         return np.empty(shape, dtype)
 
-    def forward_views(self, depth: int, n: int, width: int) -> list[dict]:
+    def forward_views(self, depth: int, n: int, width: int, mode: str) -> list[dict]:
         return [_NO_VIEWS] * depth
 
-    def backward_views(self, n: int, width: int) -> dict:
+    def backward_views(self, n: int, width: int, mode: str) -> dict:
         return _NO_VIEWS
 
 
@@ -541,7 +550,7 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
         raise ValueError("training-mode dropout requires an rng")
     x = x1
     traces = []
-    views = ws.forward_views(len(layers), *x1.shape[-2:])
+    views = ws.forward_views(len(layers), *x1.shape[-2:], config.mask_mode)
     keep = ws.take("keep", (len(layers), *x1.shape), bool) if rate else [None] * len(layers)
     for i, layer in enumerate(layers):
         if rate:
@@ -700,7 +709,7 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     dx = np.outer(dz, w_head, out=ws.take("dx", (len(dz), len(w_head))))
     if not layers:
         return dx, []
-    out = ws.backward_views(*dx.shape)
+    out = ws.backward_views(*dx.shape, config.mask_mode)
     lcn_dgate = None if anchor is None else ws.take("dgate", dx.shape)
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):

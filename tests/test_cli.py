@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import os
 import re
 import typing
 import warnings
+import weakref
 import struct
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import fcn_ctr
+import fcn_ctr.features as features_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
@@ -105,6 +108,33 @@ class TestTrain:
         assert echoed.lr == 0.003  # from the file
         assert echoed.patience == 2  # documented default filled in
         assert render_run_config(echoed) == "\n".join(lines)
+
+    def test_training_holds_no_raw_record(self, workspace, monkeypatch, tmp_path):
+        class Records(list):
+            """A list a weakref can follow."""
+
+        refs, read_csv = [], features_mod.read_csv
+
+        def tracked_read_csv(path):
+            columns, records = read_csv(path)
+            records = Records(records)
+            refs.append(weakref.ref(records))
+            return columns, records
+
+        alive, train = [], training_mod.train
+
+        def checked_train(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(features_mod, "read_csv", tracked_read_csv)
+        monkeypatch.setattr(training_mod, "train", checked_train)
+        assert run("train", "--config", str(workspace["config"]),
+                   "--train", str(workspace["data"] / "train.csv"),
+                   "--valid", str(workspace["data"] / "valid.csv"),
+                   "--out-checkpoint", str(tmp_path / "model.ckpt")) == 0
+        assert alive == [False, False]  # the train and the valid records
 
     def test_unknown_config_key_lists_valid_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Schema building, encoding, discretization, splits, and synthetic data."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,33 @@ class TestSynthData:
         with pytest.raises(ValueError):
             synth_interaction_data(3, 4, 5, 10, Rng(0))
 
+    # sha256 of repr(([list(r.items()) for r in records], truth)): records, their key
+    # order and the hidden assignment, frozen from the per-record f-string generator
+    PINNED = [((8, 10, 4, 50000, 1),
+               "db62ef73d913ddfc0d75458f35499248568ff8066b82785ddccf71e8edddda59"),
+              ((3, 2, 1, 7, 5),
+               "60a1f6a20a14bc4bf276fd9ccdb58531b8f4ba0a37ff154417a73f45925ebf58"),
+              ((12, 37, 3, 1000, 9),
+               "6228df372b89742add0c286c36de4ce0c88dc3c8d97e796f9408bd2c99db67cd")]
+
+    @pytest.mark.parametrize("args,digest", PINNED)
+    def test_output_is_pinned(self, args, digest):
+        *shape, seed = args
+        records, truth = synth_interaction_data(*shape, Rng(seed))
+        text = repr(([list(r.items()) for r in records], truth))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_records_share_one_string_per_name_and_token(self):
+        records, truth = synth_interaction_data(4, 5, 2, 400, Rng(8))
+        first = records[0]
+        for record in records:
+            assert all(a is b for a, b in zip(record, first))  # keys, in order
+            for key in first:
+                assert (record[key] is first[key]) == (record[key] == first[key])
+        # each field's token objects, over all records, are one per distinct token
+        for key in first:
+            assert len({id(r[key]) for r in records}) == len({r[key] for r in records})
+
 
 class TestCsv:
     def test_roundtrip_with_quoting(self, tmp_path):
@@ -274,6 +303,47 @@ class TestCsv:
         columns, back = read_csv(path)
         assert columns == ["a", "b", "label"]
         assert back == rows
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,label\n\nx,1\n\n\ny,0\n\n")
+        assert read_csv(path) == (["a", "label"], [{"a": "x", "label": "1"},
+                                                   {"a": "y", "label": "0"}])
+
+    @pytest.mark.parametrize("text,line", [
+        ("a,b\n1,2\n1\n", 3),              # short
+        ("a,b\n1,2\n\n1,2,3\n", 4),       # long, after a blank line
+        ('a,b\n"x\ny",2\n3\n', 4),          # after a quoted line break
+        ("a\n1\n,\n", 3),                  # a lone comma is two empty cells
+    ])
+    def test_wrong_width_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{path}: row {line}: wrong number of columns$"):
+            read_csv(path)
+
+    def test_repeated_header_last_value_wins(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        assert read_csv(path) == (["a", "b", "a"], [{"a": "3", "b": "2"}])
+
+    def test_blank_header_has_no_columns(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("\n\n")
+        assert read_csv(path) == ([], [])
+        path.write_text("\nx\n")
+        with pytest.raises(DataError, match="row 2: wrong number of columns"):
+            read_csv(path)
+
+    def test_equal_values_in_a_column_are_one_object(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,label\n" + "".join(f"v{i % 3},v{i % 2},{i % 2}\n"
+                                                 for i in range(30)))
+        columns, records = read_csv(path)
+        assert all(a is b for a, b in zip(records[7], columns))  # keyed by the header's strings
+        for column in columns:
+            values = [r[column] for r in records]
+            assert len({id(v) for v in values}) == len(set(values))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -392,6 +392,19 @@ class TestBackwardWorkspace:
         lcn_only = {"dgate"} if other == "ecn" else set()
         assert roles[other] == held[other] | self.LAYER_ROLES - lcn_only
 
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    def test_each_mask_mode_takes_only_the_roles_it_reads(self, mask):
+        config, params, batch = setup(3, 3, mask, f=8, d=16, n=512)
+        config.dropout_rate = 0.1
+        state = init_adam_state(params)
+        train_step(batch, params, config, TrainConfig(), state, Rng(1))
+        # no_ln has no layernorm, identity no relu gate either
+        unread = {"paper": set(), "no_ln": {"mu", "delta", "dnrm", "act", "mean"}}
+        unread["identity"] = unread["no_ln"] | {"relu"}
+        for branch, ws in zip(BRANCHES, state.workspace):
+            layer_roles = self.LAYER_ROLES - ({"dgate"} if branch == "ecn" else set())
+            assert set(ws.buffers) & self.LAYER_ROLES == layer_roles - unread[mask], branch
+
     def test_a_spent_trace_is_refused(self):
         # the spent lcn outputs hold anchor terms: a second backward would scatter
         # wrong embedding gradients beside dense ones that look right
@@ -433,7 +446,7 @@ class TestRecomputedRelu:
         with np.errstate(invalid="ignore", over="ignore"):
             # the forward as a training run makes it, its relu in the branch's scratch
             _, stats = self_mask(c, gain, beta, mask, config.ln_epsilon,
-                                 ws.forward_views(1, n, 2 * m)[0])
+                                 ws.forward_views(1, n, 2 * m, mask)[0])
             forward_relu = ws.buffers["relu"].copy()
             tr = LayerTrace(np.zeros((n, 2 * m)), c, None, **stats)
             assert "relu" not in vars(tr)
@@ -441,7 +454,7 @@ class TestRecomputedRelu:
                 assert tr.delta[1, 0] == config.ln_epsilon and np.isnan(tr.delta[2:, 0]).all()
             grads = CrossLayerParams(*(np.zeros_like(t) for t in vars(layer).values()))
             dgate = np.random.default_rng(4).standard_normal((n, 2 * m))
-            out = ws.backward_views(n, 2 * m) if reuse else {}
+            out = ws.backward_views(n, 2 * m, mask) if reuse else {}
             _, relu = model_mod._mask_backward(dgate, tr, layer, config, grads, out)
         assert np.shares_memory(relu, ws.buffers["relu"]) == reuse
         assert np.isnan(forward_relu).any() and (forward_relu == 0.0).any()
