@@ -223,11 +223,7 @@ def split_indices(n: int, fractions, rng: Rng) -> tuple[np.ndarray, ...]:
     if any(x <= 0 for x in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be positive and sum to 1, got {fractions}")
     perm = rng.permutation(n)
-    bounds = [0]
-    acc = 0.0
-    for frac in fractions:
-        acc += frac
-        bounds.append(int(round(acc * n)))
+    bounds = [0, *(int(round(acc * n)) for acc in itertools.accumulate(fractions))]
     bounds[-1] = n
     parts = tuple(perm[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
     if any(part.size == 0 for part in parts):

@@ -56,6 +56,4 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[pos].sum() - p * (p + 1) / 2.0) / (p * neg))
 
 
-def logloss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Batch-mean binary cross-entropy of the scores against binary labels."""
-    return bce(scores, labels)
+logloss = bce

@@ -405,6 +405,16 @@ def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _relu_gate(nrm: np.ndarray, delta: np.ndarray, gain, beta, out=None) -> np.ndarray:
+    """The paper mask's relu gate relu(gain * nrm / delta + beta) from the
+    centered cross vector nrm, which is divided by delta in place; the forward
+    and the backward's recompute both run it, so they agree bit for bit."""
+    nrm /= delta
+    relu = np.multiply(nrm, gain, out=out)
+    relu += beta
+    return _relu(relu, out=relu)
+
+
 def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
               mode: str = "paper", ln_epsilon: float = 1e-5, out: dict = _NO_VIEWS):
     """Gate a cross vector against its own normalized sign.
@@ -430,10 +440,7 @@ def self_mask(c: np.ndarray, gain: np.ndarray, beta: np.ndarray,
         raw_std = _row_mean(np.multiply(nrm, nrm, out=out.get("masked")), out.get("delta"))
         np.sqrt(raw_std, out=raw_std)
         delta = np.maximum(raw_std, ln_epsilon, out=raw_std)
-        nrm /= delta
-        relu = np.multiply(nrm, gain, out=nrm)
-        relu += beta
-        _relu(relu, out=relu)
+        relu = _relu_gate(nrm, delta, gain, beta, out=nrm)
         stats = {"mu": mu, "delta": delta}
     elif mode != "identity":
         raise ValueError(f"unknown mask mode {mode!r}")
@@ -448,16 +455,21 @@ def _masked(c: np.ndarray, relu, mode: str, out=None) -> np.ndarray:
     return np.multiply(relu if mode == "no_ln" else c, relu, out=out)
 
 
-def _gate(c: np.ndarray, masked: np.ndarray, keep, rate: float, out=None) -> np.ndarray:
-    """The gate [c || masked] after dropout, into ``out``: times ``keep``, the bool
-    keep mask at dropout ``rate``, then 1/(1 - rate), which has the bits of one
-    product with a float mask of 0 and 1/(1 - rate) for every float, ±0, inf and
-    NaN included. The backward rebuilds the forward's gate with it, bit for bit."""
-    gate = np.concatenate([c, masked], axis=-1, out=out)
+def _dropout(a: np.ndarray, keep, rate: float) -> np.ndarray:
+    """``a`` after dropout, in place: times ``keep``, the bool keep mask at dropout
+    ``rate``, then 1/(1 - rate), which has the bits of one product with a float
+    mask of 0 and 1/(1 - rate) for every float, ±0, inf and NaN included; ``a``
+    unchanged where ``keep`` is None. The gate and its gradient both go through it."""
     if keep is not None:
-        gate *= keep
-        gate *= 1.0 / (1.0 - rate)
-    return gate
+        a *= keep
+        a *= 1.0 / (1.0 - rate)
+    return a
+
+
+def _gate(c: np.ndarray, masked: np.ndarray, keep, rate: float, out=None) -> np.ndarray:
+    """The gate [c || masked] after dropout (``_dropout``), into ``out``. The
+    backward rebuilds the forward's gate with it, bit for bit."""
+    return _dropout(np.concatenate([c, masked], axis=-1, out=out), keep, rate)
 
 
 def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerParams,
@@ -648,8 +660,8 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     """Gradient with respect to c from the gradient at the whole gate: the
     c half passes straight through, the masked half goes back through the
     self-mask, accumulating the layernorm gain/bias gradients on the way. The
-    relu gate, which the trace does not keep, is recomputed first with the
-    forward's operations in the forward's order, bit for bit. Returns (dc
+    relu gate, which the trace does not keep, is recomputed first by the
+    forward's own ``_relu_gate``, bit for bit. Returns (dc
     (n, D/2), the relu gate or None in identity mode); the masked half of
     ``dgate`` is overwritten. ``out`` maps roles to the views of the (n, D/2)
     arrays and the (n, 1) row means (``BranchWorkspace.backward_views``), as
@@ -666,10 +678,7 @@ def _mask_backward(dgate: np.ndarray, tr: LayerTrace, layer: CrossLayerParams,
     else:
         # paper mode: masked = c * relu(gain * nrm + beta)
         nrm = np.subtract(tr.c, tr.mu, out=out.get("nrm"))
-        nrm /= tr.delta
-        relu = np.multiply(nrm, layer.gain, out=out.get("relu"))
-        relu += layer.beta
-        _relu(relu, out=relu)
+        relu = _relu_gate(nrm, tr.delta, layer.gain, layer.beta, out.get("relu"))
         dc = np.multiply(dg_hi, relu, out=out.get("dc"))
         # through the gate, dnrm becomes the gradient at the layernorm output
         dnrm = np.multiply(dg_hi, tr.c, out=out.get("dnrm"))
@@ -713,11 +722,9 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     lcn_dgate = None if anchor is None else ws.take("dgate", dx.shape)
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        dgate = np.multiply(dx, tr.x_in if anchor is None else anchor,
-                            out=x_out if anchor is None else lcn_dgate)
-        if tr.keep is not None:
-            dgate *= tr.keep
-            dgate *= 1.0 / (1.0 - config.dropout_rate)
+        dgate = _dropout(np.multiply(dx, tr.x_in if anchor is None else anchor,
+                                     out=x_out if anchor is None else lcn_dgate),
+                         tr.keep, config.dropout_rate)
         dc, relu = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -150,10 +150,8 @@ def evaluate(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
     preds = predict_scores(batch, params, config, batch_size, workspace)[0]
     labels = batch.labels
     positives = int((labels == 1).sum())
-    ll = eval_logloss(preds, labels)
-    if positives == 0 or positives == batch.n:
-        return EvalResult(None, ll, batch.n, positives)
-    return EvalResult(rank_auc(preds, labels), ll, batch.n, positives)
+    auc = None if positives in (0, batch.n) else rank_auc(preds, labels)
+    return EvalResult(auc, eval_logloss(preds, labels), batch.n, positives)
 
 
 def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig,
@@ -165,18 +163,16 @@ def predict_scores(batch: EncodedBatch, params: ModelParams, config: ModelConfig
     if batch.n == 0:
         empty = np.zeros(0)
         return empty, empty.copy(), empty.copy()
-    ys, yds, yss = [], [], []
+    chunks = []
     for lo in range(0, batch.n, batch_size):
         part = batch.rows(slice(lo, lo + batch_size))
         with np.errstate(over="ignore", invalid="ignore"):
             res = forward(part, params, config, training=False, workspace=workspace)
-        ys.append(res.y)
-        yds.append(res.y_deep)
-        yss.append(res.y_shallow)
-    y = np.concatenate(ys)
+        chunks.append((res.y, res.y_deep, res.y_shallow))
+    y, y_deep, y_shallow = map(np.concatenate, zip(*chunks))
     if not np.isfinite(y).all():
         raise FloatingPointError(f"non-finite score for row {int(np.isfinite(y).argmin())}")
-    return y, np.concatenate(yds), np.concatenate(yss)
+    return y, y_deep, y_shallow
 
 
 def train_step(batch: EncodedBatch, params: ModelParams, model_config: ModelConfig,
@@ -238,28 +234,21 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
         for lo in range(0, train_set.n, train_config.batch_size):
             part = train_set.rows(perm[lo:lo + train_config.batch_size])
             rep = train_step(part, params, model_config, train_config, state, dropout_rng)
-            sums += np.array([rep.total, rep.primary, rep.deep, rep.shallow,
-                              rep.w_deep, rep.w_shallow]) * part.n
-        means = sums / train_set.n
-        epoch_loss = TriLossReport(means[1], means[2], means[3], means[4],
-                                   means[5], means[0], train_set.n)
+            sums += np.array(astuple(rep)[:6]) * part.n  # every field of the report but n
+        epoch_loss = TriLossReport(*(sums / train_set.n), train_set.n)
         valid = evaluate(valid_set, params, model_config, workspace=eval_workspace)
         secs = time.monotonic() - t0
-        log(f"epoch={epoch} L_tri={means[0]:.6f} L={means[1]:.6f} "
-            f"L_D={means[2]:.6f} L_S={means[3]:.6f} w_D={means[4]:.6f} "
-            f"w_S={means[5]:.6f} val_auc={valid.auc:.6f} "
-            f"val_logloss={valid.logloss:.6f} secs={secs:.2f}")
+        log(f"epoch={epoch} L_tri={epoch_loss.total:.6f} L={epoch_loss.primary:.6f} "
+            f"L_D={epoch_loss.deep:.6f} L_S={epoch_loss.shallow:.6f} "
+            f"w_D={epoch_loss.w_deep:.6f} w_S={epoch_loss.w_shallow:.6f} "
+            f"val_auc={valid.auc:.6f} val_logloss={valid.logloss:.6f} secs={secs:.2f}")
         reports.append(EpochReport(epoch, epoch_loss, valid, secs))
 
-        if valid.auc > best_auc:
+        improved = valid.auc > best_auc
+        if improved or (valid.auc == best_auc and valid.logloss < best_logloss):
             best_auc, best_logloss = valid.auc, valid.logloss
             best_params = params.copy()
-            stale = 0
-        else:
-            if valid.auc == best_auc and valid.logloss < best_logloss:
-                best_logloss = valid.logloss
-                best_params = params.copy()
-            stale += 1
-            if stale >= train_config.patience:
-                break
+        stale = 0 if improved else stale + 1
+        if stale >= train_config.patience:
+            break
     return best_params, reports

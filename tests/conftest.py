@@ -25,6 +25,20 @@ def flip_bias_gradient(monkeypatch):
     return lambda: monkeypatch.setattr(verification_mod, "backward", flipped)
 
 
+@pytest.fixture
+def nan_gradient(monkeypatch):
+    """Call the returned function to make the gradient audit's backward pass
+    return NaN for every dense gradient, a fault the audit must catch."""
+    backward = verification_mod.backward
+
+    def poisoned(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        grads.dense.fill(np.nan)
+        return grads
+
+    return lambda: monkeypatch.setattr(verification_mod, "backward", poisoned)
+
+
 class HalfWrite:
     """A file whose first write writes half of its data, then raises ``OSError``
     (a disk that fills up partway through a save)."""

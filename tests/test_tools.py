@@ -26,9 +26,11 @@ def test_step_faults_prints_per_step_quantiles():
     for line in lines[1:4]:
         p10, p50 = (float(part.split("=")[1]) for part in line.split()[1:])
         assert 0.0 <= p10 <= p50
-    # a full README step runs in the reused workspace: it maps no fresh memory
+    # a full README step runs in the reused workspace: it maps no fresh memory.
+    # Up to 3 of the first steps after warm-up take settling faults from the
+    # allocators, so the median is over 15 steps, well past them
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "step_faults.py"),
-                           "--rows", "4096", "--steps", "8"],
+                           "--rows", "4096", "--steps", "16"],
                           capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.splitlines()
     minflt = lines[1].split()

@@ -5,12 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
+import fcn_ctr.verification as verification_mod
+from fcn_ctr.cli import main
 from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng
-from fcn_ctr.verification import (audit_config, default_grad_grid, degree_probe,
-                                  degree_suite, grad_audit, mask_census,
-                                  mask_suite, measured_degree,
+from fcn_ctr.verification import (audit_config, auc_suite, default_grad_grid,
+                                  degree_probe, degree_suite, grad_audit,
+                                  mask_census, mask_suite, measured_degree,
                                   pairwise_auc_oracle, run_suites)
+
+QUICK_GRID = [(2, 2, 1, 1, "paper"), (2, 4, 0, 2, "no_ln"), (3, 2, 2, 0, "identity")]
 
 
 class TestMeasuredDegree:
@@ -120,6 +124,30 @@ class TestSuites:
         result = grad_audit(grid=grid, seeds=(1,))
         assert not result.passed
 
+    def test_grad_audit_fails_on_nan_gradients(self, nan_gradient):
+        # NaN is below no tolerance: an audit that cannot measure must fail
+        nan_gradient()
+        result = grad_audit(grid=[(2, 2, 1, 1, "paper")], seeds=(1,))
+        assert not result.passed
+        assert result.lines[-1] == "overall max_rel_err=nan tolerance=1e-04", result.lines
+
+    def test_nan_gradients_fail_the_verify_command(self, monkeypatch, capsys, nan_gradient):
+        nan_gradient()
+        monkeypatch.setattr(verification_mod, "default_grad_grid",
+                            lambda: [(2, 2, 1, 1, "paper")])
+        assert main(["verify", "--suite", "grad"]) == 3
+        out = capsys.readouterr().out
+        assert "FAILED" in out and "max_rel_err=nan" in out
+
+    def test_auc_suite_fails_on_nan_auc(self, monkeypatch):
+        # NaN on every random batch; the 4-row hand example keeps its 0.75
+        real = verification_mod.rank_auc
+        monkeypatch.setattr(verification_mod, "rank_auc",
+                            lambda s, y: real(s, y) if len(s) == 4 else float("nan"))
+        result = auc_suite()
+        assert not result.passed
+        assert result.lines[0] == "FAIL batch 0: |rank - pairwise| = nan", result.lines[:2]
+
     def test_degree_suite(self):
         result = degree_suite()
         assert result.passed
@@ -132,3 +160,47 @@ class TestSuites:
         passed, text = run_suites(["mask"])
         assert passed
         assert "suite mask" in text and "PASS" in text
+
+
+class TestReportText:
+    """The suites' report lines, frozen as the parent of the loop merges printed them."""
+
+    def test_degree_suite_lines_pinned(self):
+        assert degree_suite().lines == [
+            "ecn depth=1 expected_degree=2 measured=2",
+            "ecn depth=2 expected_degree=4 measured=4",
+            "ecn depth=3 expected_degree=8 measured=8",
+            "ecn depth=4 expected_degree=16 measured=16",
+            "lcn depth=1 expected_degree=2 measured=2",
+            "lcn depth=2 expected_degree=3 measured=3",
+            "lcn depth=3 expected_degree=4 measured=4",
+        ]
+
+    def test_grad_audit_lines_pinned(self):
+        assert grad_audit(grid=QUICK_GRID, seeds=(1,)).lines == [
+            "f=2 d=2 mask=paper     max_rel_err=1.041e-09",
+            "f=2 d=4 mask=no_ln     max_rel_err=1.137e-09",
+            "f=3 d=2 mask=identity  max_rel_err=1.136e-09",
+            "overall max_rel_err=1.137e-09 tolerance=1e-04",
+        ]
+
+    def test_grad_audit_failure_lines_pinned(self, flip_bias_gradient):
+        flip_bias_gradient()
+        assert grad_audit(grid=QUICK_GRID, seeds=(1, 2)).lines == [
+            "FAIL f=2 d=2 depths=1/1 mask=paper seed=1 max_rel_err=3.755e-01",
+            "FAIL f=2 d=2 depths=1/1 mask=paper seed=2 max_rel_err=2.000e+00",
+            "FAIL f=2 d=4 depths=0/2 mask=no_ln seed=1 max_rel_err=2.000e+00",
+            "FAIL f=2 d=4 depths=0/2 mask=no_ln seed=2 max_rel_err=9.486e-01",
+            "FAIL f=3 d=2 depths=2/0 mask=identity seed=1 max_rel_err=1.250e-01",
+            "FAIL f=3 d=2 depths=2/0 mask=identity seed=2 max_rel_err=2.000e+00",
+            "f=2 d=2 mask=paper     max_rel_err=2.000e+00",
+            "f=2 d=4 mask=no_ln     max_rel_err=2.000e+00",
+            "f=3 d=2 mask=identity  max_rel_err=2.000e+00",
+            "overall max_rel_err=2.000e+00 tolerance=1e-04",
+        ]
+
+    def test_auc_suite_lines_pinned(self):
+        assert auc_suite().lines == [
+            "hand example auc=0.75",
+            "200 random batches, max |rank - pairwise| = 0.000e+00",
+        ]
