@@ -163,7 +163,7 @@ class TestSuites:
 
 
 class TestReportText:
-    """The suites' report lines, frozen as the parent of the loop merges printed them."""
+    """The suites' report lines, frozen: a change to a suite's loops prints the same text."""
 
     def test_degree_suite_lines_pinned(self):
         assert degree_suite().lines == [
