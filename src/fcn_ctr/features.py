@@ -25,6 +25,7 @@ from fcn_ctr.numerics import Rng
 OOV_TOKEN = "<OOV>"
 OOV_ID = 0
 LABEL_COLUMN = "label"
+_NO_LABEL = object()  # what ``encode`` reads as the label of a record without one
 SYNTH_NOISE = 0.05  # share of synthetic labels flipped
 
 DISCRETIZE_MODES = ("lnsq", "log2")
@@ -204,12 +205,22 @@ def encode(records: list[dict], schema: FeatureSchema,
         zip(*columns) for columns in _columns(records, schema)))
     ids = np.fromiter(map(dict.get, itertools.cycle(schema.vocabs), tokens,
                           itertools.repeat(OOV_ID)), np.int64, n * f)
-    has_labels = require_labels or (n > 0 and LABEL_COLUMN in records[0])
-    labels = np.zeros(n, dtype=np.int64) if has_labels else None
-    for idx, record in enumerate(records if has_labels else []):
-        if LABEL_COLUMN not in record:
-            raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
-        labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
+    labels = None
+    if require_labels or (n > 0 and LABEL_COLUMN in records[0]):
+        # every record's label in one pass, each distinct value parsed once; a
+        # missing or bad one maps to -1, and the first such row raises its error
+        raw = list(map(dict.get, records, itertools.repeat(LABEL_COLUMN),
+                       itertools.repeat(_NO_LABEL)))
+        table = {}
+        for value in set(raw).difference([_NO_LABEL]):
+            with contextlib.suppress(DataError):
+                table[value] = parse_label(value, 0)
+        labels = np.fromiter(map(table.get, raw, itertools.repeat(-1)), np.int64, n)
+        if (labels < 0).any():
+            idx = int(labels.argmin())
+            if raw[idx] is _NO_LABEL:
+                raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
+            parse_label(raw[idx], idx + 2)
     return EncodedBatch(ids.reshape(n, f), labels, schema.sizes)
 
 

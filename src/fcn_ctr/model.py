@@ -254,8 +254,8 @@ class Gradients:
     dense: np.ndarray
 
 
-# the workspace roles each mask mode never reads: no_ln has no layernorm,
-# identity no relu gate either
+# the workspace roles and scratch halves each mask mode never reads: no_ln has
+# no layernorm, identity no relu gate either
 _LAYERNORM_ROLES = ("mu", "delta", "dnrm", "act", "mean")
 _UNREAD_ROLES = {"paper": (), "no_ln": _LAYERNORM_ROLES,
                  "identity": (*_LAYERNORM_ROLES, "relu")}
@@ -283,27 +283,27 @@ class BranchWorkspace:
     def forward_views(self, depth: int, n: int, width: int, mode: str) -> list[dict]:
         """Per layer, the views ``cross_layer_forward`` fills in mask ``mode``:
         its output, the gate's first, and the arrays its trace keeps (each role
-        holds every layer's), and the relu gate and the masked half, scratch
-        that the layers share. A role the mode never reads is not taken."""
+        holds every layer's), and the masked half and the relu gate, the two
+        halves of one scratch pair the layers share. Unread roles are not taken."""
         m, unread = width // 2, _UNREAD_ROLES[mode]
         layered = {role: self.take(role, (depth, n, cols)) for role, cols in (
             ("x_out", width), ("c", m), ("mu", 1), ("delta", 1)) if role not in unread}
-        shared = {role: self.take(role, (n, m)) for role in ("masked", "relu")
-                  if role not in unread}
+        pair = self.take("scratch", (1 if "relu" in unread else 2, n, m))
+        shared = dict(zip(("masked", "relu"), pair))
         return [dict(shared, **{role: a[i] for role, a in layered.items()})
                 for i in range(depth)]
 
     def backward_views(self, n: int, width: int, mode: str) -> dict:
         """The views a branch with layers fills in ``_branch_backward`` in mask
-        ``mode``, which takes dx and the lcn's dgate itself: nrm and relu take
-        the forward's masked and relu scratch, spent by then, act the relu
-        gate's sign, and dw each layer's W-gradient product. A role the mode
-        never reads is not taken."""
+        ``mode``, which takes dx and the lcn's dc @ W itself: nrm and relu take
+        the halves of the forward's scratch pair, spent by then, act the relu
+        gate's sign, dw each layer's W-gradient product. Unread roles are not taken."""
         m, unread = width // 2, _UNREAD_ROLES[mode]
         views = {role: self.take(role, (n, cols), dtype) for role, cols, dtype in (
-            ("dc", m, float), ("dnrm", m, float), ("mean", 1, float), ("relu", m, float),
-            ("act", m, bool)) if role not in unread}
-        views.update(nrm=self.take("masked", (n, m)), dw=self.take("dw", (m, width)))
+            ("dc", m, float), ("dnrm", m, float), ("mean", 1, float), ("act", m, bool))
+            if role not in unread}
+        pair = self.take("scratch", (1 if "relu" in unread else 2, n, m))
+        views.update(zip(("nrm", "relu"), pair), dw=self.take("dw", (m, width)))
         return views
 
 
@@ -712,31 +712,31 @@ def _branch_backward(dz: np.ndarray, w_head: np.ndarray, anchor: np.ndarray | No
     through the first layer's input, the anchor gradient of each lcn layer,
     last layer first). The ecn anchor is the layer input, so its gradient
     joins dx. Each layer's output is spent once the backward has passed the
-    layer above (the heads, for the last): an lcn output takes its anchor
-    gradient, an ecn output its dgate, the rebuilt gate, then dc @ W. A
-    branch without layers takes only dx."""
+    layer above (the heads, for the last): it takes the layer's dgate, the
+    rebuilt gate, then the anchor term, which an lcn output keeps for the dx1
+    sum and an ecn output swaps for dc @ W; the lcn's dc @ W takes the scratch
+    pair as (n, D). A branch without layers takes only dx."""
     dx = np.outer(dz, w_head, out=ws.take("dx", (len(dz), len(w_head))))
     if not layers:
         return dx, []
+    lcn_product = None if anchor is None else ws.take("scratch", dx.shape)
     out = ws.backward_views(*dx.shape, config.mask_mode)
-    lcn_dgate = None if anchor is None else ws.take("dgate", dx.shape)
     anchor_terms = []
     for layer, gl, tr in zip(reversed(layers), reversed(grads_layers), reversed(traces)):
-        dgate = _dropout(np.multiply(dx, tr.x_in if anchor is None else anchor,
-                                     out=x_out if anchor is None else lcn_dgate),
+        dgate = _dropout(np.multiply(dx, tr.x_in if anchor is None else anchor, out=x_out),
                          tr.keep, config.dropout_rate)
         dc, relu = _mask_backward(dgate, tr, layer, config, gl, out)
         gl.w += np.matmul(dc.T, tr.x_in, out=out.get("dw"))
         gl.b += dc.sum(axis=0)
-        # dgate is spent: its buffer takes the gate, rebuilt via nrm's, then dc @ W
+        # dgate is spent: its buffer takes the gate, rebuilt via nrm's, then the anchor term
         gate = _gate(tr.c, _masked(tr.c, relu, config.mask_mode, out.get("nrm")),
                      tr.keep, config.dropout_rate, dgate)
         if anchor is None:
             dx += np.multiply(dx, gate, out=gate)
         else:
-            anchor_terms.append(np.multiply(dx, gate, out=x_out))
+            anchor_terms.append(np.multiply(dx, gate, out=gate))
         x_out = tr.x_in
-        dx += np.matmul(dc, layer.w, out=dgate)
+        dx += np.matmul(dc, layer.w, out=dgate if anchor is None else lcn_product)
     return dx, anchor_terms
 
 

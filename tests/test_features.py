@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import fcn_ctr.features as features_mod
 from fcn_ctr.features import (DataError, EncodedBatch, FieldSpec, OOV_ID,
                               OOV_TOKEN, build_schema, discretize_numeric,
                               encode, read_csv, split_indices, synth_interaction_data,
@@ -141,6 +142,32 @@ class TestEncode:
         rows, schema = self.schema()
         rows[1]["label"] = "maybe"
         with pytest.raises(DataError, match="row 3"):
+            encode(rows, schema)
+
+    def test_each_distinct_label_parsed_once(self, monkeypatch):
+        rows, schema = self.schema()
+        calls, real = [], features_mod.parse_label
+        monkeypatch.setattr(features_mod, "parse_label",
+                            lambda raw, row: calls.append(raw) or real(raw, row))
+        labels = ("1", "0", " 1", "0")
+        batch = encode([dict(row, label=label) for label in labels for row in rows * 50],
+                       schema)
+        assert sorted(calls) == [" 1", "0", "1"]
+        assert batch.labels.tolist() == [1] * 100 + [0] * 100 + [1] * 100 + [0] * 100
+
+    @pytest.mark.parametrize("first, later, message", [
+        ("maybe", None, "row 1000: label must be 0 or 1, got 'maybe'"),
+        (None, "maybe", "row 1000: missing label column 'label'")])
+    def test_first_bad_or_missing_label_names_its_row(self, first, later, message):
+        rows, schema = self.schema()
+        rows = [dict(rows[i % 2]) for i in range(1200)]
+        # data row 1000 is record 998 (the header is row 1); record 1100 is bad too
+        for i, label in ((998, first), (1100, later)):
+            if label is None:
+                del rows[i]["label"]
+            else:
+                rows[i]["label"] = label
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             encode(rows, schema)
 
     def test_ids_always_below_vocab_size(self):

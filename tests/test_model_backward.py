@@ -363,7 +363,8 @@ class TestBackwardWorkspace:
         for got, want in zip(grads.embeddings, expected.embeddings):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(grads.dense, workspace[0].buffers["grads"])
-        assert "dgate" not in workspace[0].buffers and "dgate" in workspace[1].buffers
+        # both branches spend their outputs on dgate: neither holds a dgate buffer
+        assert not any("dgate" in ws.buffers for ws in workspace)
         for name, old in before.items():
             if name in self.OUTPUTS:
                 buffer = workspace[self.OUTPUTS[name]].buffers["x_out"]
@@ -372,9 +373,36 @@ class TestBackwardWorkspace:
             else:
                 np.testing.assert_array_equal(arrays[name], old, err_msg=name)
 
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    def test_lcn_anchor_terms_stay_in_its_outputs_same_grads(self, mask, monkeypatch):
+        config, params, batch = setup(3, 2, mask)
+        config.dropout_rate = 0.3
+        terms, real = [], model_mod._branch_backward
+
+        def spy(*args):
+            dx, anchor_terms = real(*args)
+            terms.append(anchor_terms)
+            return dx, anchor_terms
+
+        monkeypatch.setattr(model_mod, "_branch_backward", spy)
+        grads = []
+        for workspace in (None, (BranchWorkspace(), BranchWorkspace())):
+            res = forward(batch, params, config, training=True, rng=Rng(4), workspace=workspace)
+            grads.append(backward(res.trace, params, config, *self.loss_grads(res, batch)))
+        fresh, reused = grads
+        np.testing.assert_array_equal(reused.dense, fresh.dense)
+        for got, want in zip(reused.embeddings, fresh.embeddings):
+            np.testing.assert_array_equal(got, want)
+        # each lcn anchor term is its own layer's output slot, last layer first
+        (lcn_terms,) = [t for t in terms[2:] if t]  # the ecn's list is empty
+        slots = workspace[1].buffers["x_out"].reshape(3, *lcn_terms[0].shape)[::-1]
+        assert len(lcn_terms) == 3
+        for term, slot in zip(lcn_terms, slots):
+            assert np.shares_memory(term, slot) and term.ctypes.data == slot.ctypes.data
+
     # the roles a branch's layers take in a training step, forward and backward
-    LAYER_ROLES = {"x_out", "c", "mu", "delta", "keep", "masked", "relu",
-                   "dgate", "dc", "dnrm", "mean", "act", "dw"}
+    LAYER_ROLES = {"x_out", "c", "mu", "delta", "keep", "scratch", "dc", "dnrm", "mean",
+                   "act", "dw"}
 
     @pytest.mark.parametrize("layerless", BRANCHES)
     def test_a_branch_without_layers_holds_no_layer_role(self, layerless):
@@ -386,11 +414,10 @@ class TestBackwardWorkspace:
         train_step(batch, params, config, TrainConfig(), state, Rng(1))
         roles = {branch: set(ws.buffers) for branch, ws in zip(BRANCHES, state.workspace)}
         # besides its dx, the ecn holds the gradients, the lcn x1 and the scatter's
-        # rows (its dx takes the bins); the ecn's dgate lives in its outputs
+        # rows (its dx takes the bins); each branch's dgate lives in its outputs
         held = {"ecn": {"dx", "grads"}, "lcn": {"dx", "x1", "rows"}}
         assert roles[layerless] == held[layerless]
-        lcn_only = {"dgate"} if other == "ecn" else set()
-        assert roles[other] == held[other] | self.LAYER_ROLES - lcn_only
+        assert roles[other] == held[other] | self.LAYER_ROLES
 
     @pytest.mark.parametrize("mask", MASK_MODES)
     def test_each_mask_mode_takes_only_the_roles_it_reads(self, mask):
@@ -398,12 +425,14 @@ class TestBackwardWorkspace:
         config.dropout_rate = 0.1
         state = init_adam_state(params)
         train_step(batch, params, config, TrainConfig(), state, Rng(1))
-        # no_ln has no layernorm, identity no relu gate either
+        # no_ln has no layernorm, identity no relu gate either: the ecn takes only
+        # the masked half of its scratch pair, the lcn all of it for its dc @ W
         unread = {"paper": set(), "no_ln": {"mu", "delta", "dnrm", "act", "mean"}}
-        unread["identity"] = unread["no_ln"] | {"relu"}
+        unread["identity"] = unread["no_ln"]
+        halves = {"ecn": 1 if mask == "identity" else 2, "lcn": 2}
         for branch, ws in zip(BRANCHES, state.workspace):
-            layer_roles = self.LAYER_ROLES - ({"dgate"} if branch == "ecn" else set())
-            assert set(ws.buffers) & self.LAYER_ROLES == layer_roles - unread[mask], branch
+            assert set(ws.buffers) & self.LAYER_ROLES == self.LAYER_ROLES - unread[mask], branch
+            assert ws.buffers["scratch"].size == halves[branch] * 512 * 64, branch
 
     def test_a_spent_trace_is_refused(self):
         # the spent lcn outputs hold anchor terms: a second backward would scatter
@@ -444,10 +473,12 @@ class TestRecomputedRelu:
         layer = CrossLayerParams(np.zeros((m, 2 * m)), np.zeros(m), gain, beta)
         ws = BranchWorkspace()
         with np.errstate(invalid="ignore", over="ignore"):
-            # the forward as a training run makes it, its relu in the branch's scratch
+            # the forward as a training run makes it, its relu in the second half
+            # of the branch's scratch pair
             _, stats = self_mask(c, gain, beta, mask, config.ln_epsilon,
                                  ws.forward_views(1, n, 2 * m, mask)[0])
-            forward_relu = ws.buffers["relu"].copy()
+            pair_relu = ws.buffers["scratch"].reshape(2, n, m)[1]
+            forward_relu = pair_relu.copy()
             tr = LayerTrace(np.zeros((n, 2 * m)), c, None, **stats)
             assert "relu" not in vars(tr)
             if mask == "paper":
@@ -456,7 +487,7 @@ class TestRecomputedRelu:
             dgate = np.random.default_rng(4).standard_normal((n, 2 * m))
             out = ws.backward_views(n, 2 * m, mask) if reuse else {}
             _, relu = model_mod._mask_backward(dgate, tr, layer, config, grads, out)
-        assert np.shares_memory(relu, ws.buffers["relu"]) == reuse
+        assert np.shares_memory(relu, pair_relu) == reuse
         assert np.isnan(forward_relu).any() and (forward_relu == 0.0).any()
         assert relu.view(np.uint64).tobytes() == forward_relu.view(np.uint64).tobytes()
 

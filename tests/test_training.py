@@ -12,7 +12,8 @@ import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.features import DataError, EncodedBatch, FieldSpec, build_schema, encode, split_indices, synth_interaction_data
 from fcn_ctr.metrics import EvalResult
-from fcn_ctr.model import ModelConfig, backward, forward, init_model_params, named_dense
+from fcn_ctr.model import (MASK_MODES, ModelConfig, backward, forward, init_model_params,
+                           named_dense)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import tri_bce, tri_bce_grads
 from fcn_ctr.training import (TrainConfig, adam_step, evaluate,
@@ -390,6 +391,18 @@ def workspace_nbytes(state):
 
 
 class TestStepWorkspace:
+    # MiB both workspaces hold after a README-shape step: each branch spends its
+    # layer outputs on dgate and the rebuilt gate, and its mask scratch is one
+    # pair of halves, which the lcn's dc @ W takes whole (72.70, 67.76 and 63.76
+    # with the lcn's dgate buffer and separate masked and relu scratch)
+    README_WORKSPACE_MIB = {"paper": 68.70, "no_ln": 63.76, "identity": 61.76}
+
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    def test_readme_shape_workspace_totals(self, readme_batch, mask):
+        config, params, state, rng = readme_run(readme_batch, mask)
+        train_step(readme_batch, params, config, TrainConfig(learning_rate=0.01), state, rng)
+        assert round(workspace_nbytes(state) / 2**20, 2) == self.README_WORKSPACE_MIB[mask]
+
     def test_ragged_step_reuses_the_buffers(self, readme_batch, monkeypatch):
         config, params, state, rng = readme_run(readme_batch)
         traces, real = [], training_mod.backward

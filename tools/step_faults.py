@@ -5,7 +5,7 @@ cardinality 10, order 4; default model, dropout 0.1, lr 0.01) at a given
 row count and branch depths, reading getrusage around each step, and prints
 p10/p50 of each over the steps after the first (warm-up) one, then the MiB
 the two branch workspaces hold after the steps, in total and per role of
-each branch (``ecn.dgate``), then each branch's total.
+each branch (``lcn.scratch``), then each branch's total.
 
     python tools/step_faults.py --rows 4096 --depth 3 --steps 40
     python tools/step_faults.py --depth 0,3   # lcn depth 0, ecn depth 3
