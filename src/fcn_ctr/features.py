@@ -25,7 +25,6 @@ from fcn_ctr.numerics import Rng
 OOV_TOKEN = "<OOV>"
 OOV_ID = 0
 LABEL_COLUMN = "label"
-_NO_LABEL = object()  # what ``encode`` reads as the label of a record without one
 SYNTH_NOISE = 0.05  # share of synthetic labels flipped
 
 DISCRETIZE_MODES = ("lnsq", "log2")
@@ -207,20 +206,23 @@ def encode(records: list[dict], schema: FeatureSchema,
                           itertools.repeat(OOV_ID)), np.int64, n * f)
     labels = None
     if require_labels or (n > 0 and LABEL_COLUMN in records[0]):
-        # every record's label in one pass, each distinct value parsed once; a
-        # missing or bad one maps to -1, and the first such row raises its error
-        raw = list(map(dict.get, records, itertools.repeat(LABEL_COLUMN),
-                       itertools.repeat(_NO_LABEL)))
+        # each distinct label parsed once, then every row's mapped through the
+        # table, each a C-level pass over the records (a list of the labels kept
+        # between the passes raised train's peak RSS by 1-3 MB); a missing or bad
+        # label maps to -1, and the first such row raises its error
+        def column():
+            return map(dict.get, records, itertools.repeat(LABEL_COLUMN))
+
         table = {}
-        for value in set(raw).difference([_NO_LABEL]):
+        for value in set(column()):
             with contextlib.suppress(DataError):
                 table[value] = parse_label(value, 0)
-        labels = np.fromiter(map(table.get, raw, itertools.repeat(-1)), np.int64, n)
+        labels = np.fromiter(map(table.get, column(), itertools.repeat(-1)), np.int64, n)
         if (labels < 0).any():
             idx = int(labels.argmin())
-            if raw[idx] is _NO_LABEL:
+            if LABEL_COLUMN not in records[idx]:
                 raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
-            parse_label(raw[idx], idx + 2)
+            parse_label(records[idx][LABEL_COLUMN], idx + 2)
     return EncodedBatch(ids.reshape(n, f), labels, schema.sizes)
 
 
