@@ -204,25 +204,12 @@ def encode(records: list[dict], schema: FeatureSchema,
         zip(*columns) for columns in _columns(records, schema)))
     ids = np.fromiter(map(dict.get, itertools.cycle(schema.vocabs), tokens,
                           itertools.repeat(OOV_ID)), np.int64, n * f)
-    labels = None
-    if require_labels or (n > 0 and LABEL_COLUMN in records[0]):
-        # each distinct label parsed once, then every row's mapped through the
-        # table, each a C-level pass over the records (a list of the labels kept
-        # between the passes raised train's peak RSS by 1-3 MB); a missing or bad
-        # label maps to -1, and the first such row raises its error
-        def column():
-            return map(dict.get, records, itertools.repeat(LABEL_COLUMN))
-
-        table = {}
-        for value in set(column()):
-            with contextlib.suppress(DataError):
-                table[value] = parse_label(value, 0)
-        labels = np.fromiter(map(table.get, column(), itertools.repeat(-1)), np.int64, n)
-        if (labels < 0).any():
-            idx = int(labels.argmin())
-            if LABEL_COLUMN not in records[idx]:
-                raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
-            parse_label(records[idx][LABEL_COLUMN], idx + 2)
+    has_labels = require_labels or (n > 0 and LABEL_COLUMN in records[0])
+    labels = np.zeros(n, dtype=np.int64) if has_labels else None
+    for idx, record in enumerate(records if has_labels else []):
+        if LABEL_COLUMN not in record:
+            raise DataError(f"row {idx + 2}: missing label column {LABEL_COLUMN!r}")
+        labels[idx] = parse_label(record[LABEL_COLUMN], idx + 2)
     return EncodedBatch(ids.reshape(n, f), labels, schema.sizes)
 
 

@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-import fcn_ctr.features as features_mod
 from fcn_ctr.features import (DataError, EncodedBatch, FieldSpec, OOV_ID,
                               OOV_TOKEN, build_schema, discretize_numeric,
                               encode, read_csv, split_indices, synth_interaction_data,
@@ -143,17 +142,6 @@ class TestEncode:
         rows[1]["label"] = "maybe"
         with pytest.raises(DataError, match="row 3"):
             encode(rows, schema)
-
-    def test_each_distinct_label_parsed_once(self, monkeypatch):
-        rows, schema = self.schema()
-        calls, real = [], features_mod.parse_label
-        monkeypatch.setattr(features_mod, "parse_label",
-                            lambda raw, row: calls.append(raw) or real(raw, row))
-        labels = ("1", "0", " 1", "0")
-        batch = encode([dict(row, label=label) for label in labels for row in rows * 50],
-                       schema)
-        assert sorted(calls) == [" 1", "0", "1"]
-        assert batch.labels.tolist() == [1] * 100 + [0] * 100 + [1] * 100 + [0] * 100
 
     @pytest.mark.parametrize("first, later, message", [
         ("maybe", None, "row 1000: label must be 0 or 1, got 'maybe'"),
