@@ -14,12 +14,13 @@ The mask is the self-mask c * relu(layernorm(c)), which zeroes roughly half
 of the gated view. Two sigmoid heads read the branch outputs and the model
 prediction is their mean.
 
-Batches are row-major: ids (n, f) int64, activations (n, D) float64, cross
-vectors (n, D/2). Every embedding row lives in one float64 table,
-``ModelParams.table``, every other parameter in one float64 vector,
-``ModelParams.dense``, and the per-field tables and the layer and head fields
-view the two. Params are immutable during forward/backward; traces are
-per-batch and single-owner. A layer trace keeps only what the backward
+Batches are row-major: ids (n, f) int64, activations (n, D), cross vectors
+(n, D/2). Every embedding row lives in one table, ``ModelParams.table``, every
+other parameter in one vector, ``ModelParams.dense``, and the per-field tables
+and the layer and head fields view the two, in one dtype that every array the
+forward, the backward and a workspace make takes: training runs in float32,
+``init_model_params``, a loaded checkpoint and the oracles in float64. Params
+are immutable during forward/backward; traces are per-batch and single-owner. A layer trace keeps only what the backward
 reads, which recomputes the relu gate from it, and a backward spends the
 trace: every layer output of both branches takes gradient temporaries. A
 training run hands forward a ``BranchWorkspace`` per branch, whose buffers
@@ -130,11 +131,12 @@ def named_dense(tree) -> list:
 
 @dataclass
 class ModelParams:
-    """Every model parameter, in two float64 arrays the constructor adopts as they
-    are (copied only if not C-contiguous float64): ``table``, the (sum of s_i, d)
-    embedding table, field 0's rows first, field j's ``sizes[j]`` rows from row
-    ``offsets[j]``, and ``dense``, the ``dense_size`` values of every other tensor
-    laid out by ``dense_layout``; ``embeddings`` and the tensor fields view the two."""
+    """Every model parameter, in two arrays of one ``dtype`` the constructor adopts
+    as they are: a float32 table's, else float64, copied only if not C-contiguous
+    in it. ``table`` is the (sum of s_i, d) embedding table, field 0's rows first,
+    field j's ``sizes[j]`` rows from row ``offsets[j]``, and ``dense`` the
+    ``dense_size`` values of every other tensor laid out by ``dense_layout``;
+    ``embeddings`` and the tensor fields view the two."""
 
     table: np.ndarray                     # (sum of s_i, d)
     sizes: np.ndarray                     # (f,) each field's row count, s_i
@@ -150,14 +152,15 @@ class ModelParams:
     def __post_init__(self, lcn_depth: int, ecn_depth: int):
         self.sizes = np.array(self.sizes, dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        self.table = np.ascontiguousarray(self.table, dtype=np.float64)
+        float32 = np.asarray(self.table).dtype == np.float32
+        self.table = np.ascontiguousarray(self.table, np.float32 if float32 else np.float64)
         if self.table.ndim != 2 or len(self.table) != self.sizes.sum():
             raise ValueError(f"table: expected {self.sizes.sum()} rows of d, "
                              f"got shape {self.table.shape}")
         self.embeddings = [self.table[lo:lo + size] for lo, size in zip(self.offsets, self.sizes)]
         width = self.table.shape[1] * len(self.sizes)
         size = dense_size(width, lcn_depth, ecn_depth)
-        self.dense = np.ascontiguousarray(self.dense, dtype=np.float64)
+        self.dense = np.ascontiguousarray(self.dense, dtype=self.table.dtype)
         if self.dense.shape != (size,):
             raise ValueError(f"dense: expected {size} values, got shape {self.dense.shape}")
         self.lcn_layers, self.ecn_layers, self.heads = layer_views(self.dense, width,
@@ -185,6 +188,10 @@ class ModelParams:
         return self.sizes.astype(np.uint64), 2 * self.offsets + np.arange(2)[:, None]
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.table.dtype
+
+    @property
     def num_fields(self) -> int:
         return len(self.embeddings)
 
@@ -192,8 +199,9 @@ class ModelParams:
     def width(self) -> int:
         return int(self.heads.w_deep.shape[-1])
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.table.copy(), self.sizes, self.dense.copy(),
+    def copy(self, dtype=None) -> "ModelParams":
+        dtype = self.dtype if dtype is None else dtype
+        return ModelParams(self.table.astype(dtype), self.sizes, self.dense.astype(dtype),
                            len(self.lcn_layers), len(self.ecn_layers))
 
 
@@ -266,18 +274,20 @@ class BranchWorkspace:
     fresh temporaries: one flat array per role, grown to the largest batch
     seen, so a smaller batch takes reshaped prefixes of the same memory. A
     step's trace and gradients view these buffers until the next step (or the
-    epoch's evaluation) overwrites them. Single-owner, like an ``Rng``."""
+    epoch's evaluation) overwrites them. ``dtype`` is the params' dtype, which
+    float roles take. Single-owner, like an ``Rng``."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.buffers: dict[str, np.ndarray] = {}
 
-    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def take(self, role: str, shape: tuple, dtype=None) -> np.ndarray:
         """An uninitialized C-contiguous view of ``role``'s buffer, which
-        always has the same ``dtype``."""
+        always has the same ``dtype``, by default the workspace's."""
         size = math.prod(shape)
         flat = self.buffers.get(role)
         if flat is None or flat.size < size:
-            flat = self.buffers[role] = np.empty(size, dtype)
+            flat = self.buffers[role] = np.empty(size, self.dtype if dtype is None else dtype)
         return flat[:size].reshape(shape)
 
     def forward_views(self, depth: int, n: int, width: int, mode: str) -> list[dict]:
@@ -300,7 +310,7 @@ class BranchWorkspace:
         gate's sign, dw each layer's W-gradient product. Unread roles are not taken."""
         m, unread = width // 2, _UNREAD_ROLES[mode]
         views = {role: self.take(role, (n, cols), dtype) for role, cols, dtype in (
-            ("dc", m, float), ("dnrm", m, float), ("mean", 1, float), ("act", m, bool))
+            ("dc", m, None), ("dnrm", m, None), ("mean", 1, None), ("act", m, bool))
             if role not in unread}
         pair = self.take("scratch", (1 if "relu" in unread else 2, n, m))
         views.update(zip(("nrm", "relu"), pair), dw=self.take("dw", (m, width)))
@@ -315,8 +325,8 @@ class FreshArrays(BranchWorkspace):
     nothing, so no result aliases another call's: ``take`` allocates and there
     are no views, so each numpy call makes its own result."""
 
-    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        return np.empty(shape, dtype)
+    def take(self, role: str, shape: tuple, dtype=None) -> np.ndarray:
+        return np.empty(shape, self.dtype if dtype is None else dtype)
 
     def forward_views(self, depth: int, n: int, width: int, mode: str) -> list[dict]:
         return [_NO_VIEWS] * depth
@@ -325,13 +335,14 @@ class FreshArrays(BranchWorkspace):
         return _NO_VIEWS
 
 
-FRESH = FreshArrays()
+FRESH = {np.dtype(t): FreshArrays(t) for t in (np.float32, np.float64)}  # by params' dtype
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, both from e = exp(-|z|)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
+    z = z.astype(np.promote_types(z.dtype, np.float32), copy=False)  # float32 stays
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
@@ -381,7 +392,7 @@ def embed_reshape(ids: np.ndarray, params: ModelParams,
     if np.count_nonzero(bad):
         j = int(bad.any(axis=0).argmax())
         raise ValueError(f"field {j}: id out of range [0, {params.sizes[j]}) in batch")
-    x1 = np.empty((*lead, n, f * d)) if out is None else out
+    x1 = np.empty((*lead, n, f * d), params.dtype) if out is None else out
     # the table seen as (2 * rows, d/2) halves, x1 as (row, view, field, d/2): one
     # take fills x1 in place (mode "clip", as the ids are checked: "raise" copies)
     params.table.reshape(*lead, 2 * rows, half).take(
@@ -500,9 +511,10 @@ def cross_layer_forward(x_in: np.ndarray, anchor: np.ndarray, layer: CrossLayerP
 
 # Batches of at least this many activations (rows x D) run the two branches
 # on two threads, when the process may use more than one CPU. Below it the
-# hand-off to the worker thread costs more than the overlap saves: on 2 CPUs
-# with D = 128, an inference forward of 128 rows took 2.2 ms threaded and
-# 1.9 ms serially, one of 256 rows 2.7 ms threaded and 3.1 ms serially.
+# hand-off to the worker thread costs more than the overlap saves: on 2 CPUs,
+# D = 128, one BLAS thread, a float32 training step (tools/step_faults.py, p50
+# of 60 steps, three rounds) took 6.9-7.6 ms threaded and 5.7-7.6 ms serially
+# at 192 rows, 8.3-9.9 and 10.3-11.0 ms at 256.
 PARALLEL_MIN_ACTIVATIONS = 32768
 
 # Inference batches of at most this many activations run both branches as one
@@ -550,7 +562,7 @@ def _both_branches(ecn_job, lcn_job, parallel: bool):
 
 def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
                     layers: list[CrossLayerParams], config: ModelConfig, rate: float,
-                    rng: Rng | None, want_trace: bool, ws: BranchWorkspace = FRESH):
+                    rng: Rng | None, want_trace: bool, ws: BranchWorkspace | None = None):
     """Run one branch's cross layers from x1, into ``ws``. The lcn passes
     ``anchor=x1``; ``anchor=None`` anchors each layer on its own input, as
     the ecn does. At a dropout ``rate`` above 0 each layer draws x1's shape
@@ -560,15 +572,19 @@ def _branch_forward(x1: np.ndarray, anchor: np.ndarray | None,
         return x1, []
     if rate and rng is None:
         raise ValueError("training-mode dropout requires an rng")
-    x = x1
-    traces = []
+    x, traces, ws = x1, [], ws or FRESH[x1.dtype]
     views = ws.forward_views(len(layers), *x1.shape[-2:], config.mask_mode)
     keep = ws.take("keep", (len(layers), *x1.shape), bool) if rate else [None] * len(layers)
     for i, layer in enumerate(layers):
         if rate:
-            # the draws go into the buffer of the output, whose gate the layer
-            # writes next; an entry is kept where its draw is >= rate
-            np.greater_equal(rng.random(x1.shape, out=views[i].get("x_out")), rate, out=keep[i])
+            # float64 uniforms go into the buffer of the output, whose gate the layer writes
+            # next, as many at a time as it holds (half of them in float32): the words, and
+            # so the keep masks and the stream, do not depend on the dtype
+            buf, flat = views[i].get("x_out"), keep[i].reshape(-1)
+            words = (np.empty(x1.shape) if buf is None else buf).reshape(-1).view(np.float64)
+            for lo in range(0, flat.size, words.size or 1):
+                part = words[:flat.size - lo]
+                np.greater_equal(rng.random(out=part), rate, out=flat[lo:lo + part.size])
         x, tr = cross_layer_forward(x, x if anchor is None else anchor, layer, config.mask_mode,
                                     config.ln_epsilon, keep[i], rate, want_trace, views[i])
         traces.append(tr)
@@ -579,7 +595,7 @@ def _stacked_forward(x1: np.ndarray, params: ModelParams, config: ModelConfig):
     """(x_ecn, x_lcn) in inference, bitwise as ``_branch_forward`` gives them: the
     shared-depth layers run on stacks of [lcn, ecn] inputs against the anchors
     [x1, ecn input], then the deeper branch finishes alone."""
-    x = anchor = np.empty((2, *x1.shape))
+    x = anchor = np.empty((2, *x1.shape), x1.dtype)
     anchor[:] = x1
     for layer in params.stacked:
         x, _ = cross_layer_forward(x, anchor, layer, config.mask_mode, config.ln_epsilon,
@@ -611,7 +627,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
     use; by default every array is new. The trace carries the pair it ran in.
     """
     rate = config.dropout_rate if training else 0.0
-    workspace = workspace or (FRESH, FRESH)
+    workspace = workspace or (FRESH[params.dtype],) * 2
     if x1.ndim == 2 and not training and x1.size <= STACKED_MAX_ACTIVATIONS:
         x_ecn, x_lcn = _stacked_forward(x1, params, config)
     else:
@@ -624,7 +640,7 @@ def forward_from_x1(x1: np.ndarray, params: ModelParams, config: ModelConfig,
             _parallel(x1.size))
 
     # the heads' logits, deep then shallow, as one stack: one sigmoid and one fusion
-    heads, z = params.heads, np.empty((2, *x_ecn.shape[:-1]))
+    heads, z = params.heads, np.empty((2, *x_ecn.shape[:-1]), x_ecn.dtype)
     z_deep, z_shallow = z
     np.matmul(x_ecn, heads.w_deep[..., None], out=z_deep[..., None])
     np.matmul(x_lcn, heads.w_shallow[..., None], out=z_shallow[..., None])
@@ -648,7 +664,8 @@ def forward(batch, params: ModelParams, config: ModelConfig,
     ``layer_views`` of a (K, P) stack of dense vectors runs K parameter sets at
     once: (K, n) outputs, slice k bitwise set k's own forward."""
     shape = (*params.table.shape[:-2], len(batch.ids), params.width)
-    x1 = embed_reshape(batch.ids, params, (workspace or (FRESH, FRESH))[1].take("x1", shape))
+    workspace = workspace or (FRESH[params.dtype],) * 2
+    x1 = embed_reshape(batch.ids, params, workspace[1].take("x1", shape))
     result = forward_from_x1(x1, params, config, training, rng, workspace)
     if result.trace is not None:
         result.trace.ids = batch.ids
@@ -766,8 +783,9 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
     grads = zero_gradients(params, ecn_ws.take("grads", params.dense.shape))
     heads = params.heads
 
-    dz_deep = dy_deep * trace.y_deep * (1.0 - trace.y_deep)
-    dz_shallow = dy_shallow * trace.y_shallow * (1.0 - trace.y_shallow)
+    # the loss gradients may be float64: dz takes the params' dtype, and so every product
+    dz_deep, dz_shallow = ((dy * y * (1.0 - y)).astype(params.dtype, copy=False) for dy, y in
+                           ((dy_deep, trace.y_deep), (dy_shallow, trace.y_shallow)))
 
     grads.heads.w_deep += trace.x_ecn.T @ dz_deep
     grads.heads.b_deep += dz_deep.sum()
@@ -798,12 +816,14 @@ def backward(trace: ForwardTrace, params: ModelParams, config: ModelConfig,
         first = np.ones(n * f, bool)
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         rows = rows[first]
-        # the lcn's dx is spent, summed into dx1: its buffer holds the bins, seen as x1 is
-        bins = lcn_ws.take("dx", (n, 2, f, d // 2)).view(np.int64)
+        # the lcn's dx is spent, summed into dx1: a float64 one holds the bins, seen as x1
+        # is; a float32 one is half their size, and they take a buffer of their own
+        dx = lcn_ws.take("dx", (n, 2, f, d // 2))
+        bins = dx.view(np.int64) if dx.itemsize == 8 else lcn_ws.take("bins", dx.shape, np.int64)
         np.add((np.searchsorted(rows, table_rows) * d)[:, None, :, None],
                np.arange(d).reshape(2, 1, d // 2), out=bins)
         sums = np.bincount(bins.ravel(), weights=dx1.ravel(), minlength=rows.size * d)
-        grads.embeddings = rows, sums.reshape(rows.size, d)
+        grads.embeddings = rows, sums.reshape(rows.size, d).astype(params.dtype, copy=False)
     return grads
 
 

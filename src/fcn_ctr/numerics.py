@@ -1,13 +1,14 @@
 """Deterministic random streams, parameter initialization, finite differences.
 
-Conventions used across the package: vectors are 1-D float64 numpy arrays,
-matrices are 2-D row-major float64 arrays, and a stack of K of either leads
-with a K axis. All training arithmetic runs in float64; float32 appears only
-inside checkpoint files. Every function here is pure over caller-owned
-buffers and safe to call concurrently; ``Rng`` instances are single-owner and
-must not be shared between threads. A thread gets its own ``Rng`` from
-``Rng.split``, which hands it a stretch of the stream exactly where the owner
-would have drawn it.
+Conventions used across the package: vectors are 1-D numpy arrays, matrices
+2-D row-major arrays, and a stack of K of either leads with a K axis. Model
+arrays take the params' dtype: training runs in float32 (from float64 draws
+cast once), loaded checkpoints, scoring and the oracles in float64. Uniforms
+are float64 whatever the dtype, so every stream is the same. Every function
+here is pure over caller-owned buffers and safe to call concurrently; ``Rng``
+instances are single-owner and must not be shared between threads. A thread
+gets its own ``Rng`` from ``Rng.split``, which hands it a stretch of the
+stream exactly where the owner would have drawn it.
 """
 
 from __future__ import annotations

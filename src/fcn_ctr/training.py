@@ -7,7 +7,9 @@ Epoch progress streams to standard output as single-line records:
         val_auc=<v> val_logloss=<v> secs=<v>
 
 The loop is sequential over batches (single writer on params and optimizer
-state); evaluation runs in inference mode with dropout disabled. Its scores
+state); evaluation runs in inference mode with dropout disabled. A run trains
+in float32, the precision a checkpoint stores; the step and Adam work in the
+params' dtype, so float64 params train in float64. Its scores
 can depend on the evaluation batch size in the last bit, because BLAS may
 take a different path for a different number of rows: on the README data a
 row scored alone and within a 4096-row batch differed by up to 2.2e-16.
@@ -91,7 +93,13 @@ class EpochReport:
 def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(np.zeros_like(params.dense), np.zeros_like(params.dense),
                      np.zeros_like(params.table), np.zeros_like(params.table),
-                     workspace=(BranchWorkspace(), BranchWorkspace()))
+                     workspace=(BranchWorkspace(params.dtype), BranchWorkspace(params.dtype)))
+
+
+def init_train_params(config: ModelConfig, sizes) -> ModelParams:
+    """The params ``train`` starts from: ``init_model_params``' float64 draws under
+    the run's init stream, cast once to float32."""
+    return init_model_params(config, sizes, derive_seed(config.seed, "init")).copy(np.float32)
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
@@ -211,8 +219,7 @@ def train(train_set: EncodedBatch, valid_set: EncodedBatch,
     if vpos == 0 or vpos == valid_set.n:
         raise DataError("validation set is single-class; AUC early stopping is undefined")
 
-    params = init_model_params(model_config, train_set.sizes,
-                               derive_seed(model_config.seed, "init"))
+    params = init_train_params(model_config, train_set.sizes)
     state = init_adam_state(params)
     shuffle_rng = Rng(derive_seed(model_config.seed, "shuffle"))
     dropout_rng = Rng(derive_seed(model_config.seed, "dropout"))

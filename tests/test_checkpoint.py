@@ -19,11 +19,12 @@ from fcn_ctr.checkpoint import (BadMagicError, CheckpointError, ChecksumError,
                                 UnsupportedVersionError, checkpoint_bytes,
                                 load_checkpoint, parse_checkpoint,
                                 save_checkpoint)
-from fcn_ctr.features import FeatureSchema, FieldSpec, OOV_TOKEN, read_csv, encode
+from fcn_ctr.features import (FeatureSchema, FieldSpec, OOV_TOKEN, build_schema, encode,
+                              read_csv, split_indices, synth_interaction_data)
 from fcn_ctr.model import (ModelConfig, ModelParams, dense_size, init_model_params,
                            named_tensors)
-from fcn_ctr.numerics import derive_seed
-from fcn_ctr.training import predict_scores
+from fcn_ctr.numerics import Rng, derive_seed
+from fcn_ctr.training import TrainConfig, predict_scores, train
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -68,6 +69,23 @@ class TestRoundTrip:
         loaded = parse_checkpoint(data)
         again = checkpoint_bytes(*loaded)
         assert data == again
+
+    def test_trained_params_round_trip_exactly(self, tmp_path):
+        # training runs in float32, the stored precision: the file holds the
+        # trained model itself, not a rounded copy of it
+        records, _ = synth_interaction_data(3, 4, 2, 400, Rng(derive_seed(5, "synth")))
+        schema = build_schema(records, [FieldSpec(f"f{j}") for j in range(3)])
+        batch = encode(records, schema)
+        tr, va = map(batch.rows, split_indices(batch.n, (0.8, 0.2), Rng(6)))
+        config = ModelConfig(d=4, lcn_depth=1, ecn_depth=2, seed=5)
+        params, _ = train(tr, va, config, TrainConfig(batch_size=64, max_epochs=2),
+                          log=lambda s: None)
+        assert params.dtype == np.float32
+        save_checkpoint(tmp_path / "m.ckpt", params, config, schema)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.dtype == np.float64
+        assert loaded.table.tobytes() == params.table.astype(np.float64).tobytes()
+        assert loaded.dense.tobytes() == params.dense.astype(np.float64).tobytes()
 
     def test_magic_prefix(self):
         params, config, schema = sample_state()

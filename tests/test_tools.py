@@ -39,8 +39,9 @@ def test_step_faults_prints_per_step_quantiles():
     # no float64 mask role; no layer keeps its gate, which the backward
     # rebuilds, nor its relu, which the backward recomputes; each branch's
     # dgate lives in its outputs, and its mask scratch is one pair of halves:
-    # 68.7 MiB at this shape (72.7 with the lcn's dgate buffer, 84.7 with a relu
-    # per layer and the ecn's dgate, 108.7 with the gates, 129.7 with masks)
+    # 68.7 MiB at this shape in float64 (72.7 with the lcn's dgate buffer, 84.7
+    # with a relu per layer and the ecn's dgate, 108.7 with the gates, 129.7 with
+    # masks); the tool runs float32 steps, as train does, which hold 40.2
     mib = {role: float(v) for role, v in (part.split("=") for part in lines[4].split()[1:])}
     total = mib.pop("total")
     roles = {name.split(".")[1] for name in mib}
@@ -49,6 +50,30 @@ def test_step_faults_prints_per_step_quantiles():
     assert total <= 69.0, proc.stdout
     by_branch = {b: float(v) for b, v in (part.split("=") for part in lines[5].split()[1:])}
     assert abs(by_branch["ecn"] + by_branch["lcn"] - total) <= 0.1, proc.stdout
+
+
+def test_claim_margin_prints_every_stream_and_seed():
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "claim_margin.py"),
+                           "--rows", "2000", "--alts", "1"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * 6 + 1 and lines[-1].startswith("seconds="), proc.stdout
+    for block, stream in enumerate(("dropout", "dropout-alt1")):
+        rows = [dict(kv.split("=", 1) for kv in line.split()) for line in lines[6 * block:][:5]]
+        assert [r["stream"] for r in rows] == [stream] * 5
+        assert [int(r["seed"]) for r in rows] == [1, 2, 3, 4, 5]
+        for r in rows:
+            for key in ("tri_logloss", "plain_logloss", "tri_auc", "plain_auc", "w_D", "w_S"):
+                assert 0.0 <= float(r[key]) <= 1.0, (key, r)
+            assert float(r["gap"]) == round(float(r["plain_logloss"])
+                                            - float(r["tri_logloss"]), 4)
+        # the loglosses print at 6 places, the wins count at full precision
+        summary = dict(kv.split("=", 1) for kv in lines[6 * block + 5].split(" ", 2))
+        wins = int(summary["tri_wins"].removesuffix("/5"))
+        assert summary["stream"] == stream
+        assert (sum(float(r["tri_logloss"]) < float(r["plain_logloss"]) for r in rows) <= wins
+                <= sum(float(r["tri_logloss"]) <= float(r["plain_logloss"]) for r in rows))
+        assert summary["gaps"] == "[" + ", ".join(r["gap"] for r in rows) + "]"
 
 
 def test_benchmark_patch_sites_are_module_attributes():

@@ -16,8 +16,8 @@ from fcn_ctr.model import (MASK_MODES, ModelConfig, backward, forward, init_mode
                            named_dense)
 from fcn_ctr.numerics import Rng, derive_seed
 from fcn_ctr.objective import tri_bce, tri_bce_grads
-from fcn_ctr.training import (TrainConfig, adam_step, evaluate,
-                              init_adam_state, train, train_step)
+from fcn_ctr.training import (TrainConfig, adam_step, evaluate, init_adam_state,
+                              init_train_params, train, train_step)
 
 
 def toy_batch(n=32, f=3, vocab=4, seed=1, labels=None):
@@ -234,7 +234,9 @@ class TestTrainLoop:
         tcfg = TrainConfig(max_epochs=0)
         params, reports = train(tr, va, config, tcfg, log=lambda s: None)
         assert reports == []
-        expected = init_model_params(config, tr.sizes, derive_seed(7, "init"))
+        # the float64 draws, cast once to float32, in which the run trains
+        expected = init_model_params(config, tr.sizes, derive_seed(7, "init")).copy(np.float32)
+        assert params.dtype == np.float32
         np.testing.assert_array_equal(params.embeddings[0], expected.embeddings[0])
 
     def test_patience_stopping_arithmetic(self, monkeypatch):
@@ -453,3 +455,137 @@ class TestStepWorkspace:
         train(tr, va, config, TrainConfig(batch_size=batch_size, max_epochs=1),
               log=lambda s: None)
         assert len(passed) == 1 and (passed[0] is not None) == borrowed
+
+
+# sha256 of the float32 parameter bytes (table, then dense) after README-batch
+# train steps from the params ``train`` starts from: two steps per mask mode, and
+# the paper mask's 4096, 3136 and 4096 rows. The float64 pins above stay on the
+# float64 path.
+README_STEP_DIGESTS_FLOAT32 = {
+    "paper": "3ffb35616ec3521b1f1b8e8cbf6378557c7547de5deffacab8cb03395f8017f2",
+    "identity": "5c1cd809f2399e6dbf401e596f18cf7858fcdf77617787807f613a33c0bd5cbb",
+    "no_ln": "dc87e4baaf05617ee7ca8439b071a95208d029f5c4630030a1ebf57e39101634",
+}
+README_RAGGED_DIGEST_FLOAT32 = "bf4afeb2edfd08213356782fe12c7f1fa151bb0c2e952c89031cc765652afdbe"
+
+
+def readme_run_float32(batch, mask="paper"):
+    config = ModelConfig(mask_mode=mask, seed=1)
+    params = init_train_params(config, batch.sizes)
+    return config, params, init_adam_state(params), Rng(derive_seed(1, "dropout"))
+
+
+def float32_steps_digest(batch, mask, rows):
+    config, params, state, rng = readme_run_float32(batch, mask)
+    for n in rows:
+        train_step(batch.rows(slice(0, n)), params, config, TrainConfig(learning_rate=0.01),
+                   state, rng)
+    assert params.table.dtype == params.dense.dtype == np.float32
+    return hashlib.sha256(params.table.tobytes() + params.dense.tobytes()).hexdigest()
+
+
+def float_roles(state):
+    return {(branch, role): flat for branch, ws in zip(("ecn", "lcn"), state.workspace)
+            for role, flat in ws.buffers.items() if flat.dtype.kind == "f"}
+
+
+class TestFloat32Steps:
+    """``train`` trains in float32: the same code path as float64, every array
+    in the params' dtype, the dropout stream as in float64."""
+
+    def test_ragged_steps_match_pinned_digest(self, readme_batch):
+        assert (float32_steps_digest(readme_batch, "paper", (4096, 3136, 4096))
+                == README_RAGGED_DIGEST_FLOAT32)
+
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    def test_two_steps_match_pinned_digest_threaded_and_serial(self, readme_batch, mask,
+                                                               monkeypatch):
+        assert readme_batch.n * ModelConfig().d * 8 >= model_mod.PARALLEL_MIN_ACTIVATIONS
+        assert float32_steps_digest(readme_batch, mask, (4096, 4096)) == (
+            README_STEP_DIGESTS_FLOAT32[mask])
+        monkeypatch.setattr(model_mod, "PARALLEL_MIN_ACTIVATIONS", sys.maxsize)
+        assert float32_steps_digest(readme_batch, mask, (4096, 4096)) == (
+            README_STEP_DIGESTS_FLOAT32[mask])
+
+    def test_keep_masks_and_stream_position_match_float64(self, readme_batch):
+        # the float64 uniforms go through a float32 output buffer in two halves:
+        # the same words, so the same masks, and the stream ends where it does in float64
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            config, params, state, rng = readme_run_float32(readme_batch)
+            params = params.copy(dtype)
+            state = init_adam_state(params)
+            trace = forward(readme_batch, params, config, training=True, rng=rng,
+                            workspace=state.workspace).trace
+            assert state.workspace[1].buffers["x_out"].dtype == dtype
+            runs[dtype] = [t.keep.copy() for t in trace.ecn + trace.lcn], rng.random(4)
+        (masks32, next32), (masks64, next64) = runs[np.float32], runs[np.float64]
+        assert len(masks32) == 6
+        for a, b in zip(masks32, masks64):
+            assert a.dtype == bool and np.array_equal(a, b)
+        assert 0.08 < 1.0 - masks32[0].mean() < 0.12  # dropout 0.1
+        assert next32.tobytes() == next64.tobytes()
+
+    def test_workspace_dtypes_and_half_the_float_mib(self, readme_batch):
+        states = {}
+        for dtype in (np.float32, np.float64):
+            config, params, state, rng = readme_run_float32(readme_batch)
+            params = params.copy(dtype)
+            state = init_adam_state(params)
+            train_step(readme_batch, params, config, TrainConfig(learning_rate=0.01), state, rng)
+            states[dtype] = state
+            assert state.m.dtype == state.v.dtype == dtype
+            assert state.emb_m.dtype == state.emb_v.dtype == dtype
+            assert state.workspace[0].buffers["grads"].dtype == dtype
+        lcn32 = states[np.float32].workspace[1].buffers
+        assert lcn32["bins"].dtype == np.int64 and lcn32["rows"].dtype == np.int64
+        for ws in states[np.float32].workspace:
+            assert ws.buffers["keep"].dtype == bool and ws.buffers["act"].dtype == bool
+        roles32, roles64 = float_roles(states[np.float32]), float_roles(states[np.float64])
+        assert roles32.keys() == roles64.keys()
+        for key, flat in roles32.items():
+            assert flat.dtype == np.float32, key
+            assert 2 * flat.nbytes == roles64[key].nbytes, key
+        # README shape, paper mask: the float roles hold 64.95 MiB in float64 and
+        # 32.47 in float32; with the 4 MiB bins, the workspaces 68.70 and 40.22
+        assert round(workspace_nbytes(states[np.float32]) / 2**20, 2) == 40.22
+
+    def test_gradients_follow_the_params_dtype(self, readme_batch):
+        config, params, state, rng = readme_run_float32(readme_batch)
+        res = forward(readme_batch, params, config, training=True, rng=rng,
+                      workspace=state.workspace)
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, readme_batch.labels)
+        grads = backward(res.trace, params, config,
+                         *tri_bce_grads(res.y, res.y_deep, res.y_shallow,
+                                        readme_batch.labels, report))
+        assert res.y.dtype == res.trace.x1.dtype == np.float32
+        assert grads.dense.dtype == grads.embeddings[1].dtype == np.float32
+
+    # float32 rounds at 6e-8; measured at the README shape: outputs within 1.5e-7 of
+    # their largest value, each gradient tensor within 2.4e-6 of its largest entry
+    OUTPUT_BOUND, GRADIENT_BOUND = 1e-6, 1e-5
+
+    @pytest.mark.parametrize("mask", MASK_MODES)
+    def test_float32_step_is_close_to_float64(self, readme_batch, mask):
+        # float32-representable params, so the two differ only in the arithmetic
+        config, params32, _, _ = readme_run_float32(readme_batch, mask)
+        runs = []
+        for params in (params32, params32.copy(np.float64)):
+            res = forward(readme_batch, params, config, training=True,
+                          rng=Rng(derive_seed(1, "dropout")))
+            report = tri_bce(res.y, res.y_deep, res.y_shallow, readme_batch.labels)
+            grads = backward(res.trace, params, config,
+                             *tri_bce_grads(res.y, res.y_deep, res.y_shallow,
+                                            readme_batch.labels, report))
+            runs.append((res, grads))
+        (res32, grads32), (res64, grads64) = runs
+
+        def close(a, b, bound):
+            return np.abs(a.astype(np.float64) - b).max() <= bound * np.abs(b).max()
+
+        for key in ("y", "y_deep", "y_shallow"):
+            assert close(getattr(res32, key), getattr(res64, key), self.OUTPUT_BOUND), key
+        for (name, a), (_, b) in zip(named_dense(grads32), named_dense(grads64)):
+            assert close(a, b, self.GRADIENT_BOUND), name
+        assert np.array_equal(grads32.embeddings[0], grads64.embeddings[0])
+        assert close(grads32.embeddings[1], grads64.embeddings[1], self.GRADIENT_BOUND)

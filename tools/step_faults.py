@@ -2,7 +2,8 @@
 
 Runs N ``train_step`` calls on the README workload's data (8 fields,
 cardinality 10, order 4; default model, dropout 0.1, lr 0.01) at a given
-row count and branch depths, reading getrusage around each step, and prints
+row count and branch depths, from the float32 params ``training.train``
+starts from, reading getrusage around each step, and prints
 p10/p50 of each over the steps after the first (warm-up) one, then the MiB
 the two branch workspaces hold after the steps, in total and per role of
 each branch (``lcn.scratch``), then each branch's total.
@@ -24,9 +25,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fcn_ctr.features import FieldSpec, build_schema, encode, synth_interaction_data
-from fcn_ctr.model import ModelConfig, init_model_params
+from fcn_ctr.model import ModelConfig
 from fcn_ctr.numerics import Rng, derive_seed
-from fcn_ctr.training import TrainConfig, init_adam_state, train_step
+from fcn_ctr.training import TrainConfig, init_adam_state, init_train_params, train_step
 
 
 def depths(text: str) -> tuple[int, int]:
@@ -45,7 +46,7 @@ def main(argv=None):
     records, _ = synth_interaction_data(8, 10, 4, args.rows, Rng(derive_seed(1, "synth")))
     batch = encode(records, build_schema(records, [FieldSpec(f"f{j}") for j in range(8)]))
     config = ModelConfig(lcn_depth=args.depth[0], ecn_depth=args.depth[1], seed=1)
-    params = init_model_params(config, batch.sizes, derive_seed(1, "init"))
+    params = init_train_params(config, batch.sizes)
     state, rng = init_adam_state(params), Rng(derive_seed(1, "dropout"))
     faults, stime, ms = [], [], []
     for _ in range(args.steps):
