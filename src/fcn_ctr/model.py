@@ -341,8 +341,7 @@ FRESH = {np.dtype(t): FreshArrays(t) for t in (np.float32, np.float64)}  # by pa
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, both from e = exp(-|z|)."""
-    z = np.asarray(z)
-    z = z.astype(np.promote_types(z.dtype, np.float32), copy=False)  # float32 stays
+    z = np.asarray(z)  # in its dtype: float32 stays float32, integers give float64
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
