@@ -20,9 +20,10 @@ other parameter in one vector, ``ModelParams.dense``, and the per-field tables
 and the layer and head fields view the two, in one dtype that every array the
 forward, the backward and a workspace make takes: training runs in float32,
 ``init_model_params``, a loaded checkpoint and the oracles in float64. Params
-are immutable during forward/backward; traces are per-batch and single-owner. A layer trace keeps only what the backward
-reads, which recomputes the relu gate from it, and a backward spends the
-trace: every layer output of both branches takes gradient temporaries. A
+are immutable during forward/backward; traces are per-batch and single-owner.
+A layer trace keeps only what the backward reads, which recomputes the relu
+gate from it, and a backward spends the trace: every layer output of both
+branches takes gradient temporaries. A
 training run hands forward a ``BranchWorkspace`` per branch, whose buffers
 take a step's arrays in place of fresh temporaries, and the trace carries
 the pair to the backward; every other caller gets fresh arrays. The two
