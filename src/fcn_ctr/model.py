@@ -35,6 +35,7 @@ same results.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -549,10 +550,11 @@ def _both_branches(ecn_job, lcn_job, parallel: bool):
     """Return (ecn_job(), lcn_job()). In parallel the ecn job runs on the one
     worker thread while the lcn job runs on this one. The jobs share no mutable
     state. If both raise, the ecn job's exception propagates, as it would when
-    the jobs run one after the other."""
+    the jobs run one after the other. The ecn job runs in a copy of the caller's
+    context, so numpy's ``errstate`` holds on both threads."""
     if not parallel:
         return ecn_job(), lcn_job()
-    future = _worker.submit(ecn_job)
+    future = _worker.submit(contextvars.copy_context().run, ecn_job)
     try:
         lcn = lcn_job()
     finally:

@@ -20,6 +20,7 @@ import pytest
 
 import fcn_ctr
 import fcn_ctr.features as features_mod
+import fcn_ctr.model as model_mod
 import fcn_ctr.training as training_mod
 from fcn_ctr.checkpoint import load_checkpoint, save_checkpoint
 from fcn_ctr.cli import main
@@ -166,7 +167,7 @@ class TestTrain:
 
     def test_non_finite_gradient_is_data_error(self, workspace, tmp_path, monkeypatch, capsys):
         def diverged(*args, **kwargs):
-            raise FloatingPointError("non-finite gradient for tensor heads.w_deep")
+            raise FloatingPointError("non-finite update for tensor heads.w_deep")
 
         monkeypatch.setattr(training_mod, "adam_step", diverged)
         out = tmp_path / "diverged.ckpt"
@@ -175,7 +176,7 @@ class TestTrain:
                    "--valid", str(workspace["data"] / "valid.csv"),
                    "--out-checkpoint", str(out))
         assert code == 2
-        assert "non-finite gradient" in capsys.readouterr().err
+        assert "non-finite update for tensor heads.w_deep" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -266,21 +267,37 @@ class TestPredict:
         assert capsys.readouterr().out == f"wrote 0 predictions to {out}\n"
 
 
+@pytest.fixture(params=["serial", "threaded"])
+def branch_threads(request, monkeypatch):
+    """Run the test's forwards and backwards serially, or each branch on its own
+    thread however few rows it has."""
+    if request.param == "threaded":
+        monkeypatch.setattr(model_mod, "_parallel", lambda activations: True)
+        monkeypatch.setattr(model_mod, "STACKED_MAX_ACTIVATIONS", 0)
+    return request.param
+
+
 class TestNonFiniteParameters:
-    def test_float32_overflow_in_training_is_data_error(self, tmp_path, capsys):
-        # lr = 1e40 is past float32's range: the run trains in float32, so its first
-        # update overflows the weights, and the next step's gradient is not finite
+    @pytest.mark.parametrize("lr, ecn_depth", [("1e40", 1), ("1e5", 2)])
+    def test_float32_overflow_in_training_is_data_error(self, lr, ecn_depth, branch_threads,
+                                                        tmp_path, capsys):
+        # the run trains in float32: at lr = 1e40 the first update is past its range;
+        # at lr = 1e5 two ecn layers' weights grow until a forward overflows. Adam
+        # refuses the update before writing it, and nothing warns on either thread
         data = tmp_path / "data"
         assert run("synth", "--out", str(data), "--fields", "3", "--cardinality", "4",
                    "--order", "2", "--rows", "600", "--seed", "3") == 0
         config = tmp_path / "diverge.cfg"
-        config.write_text("d = 4\nlcn_depth = 1\necn_depth = 1\nmax_epochs = 2\n"
-                          "batch_size = 64\nlr = 1e40\n")
+        config.write_text(f"d = 4\nlcn_depth = 1\necn_depth = {ecn_depth}\nmax_epochs = 2\n"
+                          f"batch_size = 64\nlr = {lr}\n")
         out = tmp_path / "diverged.ckpt"
-        code = run("train", "--config", str(config), "--train", str(data / "train.csv"),
-                   "--valid", str(data / "valid.csv"), "--out-checkpoint", str(out))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("train", "--config", str(config), "--train", str(data / "train.csv"),
+                       "--valid", str(data / "valid.csv"), "--out-checkpoint", str(out))
         assert code == 2
-        assert "error: non-finite gradient for tensor" in capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite update for tensor \S+\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.fixture
@@ -376,7 +393,7 @@ class TestNonFiniteScores:
         save_checkpoint(path, params, config, schema)
         return path
 
-    def test_eval_refuses_non_finite_scores(self, overflow_checkpoint, capsys):
+    def test_eval_refuses_non_finite_scores(self, overflow_checkpoint, branch_threads, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run("eval", "--checkpoint", str(overflow_checkpoint),
@@ -385,7 +402,8 @@ class TestNonFiniteScores:
         assert captured.err == "error: non-finite score for row 5\n"
         assert "auc=" not in captured.out
 
-    def test_predict_refuses_non_finite_scores(self, overflow_checkpoint, tmp_path, capsys):
+    def test_predict_refuses_non_finite_scores(self, overflow_checkpoint, branch_threads,
+                                               tmp_path, capsys):
         out = tmp_path / "preds.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -84,12 +85,9 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match=r"lcn_layers\[0\]\.w"):
             adam_step(params, grads, init_adam_state(params), TrainConfig())
 
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_flat_update_bitwise_equals_per_tensor_reference(self, chunk, monkeypatch):
+    def test_flat_update_bitwise_equals_per_tensor_reference(self):
         # the update each tensor got from its own Adam loop before the
-        # dense parameters shared one vector; 7-entry chunks cut across tensors
-        if chunk is not None:
-            monkeypatch.setattr(training_mod, "ADAM_CHUNK", chunk)
+        # dense parameters shared one vector
         config, params = toy_model(lcn=2, ecn=2)
         ref = params.copy()
         tcfg = TrainConfig(learning_rate=0.01)
@@ -139,6 +137,48 @@ class TestAdam:
         assert params.table.tobytes() == before.table.tobytes()
         assert not state.m.any() and not state.v.any()
         assert not state.emb_m.any() and not state.emb_v.any()
+        assert state.t == 0
+
+    @staticmethod
+    def _float32_step_state():
+        # float32 params one ordinary step in, so every moment holds values
+        config, params = toy_model(lcn=2, ecn=1)
+        params = params.copy(np.float32)
+        state = init_adam_state(params)
+        batch = toy_batch()
+        train_step(batch, params, config, TrainConfig(), state, Rng(0))
+        res = forward(batch, params, config, training=True)
+        report = tri_bce(res.y, res.y_deep, res.y_shallow, batch.labels)
+        grads = backward(res.trace, params, config,
+                         *tri_bce_grads(res.y, res.y_deep, res.y_shallow, batch.labels, report))
+        return params, state, grads
+
+    def test_update_past_float32_range_writes_nothing(self):
+        # finite gradients, but lr = 1e40 puts every update past float32's range
+        params, state, grads = self._float32_step_state()
+        assert np.isfinite(grads.dense).all() and np.isfinite(grads.embeddings[1]).all()
+        before = [a.tobytes() for a in (params.dense, params.table, state.m, state.v,
+                                        state.emb_m, state.emb_v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError,
+                               match=r"non-finite update for tensor lcn_layers\[0\]\.w"):
+                adam_step(params, grads, state, TrainConfig(learning_rate=1e40))
+        after = [a.tobytes() for a in (params.dense, params.table, state.m, state.v,
+                                       state.emb_m, state.emb_v)]
+        assert after == before
+        assert state.t == 1
+
+    def test_gradient_past_float32_square_is_refused(self):
+        # 1e20 is finite in float32, but its square is not: a second moment of inf
+        # would freeze the weight, as every later update divides by it
+        params, state, grads = self._float32_step_state()
+        grads.heads.w_shallow[3] = 1e20
+        before = params.dense.tobytes(), state.v.tobytes()
+        with pytest.raises(FloatingPointError, match=r"heads\.w_shallow"):
+            adam_step(params, grads, state, TrainConfig())
+        assert (params.dense.tobytes(), state.v.tobytes()) == before
+        assert state.t == 1
 
     def test_two_runs_bitwise_identical(self):
         results = []
